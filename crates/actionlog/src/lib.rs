@@ -8,7 +8,8 @@
 //!   (actual adoption; rating implies prior informing).
 //! * [`synth`] — synthetic log generation by running Com-IC cascades with
 //!   ground-truth GAPs over a social graph (the offline stand-in for the
-//!   proprietary Flixster/Douban logs; see DESIGN.md §2).
+//!   proprietary Flixster/Douban logs; see DIVERGENCES.md, "Datasets and
+//!   action logs").
 //! * [`gap_learn`] — the paper's GAP estimators with 95% normal-approximation
 //!   confidence intervals (Tables 5–7).
 //! * [`influence_learn`] — static Bernoulli edge-probability learning in the

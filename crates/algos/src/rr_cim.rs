@@ -23,13 +23,22 @@
 //!   Figure 3 (the node can seed B, route it forward to a suspended
 //!   unlocker, and receive A back).
 //!
-//! The construction follows Algorithm 4 verbatim. Note (documented in
-//! DESIGN.md): the *static* B-diffusible gate `α_B ≤ q_{B|∅} ∨ label =
-//! adopted` can under-collect in a rare corner where an A-ready but
-//! merely-potential node would relay B only thanks to `q_{B|A} = 1` after
-//! receiving A along the same path; the brute-force replay tests in this
-//! module quantify the effect (soundness — no false members — always
-//! holds).
+//! **Root screen.** Before Phase I, a two-stage backward BFS from the root
+//! over live in-edges (`root_is_boostable`) decides Algorithm 4 lines 2–3:
+//! Phase I leaves the root suspended or potential iff the root is not an
+//! A-seed, some live path from `S_A` reaches it through nodes with
+//! `α_A ≤ q_{A|B}`, and no live path reaches it through nodes with
+//! `α_A ≤ q_{A|∅}` only. Only roots that pass pay for the whole A-cascade.
+//! Each set is the same function of the world as without the screen; only
+//! the order of lazy draws differs (DIVERGENCES.md, "RR-CIM root screen").
+//!
+//! The construction follows Algorithm 4 verbatim. Note (DIVERGENCES.md,
+//! "RR-CIM's static B-diffusible gate"): the *static* B-diffusible gate
+//! `α_B ≤ q_{B|∅} ∨ label = adopted` can under-collect in a rare corner
+//! where an A-ready but merely-potential node would relay B only thanks to
+//! `q_{B|A} = 1` after receiving A along the same path; the brute-force
+//! replay tests in this module quantify the effect (soundness — no false
+//! members — always holds).
 
 use comic_core::gap::Gap;
 use comic_core::item::Item;
@@ -62,6 +71,8 @@ pub struct RrCimSampler<'g> {
     g: &'g DiGraph,
     gap: Gap,
     seeds_a: Vec<NodeId>,
+    /// `is_seed_a[v]` iff `v ∈ S_A`, for the root screen.
+    is_seed_a: Vec<bool>,
     world: LazyWorld,
     label: StampedVec<FLabel>,
     in_r: StampedSet,
@@ -93,10 +104,15 @@ impl<'g> RrCimSampler<'g> {
             }
         }
         let n = g.num_nodes();
+        let mut is_seed_a = vec![false; n];
+        for &s in &seeds_a {
+            is_seed_a[s.index()] = true;
+        }
         Ok(RrCimSampler {
             g,
             gap,
             seeds_a,
+            is_seed_a,
             world: LazyWorld::new(n, g.num_edges()),
             label: StampedVec::new(n),
             in_r: StampedSet::new(n),
@@ -118,10 +134,10 @@ impl<'g> RrCimSampler<'g> {
 
     /// Memoization pressure of the sampler's owned [`LazyWorld`],
     /// accumulated over every [`RrSampler::sample`] call so far: how often
-    /// Phase II's backward searches (and especially the case-4 `S_f ∩ S_b`
-    /// loop test, which re-walks edges the primary search already flipped)
-    /// were answered from the per-world memo instead of drawing fresh
-    /// coins.
+    /// Phase I (re-reading the root screen's coins) and Phase II's backward
+    /// searches (especially the case-4 `S_f ∩ S_b` loop test, which
+    /// re-walks edges the primary search already flipped) were answered
+    /// from the per-world memo instead of drawing fresh coins.
     pub fn memo_stats(&self) -> comic_core::possible_world::MemoStats {
         self.world.memo_stats()
     }
@@ -310,6 +326,77 @@ impl<'g> RrCimSampler<'g> {
         false
     }
 
+    /// The root screen: whether Phase I would leave `root` suspended or
+    /// potential in `world`, decided by a backward BFS over live in-edges
+    /// instead of the forward A-cascade. Stage 1 climbs through nodes with
+    /// `α_A ≤ q_{A|∅}`: a seed there makes the root A-adopted. Stage 2
+    /// resumes from the nodes stage 1 set aside (`q_{A|∅} < α_A ≤ q_{A|B}`)
+    /// and climbs through `α_A ≤ q_{A|B}`: a seed there informs the root
+    /// without adopting it, none leaves it unreached.
+    fn root_is_boostable<R: Rng>(
+        &mut self,
+        root: NodeId,
+        world: &mut LazyWorld,
+        rng: &mut R,
+    ) -> bool {
+        if self.is_seed_a[root.index()] {
+            return false;
+        }
+        let ar = world.alpha(Item::A, root, rng);
+        if ar > self.gap.q_ab {
+            return false;
+        }
+        self.prim_visited.clear();
+        self.prim_visited.insert(root.index());
+        self.queue.clear();
+        self.queue2.clear();
+        if ar <= self.gap.q_a0 {
+            self.queue.push(root);
+        } else {
+            self.queue2.push(root);
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let x = self.queue[head];
+            head += 1;
+            for adj in self.g.in_edges(x) {
+                let w = adj.node;
+                if self.prim_visited.contains(w.index()) || !world.edge_live(adj.edge, adj.p, rng) {
+                    continue;
+                }
+                if self.is_seed_a[w.index()] {
+                    return false;
+                }
+                self.prim_visited.insert(w.index());
+                let aw = world.alpha(Item::A, w, rng);
+                if aw <= self.gap.q_a0 {
+                    self.queue.push(w);
+                } else if aw <= self.gap.q_ab {
+                    self.queue2.push(w);
+                }
+            }
+        }
+        let mut head = 0;
+        while head < self.queue2.len() {
+            let x = self.queue2[head];
+            head += 1;
+            for adj in self.g.in_edges(x) {
+                let w = adj.node;
+                if self.prim_visited.contains(w.index()) || !world.edge_live(adj.edge, adj.p, rng) {
+                    continue;
+                }
+                if self.is_seed_a[w.index()] {
+                    return true;
+                }
+                self.prim_visited.insert(w.index());
+                if world.alpha(Item::A, w, rng) <= self.gap.q_ab {
+                    self.queue2.push(w);
+                }
+            }
+        }
+        false
+    }
+
     /// Sample `R_W(root)` in the provided (already reset) world — exposed so
     /// validation code can replay the identical world through the
     /// brute-force reference sampler.
@@ -321,20 +408,22 @@ impl<'g> RrCimSampler<'g> {
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
+        self.last_width = 0;
+        // Roots that adopt A on their own, were rejected, or can never be
+        // informed, cannot be boosted (Algorithm 4 lines 2–3).
+        if !self.root_is_boostable(root, world, rng) {
+            return;
+        }
         self.label.clear();
         self.in_r.clear();
         self.prim_visited.clear();
         self.sec_b_visited.clear();
-        self.last_width = 0;
 
         self.forward_label(world, rng);
-
-        // Roots that adopt A on their own, were rejected, or can never be
-        // informed, cannot be boosted (Algorithm 4 lines 2–3).
-        let rl = self.get_label(root);
-        if rl != FLabel::Suspended && rl != FLabel::Potential {
-            return;
-        }
+        debug_assert!(matches!(
+            self.get_label(root),
+            FLabel::Suspended | FLabel::Potential
+        ));
 
         self.queue.clear();
         self.prim_visited.insert(root.index());
@@ -513,6 +602,61 @@ mod tests {
             (undercollected as f64) < 0.02 * total_sets as f64,
             "under-collection too frequent: {undercollected}/{total_sets}"
         );
+    }
+
+    /// The root screen is exact per world: its verdict equals "Phase I
+    /// leaves the root suspended or potential" in the same world, whichever
+    /// of the two draws the shared coins first.
+    #[test]
+    fn root_screen_matches_phase_one_labels_per_world() {
+        let mut grng = SmallRng::seed_from_u64(13);
+        let topo = gen::gnm(40, 200, &mut grng).unwrap();
+        let seeds_a = seeds(&[0, 1, 2]);
+        for (gi, gap) in [
+            cim_gap(),
+            Gap::new(0.88, 0.92, 0.92, 1.0).unwrap(), // Flixster's ν
+            Gap::new(0.0, 1.0, 0.3, 1.0).unwrap(),
+            Gap::new(0.4, 0.7, 0.6, 1.0).unwrap(),
+            Gap::new(0.5, 0.5, 0.5, 1.0).unwrap(), // nobody is ever suspended
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut boostable = [0usize; 2];
+            for p in [0.2, 0.5, 0.9] {
+                let g = comic_graph::prob::ProbModel::Constant(p).apply(&topo, &mut grng);
+                let mut s = RrCimSampler::new(&g, gap, seeds_a.clone()).unwrap();
+                let mut rng = SmallRng::seed_from_u64(50 + gi as u64);
+                let mut world = LazyWorld::new(g.num_nodes(), g.num_edges());
+                for trial in 0..2_000 {
+                    let root = NodeId(rng.random_range(0..g.num_nodes() as u32));
+                    world.reset();
+                    s.label.clear();
+                    let verdict = if trial % 2 == 0 {
+                        let v = s.root_is_boostable(root, &mut world, &mut rng);
+                        s.forward_label(&mut world, &mut rng);
+                        v
+                    } else {
+                        s.forward_label(&mut world, &mut rng);
+                        s.root_is_boostable(root, &mut world, &mut rng)
+                    };
+                    let label = s.get_label(root);
+                    assert_eq!(
+                        verdict,
+                        matches!(label, FLabel::Suspended | FLabel::Potential),
+                        "gap {gap} p {p} trial {trial} root {root}: screen says \
+                         {verdict}, Phase I labels {label:?}"
+                    );
+                    boostable[verdict as usize] += 1;
+                }
+            }
+            assert!(boostable[0] > 0, "gap {gap}: every root boostable");
+            if gap.q_a0 < gap.q_ab {
+                assert!(boostable[1] > 0, "gap {gap}: no root boostable");
+            } else {
+                assert_eq!(boostable[1], 0, "gap {gap}: suspension needs q_A|∅ < q_A|B");
+            }
+        }
     }
 
     /// The memo pressure counters are surfaced, deterministic for a fixed

@@ -3,9 +3,10 @@
 //! growth of time with graph size for all three samplers.
 //!
 //! The `rr_generation` section measures raw RR-set generation throughput
-//! (the wall-clock bottleneck of the whole pipeline): the pre-optimization
-//! sequential loop (single sampler, per-set `in_degree` width pass) against
-//! the sharded generator at 1, 4 and all-cores threads. Set
+//! (the wall-clock bottleneck of the whole pipeline) of the IC, RR-SIM+ and
+//! RR-CIM samplers: the pre-optimization sequential loop (single sampler,
+//! per-set `in_degree` width pass) against the sharded generator at 1, 4
+//! and all-cores threads. Set
 //! `COMIC_BENCH_JSON=<path>` to also write the numbers as a JSON snapshot
 //! (committed as `BENCH_rr_generation.json` at the repo root).
 
@@ -131,6 +132,7 @@ fn bench_rr_generation(c: &mut Criterion) {
     let (n, g) = scalability_series(&[20_000]).pop().expect("one size");
     let lg = Dataset::Flixster.learned_gap();
     let gap_sim = Gap::new(lg.q_a0, lg.q_ab, lg.q_b0, lg.q_b0).unwrap();
+    let gap_cim = Gap::new(lg.q_a0, lg.q_ab, lg.q_b0, 1.0).unwrap();
     let opposite = OppositeMode::Random100.seeds(&g, 100, 7);
 
     let mut results: Vec<GenRate> = Vec::new();
@@ -144,6 +146,13 @@ fn bench_rr_generation(c: &mut Criterion) {
     measure_generation(
         "rr_sim_plus",
         || comic_algos::RrSimPlusSampler::new(&g, gap_sim, opposite.clone()).unwrap(),
+        &g,
+        theta,
+        &mut results,
+    );
+    measure_generation(
+        "rr_cim",
+        || comic_algos::RrCimSampler::new(&g, gap_cim, opposite.clone()).unwrap(),
         &g,
         theta,
         &mut results,

@@ -13,8 +13,8 @@
 //! The stand-ins are Chung–Lu power-law graphs whose exponents are tuned so
 //! the out-degree skew brackets the reported maxima at full scale, with
 //! weighted-cascade edge probabilities (the standard proxy for the paper's
-//! learned probabilities — DESIGN.md §2). Everything is deterministic given
-//! the scale factor.
+//! learned probabilities — DIVERGENCES.md, "Datasets and action logs").
+//! Everything is deterministic given the scale factor.
 //!
 //! On-disk datasets flow `file → ProbAssignment → manifest validation →
 //! driver`: [`load`] resolves a registry name (or a bare path) to a SNAP or

@@ -3,9 +3,9 @@
 //!
 //! The proprietary logs are replaced by Com-IC-generated synthetic logs
 //! whose *ground-truth* GAPs are set to the paper's learned values
-//! (DESIGN.md §2), so each row shows: truth, learned estimate ± CI, and
-//! whether the truth is covered — an end-to-end validation of the §7.2
-//! estimators.
+//! (DIVERGENCES.md, "Datasets and action logs"), so each row shows: truth,
+//! learned estimate ± CI, and whether the truth is covered — an end-to-end
+//! validation of the §7.2 estimators.
 
 use crate::datasets::{DataSource, Dataset};
 use crate::report::{pm, Table};

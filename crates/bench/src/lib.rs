@@ -7,8 +7,9 @@
 //!   real SNAP files behind `--dataset <name|path>` (file → probability
 //!   model → manifest validation → digest-checked binary cache), plus
 //!   synthetic stand-ins for Flixster / Douban-Book / Douban-Movie /
-//!   Last.fm matched to Table 1's scale and degree profile (see DESIGN.md
-//!   §2), at a scaled-down default size with `--full` for paper scale.
+//!   Last.fm matched to Table 1's scale and degree profile (see
+//!   DIVERGENCES.md, "Datasets and action logs"), at a scaled-down default
+//!   size with `--full` for paper scale.
 //! * [`invariance`] — the thread-count-invariance test harness enforcing
 //!   the workspace determinism contract (learning, generation,
 //!   RR-generation, seed selection) as one API.

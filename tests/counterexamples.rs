@@ -159,7 +159,8 @@ fn example_4_non_cross_submodularity_exact() {
 /// exhibits a Q− instance where self-submodularity fails; its Figure-12
 /// topology is not fully specified in the text (our exact-search over the
 /// described gadget family did not recover the printed constants — see
-/// DESIGN.md), so here we verify the surrounding *theorems* exactly:
+/// DIVERGENCES.md, "Example 5"), so here we verify the surrounding
+/// *theorems* exactly:
 ///
 /// * Example 1's gadget under Q− shows competitive blocking in action and
 ///   monotonicity (Theorem 3) holding;
