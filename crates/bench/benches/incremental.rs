@@ -2,8 +2,8 @@
 //! regenerating the pool from scratch — the update-throughput story of the
 //! delta ingestion layer. Both paths run through the identical
 //! `refresh_pool_marked` machinery (the "full" rows mark every set), so
-//! the comparison isolates exactly the work the touch-provenance screen
-//! avoids.
+//! the comparison isolates exactly the resampling that index-driven
+//! invalidation avoids.
 //!
 //! `COMIC_BENCH_JSON=BENCH_incremental.json cargo bench --bench incremental`
 //! writes the committed snapshot.
@@ -148,11 +148,12 @@ fn bench_incremental(c: &mut Criterion) {
                     g.num_edges()
                 ),
             ),
+            ("host_cores", comic_ris::parallel::resolve_threads(0).to_string()),
             ("sketches", total_sets.to_string()),
             ("threads", THREADS.to_string()),
             (
                 "note",
-                "\"both paths run refresh_pool_marked; 'full_rebuild' rows mark every set, so the gap is exactly the resampling the bloom screen avoids\"".into(),
+                "\"both paths run refresh_pool_marked; 'full_rebuild' rows mark every set, so the gap is exactly the resampling that index-driven invalidation avoids\"".into(),
             ),
         ],
         &rows

@@ -18,7 +18,7 @@ use comic_graph::DiGraph;
 use comic_ris::parallel::{resolve_threads, ShardedGenerator};
 use comic_ris::rr::RrStore;
 use comic_ris::sampler::RrSampler;
-use comic_ris::tim::{general_tim, TimConfig};
+use comic_ris::tim::{general_tim_with, TimConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -42,17 +42,12 @@ fn bench_scalability(c: &mut Criterion) {
             cfg
         };
         group.bench_with_input(BenchmarkId::new("rr_sim_plus", n), &g, |b, g| {
-            b.iter(|| {
-                let mut s =
-                    comic_algos::RrSimPlusSampler::new(g, gap_sim, opposite.clone()).unwrap();
-                black_box(general_tim(&mut s, &cfg).unwrap().covered)
-            });
+            let factory = comic_algos::RrSimPlusSampler::factory(g, gap_sim, &opposite).unwrap();
+            b.iter(|| black_box(general_tim_with(&factory, &cfg).unwrap().covered));
         });
         group.bench_with_input(BenchmarkId::new("rr_cim", n), &g, |b, g| {
-            b.iter(|| {
-                let mut s = comic_algos::RrCimSampler::new(g, gap_cim, opposite.clone()).unwrap();
-                black_box(general_tim(&mut s, &cfg).unwrap().covered)
-            });
+            let factory = comic_algos::RrCimSampler::factory(g, gap_cim, &opposite).unwrap();
+            b.iter(|| black_box(general_tim_with(&factory, &cfg).unwrap().covered));
         });
     }
     group.finish();

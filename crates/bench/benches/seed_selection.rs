@@ -20,7 +20,7 @@ use comic_bench::datasets::{bench_source, Dataset};
 use comic_bench::runtime::timed;
 use comic_graph::NodeId;
 use comic_ris::ic_sampler::IcRrSampler;
-use comic_ris::kpt::kpt_star;
+use comic_ris::kpt::kpt_star_with;
 use comic_ris::parallel::resolve_threads;
 use comic_ris::rr::RrStore;
 use comic_ris::sampler::RrSampler;
@@ -64,11 +64,7 @@ fn bench_seed_selection(c: &mut Criterion) {
     });
 
     group.bench_function("kpt_star_k50", |b| {
-        b.iter(|| {
-            let mut s = IcRrSampler::new(&g);
-            let mut rng = SmallRng::seed_from_u64(2);
-            black_box(kpt_star(&mut s, 50, 1.0, &mut rng).kpt)
-        });
+        b.iter(|| black_box(kpt_star_with(|| IcRrSampler::new(&g), 50, 1.0, 2, 1).kpt));
     });
 
     group.bench_function("celf_mc_objective", |b| {

@@ -1,21 +1,23 @@
 //! The thread-count-invariance test harness: one enforced API for the
 //! workspace's determinism contract.
 //!
-//! Every parallel subsystem in the repo promises one of two things:
+//! The workspace's parallel subsystems promise **thread-count
+//! invariance**: the output is byte-identical for every worker count at a
+//! fixed seed. This is the contract of the learning layer
+//! (`comic_actionlog::{learn_influence, learn_gaps_with}`), the parallel
+//! generators (`comic_graph::gen::par`), RR-set generation
+//! (`comic_ris::parallel::ShardedGenerator`, whose per-set RNG streams are
+//! keyed on each set's index — so pool bytes, KPT* estimates and
+//! GeneralTIM results match at every thread count), and the
+//! seed-selection engine (`comic_ris::select`: index builds and CELF
+//! sweeps). Checked by [`assert_thread_invariance`] /
+//! [`check_thread_invariance`].
 //!
-//! 1. **Thread-count invariance** — the output is byte-identical for every
-//!    worker count at a fixed seed. This is the contract of the learning
-//!    layer (`comic_actionlog::{learn_influence, learn_gaps_with}`), the
-//!    parallel generators (`comic_graph::gen::par`), and the seed-selection
-//!    engine (`comic_ris::select`: index builds and CELF sweeps). Checked
-//!    by [`assert_thread_invariance`] / [`check_thread_invariance`].
-//! 2. **Per-configuration reproducibility** — the output is byte-identical
-//!    when the *same* `(seed, threads)` pair is run twice, though different
-//!    thread counts legitimately produce different (equally distributed)
-//!    samples. This is the contract of RR-set generation
-//!    (`comic_ris::parallel::ShardedGenerator`) and spread estimation,
-//!    where per-shard RNG streams are keyed by shard id and the shard count
-//!    *is* the thread count. Checked by [`assert_reproducible`].
+//! Monte-Carlo spread estimation
+//! (`comic_core::SpreadEstimator::estimate_parallel`) is the one exception:
+//! its per-shard streams stay keyed on `(seed, threads)`, so its output is
+//! reproducible for a fixed pair while different thread counts draw
+//! different (equally distributed) samples.
 //!
 //! Before this module each crate hand-rolled ad-hoc versions of these
 //! assertions; the harness turns them into one API so a new parallel code
@@ -165,33 +167,6 @@ where
     }
 }
 
-/// The weaker contract for subsystems whose sample streams are keyed by
-/// shard id (RR generation, spread estimation): for each thread count in
-/// the ambient matrix, running `subject` twice must produce identical
-/// results. Panics on the first non-reproducible configuration.
-pub fn assert_reproducible<T, F>(label: &str, subject: F) -> InvarianceReport
-where
-    T: Hash + PartialEq,
-    F: Fn(usize) -> T,
-{
-    let mut digests = Vec::new();
-    for t in thread_counts() {
-        let first = subject(t);
-        let again = subject(t);
-        let (d1, d2) = (digest(&first), digest(&again));
-        assert!(
-            first == again && d1 == d2,
-            "{label}: two runs at threads={t} disagree ({d1:#018x} vs {d2:#018x}) — \
-             the (seed, threads) reproducibility contract is broken"
-        );
-        digests.push((t, d1));
-    }
-    InvarianceReport {
-        label: label.to_string(),
-        digests,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,8 +179,11 @@ mod tests {
     use comic_graph::io::graph_digest;
     use comic_graph::prob::ProbModel;
     use comic_ris::ic_sampler::IcRrSampler;
+    use comic_ris::kpt::kpt_star_with;
     use comic_ris::parallel::ShardedGenerator;
     use comic_ris::select::{CelfGreedy, CoverageFragment, CoverageIndex, SeedSelector};
+    use comic_ris::tim::TimConfig;
+    use comic_ris::{RisPipeline, RrSampler, RrStore};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -347,21 +325,85 @@ mod tests {
         });
     }
 
-    /// RR generation: the weaker `(seed, threads)` reproducibility
-    /// contract, through the harness's second mode.
+    /// A store as hashable words: per set, its width, size and members.
+    fn store_words(store: &RrStore) -> Vec<u64> {
+        let mut acc = Vec::with_capacity(store.len() * 3 + store.total_members() as usize);
+        for i in 0..store.len() {
+            let set = store.set(i);
+            acc.extend([store.width(i), set.len() as u64]);
+            acc.extend(set.iter().map(|v| u64::from(v.0)));
+        }
+        acc
+    }
+
+    /// RR generation: every set draws from a stream keyed on its index, so
+    /// the store is the same at every thread count.
     #[test]
-    fn rr_generation_is_reproducible_per_configuration() {
+    fn rr_generation_is_thread_invariant() {
         let g = test_graph(100, 600, 7);
-        assert_reproducible("sharded_rr_generation", |threads| {
-            let store =
-                ShardedGenerator::new(|| IcRrSampler::new(&g), 21, threads).generate(400, 4);
-            let mut acc: Vec<u64> = Vec::with_capacity(store.len() * 2);
-            for i in 0..store.len() {
-                acc.push(store.width(i));
-                acc.extend(store.set(i).iter().map(|v| v.0 as u64));
-            }
-            acc
+        assert_thread_invariance("sharded_rr_generation", |threads| {
+            store_words(
+                &ShardedGenerator::new(|| IcRrSampler::new(&g), 21, threads).generate(400, 4),
+            )
         });
+    }
+
+    /// The bytes of a pool from `RisPipeline::generate_pool` — its store,
+    /// its fused coverage index and its KPT* estimate — at `threads`.
+    fn pool_bytes<S, F>(factory: F, threads: usize) -> (Vec<u64>, CoverageIndex, u64)
+    where
+        S: RrSampler,
+        F: Fn() -> S + Sync,
+    {
+        let cfg = TimConfig::new(4)
+            .seed(31)
+            .max_rr_sets(3_000)
+            .threads(threads);
+        let pool = RisPipeline::new(cfg)
+            .generate_pool(factory)
+            .expect("pool over the test graph");
+        let index = pool.coverage_index().expect("pools carry a fused index");
+        (
+            store_words(pool.store()),
+            (**index).clone(),
+            pool.kpt().to_bits(),
+        )
+    }
+
+    /// Pool builds under every sampler the service pools: the same bytes
+    /// at every generation thread count.
+    #[test]
+    fn pool_bytes_are_thread_invariant_for_every_sampler() {
+        let g = test_graph(150, 700, 16);
+        let other: Vec<comic_graph::NodeId> = (0..3).map(comic_graph::NodeId).collect();
+        let one_way = Gap::new(0.3, 0.8, 0.5, 0.5).unwrap();
+        let mutual = Gap::new(0.3, 0.8, 0.5, 1.0).unwrap();
+        assert_thread_invariance("pool_bytes/ic", |t| pool_bytes(|| IcRrSampler::new(&g), t));
+        let sim = comic_algos::RrSimSampler::factory(&g, one_way, &other).unwrap();
+        assert_thread_invariance("pool_bytes/rr_sim", |t| pool_bytes(&sim, t));
+        let sim_plus = comic_algos::RrSimPlusSampler::factory(&g, one_way, &other).unwrap();
+        assert_thread_invariance("pool_bytes/rr_sim_plus", |t| pool_bytes(&sim_plus, t));
+        let cim = comic_algos::RrCimSampler::factory(&g, mutual, &other).unwrap();
+        assert_thread_invariance("pool_bytes/rr_cim", |t| pool_bytes(&cim, t));
+    }
+
+    /// KPT* estimation: rounds large enough to shard still give the same
+    /// estimate, sample count and member count at every thread count.
+    #[test]
+    fn kpt_estimate_is_thread_invariant() {
+        let mut rng = SmallRng::seed_from_u64(18);
+        let topo = gen::gnm(2_000, 8_000, &mut rng).unwrap();
+        let g = ProbModel::WeightedCascade.apply(&topo, &mut rng);
+        let report = assert_thread_invariance("kpt_star_with", |t| {
+            let est = kpt_star_with(|| IcRrSampler::new(&g), 5, 1.0, 41, t);
+            (est.kpt.to_bits(), est.samples, est.total_members)
+        });
+        let samples = kpt_star_with(|| IcRrSampler::new(&g), 5, 1.0, 41, 1).samples;
+        assert!(
+            samples > 4 * 512,
+            "rounds must span several shards ({samples})"
+        );
+        assert!(!report.digests.is_empty());
     }
 
     /// Fused coverage-index builds: at every thread count in the matrix,

@@ -12,7 +12,6 @@
 
 use crate::parallel::{resolve_threads, ShardedGenerator};
 use crate::sampler::RrSampler;
-use rand::Rng;
 
 /// Outcome of the KPT* estimation.
 #[derive(Clone, Copy, Debug)]
@@ -38,8 +37,7 @@ impl KptEstimate {
     }
 }
 
-/// The geometric round schedule of TIM's Algorithm 2 — shared by the
-/// sequential and sharded estimators so the constants cannot drift apart.
+/// The geometric round schedule of TIM's Algorithm 2.
 struct RoundPlan {
     nf: f64,
     mf: f64,
@@ -89,60 +87,22 @@ impl RoundPlan {
     }
 }
 
-/// Estimate `KPT*` for a sampler and budget `k` (TIM Algorithm 2).
-///
-/// `ell` is the confidence exponent (failure probability `n^{-ell}`).
-pub fn kpt_star<S: RrSampler, R: Rng>(
-    sampler: &mut S,
-    k: usize,
-    ell: f64,
-    rng: &mut R,
-) -> KptEstimate {
-    let n = sampler.graph().num_nodes();
-    let m = sampler.graph().num_edges();
-    let Some(plan) = RoundPlan::new(n, m, k, ell) else {
-        return KptEstimate::floor(0, 0);
-    };
-    let mut samples: u64 = 0;
-    let mut total_members: u64 = 0;
-    let mut out = Vec::new();
-    for i in 1..=plan.rounds {
-        let c_i = plan.budget(i);
-        let mut sum = 0.0f64;
-        for _ in 0..c_i {
-            // The sampler accumulates ω(R) during its reverse BFS, so no
-            // second in_degree pass over the members is needed here.
-            let (_, width) = sampler.sample_random_with_width(rng, &mut out);
-            samples += 1;
-            total_members += out.len() as u64;
-            sum += plan.kappa(width);
-        }
-        if let Some(kpt) = plan.verdict(i, sum, c_i) {
-            return KptEstimate {
-                kpt,
-                samples,
-                total_members,
-            };
-        }
-    }
-    KptEstimate::floor(samples, total_members)
-}
-
 /// Workers below this per-shard sample share cost more in sampler
 /// construction (each worker builds a fresh instance: O(n + m) scans and
 /// n-sized scratch tables) than they save, so early rounds clamp their
-/// thread count. The clamp is a pure function of the round budget, keeping
-/// the `(seed, threads)` determinism contract intact.
+/// thread count. Worker counts never change the sampled sets.
 const MIN_SAMPLES_PER_SHARD: u64 = 512;
 
-/// Parallel KPT* estimation over per-thread sampler instances (the sharded
-/// twin of [`kpt_star`]).
+/// Estimate `KPT*` for budget `k` over per-thread sampler instances (TIM
+/// Algorithm 2). `ell` is the confidence exponent (failure probability
+/// `n^{-ell}`).
 ///
 /// Each geometric round generates its `c_i` RR-sets through a
-/// [`ShardedGenerator`] seeded with a round-distinct stream derived from
-/// `seed`, then folds `κ` over the merged store in shard order — so the
-/// estimate is deterministic for a fixed `(seed, threads)` pair. `threads`
-/// follows the [`crate::parallel`] convention (`0` = all cores).
+/// [`ShardedGenerator`] anchored at a round-distinct seed derived from
+/// `seed`, then folds `κ` over the merged store in set order — so the
+/// estimate is a function of `seed` alone, identical for every thread
+/// count. `threads` follows the [`crate::parallel`] convention (`0` = all
+/// cores).
 pub fn kpt_star_with<S, F>(factory: F, k: usize, ell: f64, seed: u64, threads: usize) -> KptEstimate
 where
     S: RrSampler,
@@ -214,9 +174,7 @@ mod tests {
     fn kpt_lower_bounds_opt_on_star() {
         // Star with certain edges: OPT_1 = spread of the hub = n.
         let g = gen::star(200, 1.0);
-        let mut sampler = IcRrSampler::new(&g);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let est = kpt_star(&mut sampler, 1, 1.0, &mut rng);
+        let est = kpt_star_with(|| IcRrSampler::new(&g), 1, 1.0, 1, 1);
         let opt = 200.0;
         // Correctness of GeneralTIM only needs KPT* ≤ OPT (θ = λ/LB then
         // oversamples). The hub star is TIM's adversarial case for the
@@ -234,14 +192,13 @@ mod tests {
         let g = gen::gnm(300, 1500, &mut grng).unwrap();
         let g = comic_graph::prob::ProbModel::WeightedCascade.apply(&g, &mut grng);
         let k = 5;
-        let mut sampler = IcRrSampler::new(&g);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let est = kpt_star(&mut sampler, k, 1.0, &mut rng);
+        let est = kpt_star_with(|| IcRrSampler::new(&g), k, 1.0, 3, 1);
         // Compare against the spread of a decent heuristic k-set (high degree):
         // KPT* must not exceed OPT, and a high-degree set lower-bounds OPT.
         let mut by_deg: Vec<u32> = (0..300).collect();
         by_deg.sort_by_key(|&v| std::cmp::Reverse(g.out_degree(comic_graph::NodeId(v))));
         let hd: Vec<u32> = by_deg[..k].to_vec();
+        let mut rng = SmallRng::seed_from_u64(3);
         let hd_spread = ic_spread(&g, &seeds(&hd), 20_000, &mut rng);
         // OPT >= hd_spread, and kpt <= OPT. We can't observe OPT directly, so
         // check kpt is within a generous window around the heuristic spread.
@@ -256,35 +213,26 @@ mod tests {
     #[test]
     fn degenerate_graphs_return_floor() {
         let g = gen::path(1, 1.0);
-        let mut sampler = IcRrSampler::new(&g);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let est = kpt_star(&mut sampler, 1, 1.0, &mut rng);
-        assert_eq!(est.kpt, 1.0);
         let est = kpt_star_with(|| IcRrSampler::new(&g), 1, 1.0, 4, 2);
         assert_eq!(est.kpt, 1.0);
+        assert_eq!(est.samples, 0);
     }
 
     #[test]
-    fn parallel_kpt_is_deterministic_and_agrees_with_sequential() {
+    fn kpt_star_with_is_identical_across_thread_counts() {
         let mut grng = SmallRng::seed_from_u64(5);
         let g = gen::gnm(300, 1500, &mut grng).unwrap();
         let g = comic_graph::prob::ProbModel::WeightedCascade.apply(&g, &mut grng);
         let k = 5;
-        let par1 = kpt_star_with(|| IcRrSampler::new(&g), k, 1.0, 99, 4);
-        let par2 = kpt_star_with(|| IcRrSampler::new(&g), k, 1.0, 99, 4);
-        assert_eq!(par1.kpt, par2.kpt, "same (seed, threads) must reproduce");
-        assert_eq!(par1.samples, par2.samples);
-        assert_eq!(par1.total_members, par2.total_members);
-        // Against the sequential estimator: both are noisy estimates of the
-        // same quantity; they must land in the same ballpark.
-        let mut sampler = IcRrSampler::new(&g);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let seq = kpt_star(&mut sampler, k, 1.0, &mut rng);
-        assert!(
-            par1.kpt <= seq.kpt * 3.0 && seq.kpt <= par1.kpt * 3.0,
-            "parallel {} vs sequential {}",
-            par1.kpt,
-            seq.kpt
-        );
+        let base = kpt_star_with(|| IcRrSampler::new(&g), k, 1.0, 99, 1);
+        assert!(base.samples > 0);
+        for threads in [2, 3, 4, 7] {
+            let est = kpt_star_with(|| IcRrSampler::new(&g), k, 1.0, 99, threads);
+            assert_eq!(
+                (est.kpt.to_bits(), est.samples, est.total_members),
+                (base.kpt.to_bits(), base.samples, base.total_members),
+                "threads = {threads}"
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! of the paper):
 //!
 //! 1. estimate a lower bound `KPT*` of the optimal spread
-//!    ([`kpt::kpt_star`], TIM's Algorithm 2 generalized to arbitrary
+//!    ([`kpt::kpt_star_with`], TIM's Algorithm 2 generalized to arbitrary
 //!    RR-sets);
 //! 2. derive the sample count θ from Equation (3) ([`tim::theta`]);
 //! 3. sample θ random RR-sets ([`rr::RrStore`]);
@@ -27,7 +27,9 @@
 //!    default, exhaustive greedy as the oracle).
 //!
 //! Steps 1 and 3 — the wall-clock bottleneck at paper scale — run sharded
-//! across worker threads through [`parallel::ShardedGenerator`]; step 4's
+//! across worker threads through one sampling loop,
+//! [`parallel::ShardedGenerator`], where every RR-set draws from an RNG
+//! stream keyed on its index in the batch; step 4's
 //! coverage index is **fused into the generation merge**
 //! ([`parallel::ShardedGenerator::generate_indexed`]): workers emit
 //! per-shard node histograms and pre-bucketed member runs
@@ -35,10 +37,11 @@
 //! index materializes during the shard merge instead of a second pass
 //! over the store. The selection hot loops run over the runtime-dispatched
 //! kernels of [`simd`] (AVX2 with a scalar reference fallback, overridable
-//! via `COMIC_SIMD=off`). [`tim::general_tim_with`] is the classic
-//! parallel entry point; everything is deterministic for a fixed
-//! `(seed, threads)` configuration, and seed *selection* is additionally
-//! identical across thread counts, selectors, and SIMD modes.
+//! via `COMIC_SIMD=off`). [`tim::general_tim_with`] is the classic entry
+//! point. Everything is deterministic for a fixed seed and identical for
+//! every thread count — pool bytes, KPT*, θ and the selected seeds — and
+//! seed *selection* is additionally identical across selectors and SIMD
+//! modes.
 
 // `unsafe` is denied crate-wide and allowed back in exactly one place: the
 // AVX2 intrinsics of `simd::avx2`, whose outputs are pinned byte-identical
@@ -46,7 +49,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coverage;
 pub mod error;
 pub mod ic_sampler;
 pub mod kpt;
@@ -59,7 +61,6 @@ pub mod select;
 pub mod simd;
 pub mod spill;
 pub mod tim;
-pub mod touch;
 
 pub use error::RisError;
 pub use parallel::ShardedGenerator;
@@ -69,5 +70,4 @@ pub use rr::RrStore;
 pub use sampler::RrSampler;
 pub use select::{CoverageFragment, CoverageIndex, SeedSelector, SelectorKind};
 pub use simd::SimdMode;
-pub use tim::{general_tim, general_tim_with, TimConfig, TimResult};
-pub use touch::TouchMap;
+pub use tim::{general_tim_with, TimConfig, TimResult};

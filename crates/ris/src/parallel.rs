@@ -2,29 +2,33 @@
 //!
 //! θ routinely reaches millions of RR-sets in GeneralTIM (Algorithm 1), and
 //! every sample is independent — the generation loop is embarrassingly
-//! parallel. [`ShardedGenerator`] splits a batch of `count` samples into one
-//! contiguous shard per worker thread; each worker owns a *private* sampler
-//! instance (built by a caller-supplied factory, so no `&mut` sharing and no
-//! locks) and a private RNG stream derived with SplitMix64, fills a
-//! thread-local [`RrStore`], and the shards are merged in thread order with
-//! the offset-rebasing [`RrStore::absorb`].
+//! parallel. [`ShardedGenerator`] splits a batch into one contiguous index
+//! range per worker thread; each worker owns a *private* sampler instance
+//! (built by a caller-supplied factory, so no `&mut` sharing and no locks),
+//! fills a thread-local [`RrStore`], and the shards are merged in index
+//! order with the offset-rebasing [`RrStore::absorb`].
 //!
 //! # Determinism contract
 //!
-//! Shard `i` always processes `count/threads (+1)` samples from the stream
-//! `seed ^ splitmix64(i + 1)` — the same scheme as
-//! `comic_core::SpreadEstimator::estimate_parallel` — and shards are merged
-//! in index order. The merged store is therefore **byte-identical for a
-//! fixed `(seed, threads)` pair**, independent of scheduling, machine, or
-//! whether the shards actually ran concurrently. Changing `threads` changes
-//! the sample streams (not their distribution).
+//! Set `i` of a batch draws from its own RNG stream, seeded by
+//! `set_seed(seed, i)` — a pure function of the generator's anchor
+//! seed and the set's index in the final store. Which worker sampled the
+//! set, and what that worker sampled before it, never enter. The merged
+//! store is therefore **byte-identical for every thread count**,
+//! independent of scheduling or machine: `threads` only decides how the
+//! index range is split among workers, a pure latency knob. The same
+//! keying lets [`ShardedGenerator::regenerate_marked`] resample any subset
+//! of a store in isolation.
+//!
+//! Every entry point — [`ShardedGenerator::generate`] (KPT* rounds),
+//! [`ShardedGenerator::generate_indexed`] (pool builds) and
+//! [`ShardedGenerator::regenerate_marked`] (delta refits) — runs the one
+//! private sampling loop below.
 
 use crate::rr::{RrStore, MAX_PREALLOC_SETS};
 use crate::sampler::RrSampler;
 use crate::select::{CoverageFragment, CoverageIndex};
-use crate::touch::{bloom_insert, bloom_words_for, TouchMap};
 use comic_graph::fasthash::splitmix64;
-use comic_graph::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -34,16 +38,11 @@ use rand::SeedableRng;
 // working.
 pub use comic_graph::par::resolve_threads;
 
-/// The RNG seed of the set sampled at `(shard tid, local index l)` under
-/// per-set seeding ([`ShardedGenerator::generate_indexed_touched`]): the
-/// shard stream anchor `seed ^ splitmix64(tid + 1)` — unchanged from the
-/// sequential-stream scheme — mixed with the set's local index so each set
-/// owns an independent, re-derivable stream. Incremental regeneration
-/// ([`ShardedGenerator::regenerate_marked`]) recomputes exactly this seed
-/// from a set's recorded `(tid, l)` coordinates, which is what lets it
-/// resample one set without replaying its predecessors.
-pub(crate) fn per_set_seed(seed: u64, tid: u64, local: u64) -> u64 {
-    splitmix64((seed ^ splitmix64(tid + 1)) ^ splitmix64(local + 1))
+/// The RNG seed of set `i` in a batch anchored at `seed`: each set owns an
+/// independent, re-derivable stream, so any set can be (re)sampled without
+/// replaying its predecessors and without knowing which worker drew it.
+fn set_seed(seed: u64, i: u64) -> u64 {
+    splitmix64(seed ^ splitmix64(i + 1))
 }
 
 /// Parallel RR-set generator over per-thread sampler instances.
@@ -55,11 +54,10 @@ pub(crate) fn per_set_seed(seed: u64, tid: u64, local: u64) -> u64 {
 /// use comic_graph::gen;
 ///
 /// let g = gen::star(100, 0.5);
-/// let gen4 = ShardedGenerator::new(|| IcRrSampler::new(&g), 7, 4);
-/// let store = gen4.generate(1_000, 2);
+/// let store = ShardedGenerator::new(|| IcRrSampler::new(&g), 7, 4).generate(1_000, 2);
 /// assert_eq!(store.len(), 1_000);
-/// // Same (seed, threads) ⇒ byte-identical output.
-/// assert_eq!(ShardedGenerator::new(|| IcRrSampler::new(&g), 7, 4).generate(1_000, 2), store);
+/// // Same seed ⇒ byte-identical output, at any thread count.
+/// assert_eq!(ShardedGenerator::new(|| IcRrSampler::new(&g), 7, 1).generate(1_000, 2), store);
 /// ```
 pub struct ShardedGenerator<F> {
     factory: F,
@@ -74,7 +72,7 @@ where
 {
     /// Create a generator; `factory` builds one sampler per worker thread
     /// (samplers own their scratch state, so they cannot be shared), `seed`
-    /// anchors the per-shard RNG streams, and `threads` follows
+    /// anchors the per-set RNG streams, and `threads` follows
     /// [`resolve_threads`].
     pub fn new(factory: F, seed: u64, threads: usize) -> Self {
         ShardedGenerator {
@@ -84,54 +82,79 @@ where
         }
     }
 
-    /// The resolved worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Generate `count` RR-sets with uniformly random roots, preallocating
-    /// for an expected `avg_hint` members per set.
-    ///
-    /// Deterministic for a fixed `(seed, threads)` pair (see the module
-    /// docs); `threads == 1` runs inline on the calling thread with no
-    /// spawn overhead.
-    pub fn generate(&self, count: u64, avg_hint: usize) -> RrStore {
-        let threads = self.threads.min(count.max(1) as usize).max(1);
-        let shard = |tid: usize| -> RrStore {
-            let per = count / threads as u64;
-            let extra = count % threads as u64;
-            let share = per + u64::from((tid as u64) < extra);
+    /// The one sampling loop: positions `0..count` of a batch, split into
+    /// one contiguous range per worker, where position `p` samples set
+    /// `index(p)` from its `set_seed` stream. With `fragment_nodes =
+    /// Some(n)` each worker also maintains a sealed [`CoverageFragment`]
+    /// over `0..n`. Returns the sets merged in position order, and the
+    /// fragments in the same order; one worker runs inline on the calling
+    /// thread.
+    fn sample_batch<I>(
+        &self,
+        count: usize,
+        index: I,
+        avg_hint: usize,
+        fragment_nodes: Option<usize>,
+    ) -> (RrStore, Vec<CoverageFragment>)
+    where
+        I: Fn(usize) -> u64 + Sync,
+    {
+        let workers = self.threads.min(count).max(1);
+        let (per, extra) = (count / workers, count % workers);
+        let work = |w: usize| {
+            let start = w * per + w.min(extra);
+            let share = per + usize::from(w < extra);
             let mut sampler = (self.factory)();
-            let mut rng = SmallRng::seed_from_u64(self.seed ^ splitmix64(tid as u64 + 1));
             let mut store =
-                RrStore::with_capacity(share.min(MAX_PREALLOC_SETS) as usize, avg_hint.max(1));
+                RrStore::with_capacity(share.min(MAX_PREALLOC_SETS as usize), avg_hint.max(1));
+            let mut fragment = fragment_nodes.map(CoverageFragment::new);
             let mut out = Vec::new();
-            for _ in 0..share {
+            for p in start..start + share {
+                let mut rng = SmallRng::seed_from_u64(set_seed(self.seed, index(p)));
                 let (_, width) = sampler.sample_random_with_width(&mut rng, &mut out);
                 store.push_with_width(&out, width);
+                if let Some(f) = &mut fragment {
+                    f.note_members(&out);
+                }
             }
-            store
+            if let Some(f) = &mut fragment {
+                f.seal(&store);
+            }
+            (store, fragment)
         };
-        if threads == 1 {
-            return shard(0);
-        }
-        let mut shards: Vec<RrStore> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for tid in 0..threads {
-                let shard = &shard;
-                handles.push(scope.spawn(move || shard(tid)));
-            }
-            for h in handles {
-                shards.push(h.join().expect("RR-generation worker panicked"));
-            }
-        });
-        let mut merged =
-            RrStore::with_capacity(count.min(MAX_PREALLOC_SETS) as usize, avg_hint.max(1));
-        for s in shards {
-            merged.absorb(s);
-        }
-        merged
+        // One scoped thread per range, joined in order: running the ranges
+        // through `comic_graph::par::run_sharded`'s shared cursor measured
+        // ~1 MiB more peak RSS on the paper-solve benchmark (2-core host).
+        let parts: Vec<(RrStore, Option<CoverageFragment>)> = if workers == 1 {
+            vec![work(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let work = &work;
+                        scope.spawn(move || work(w))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("RR-generation worker panicked"))
+                    .collect()
+            })
+        };
+        let (stores, fragments): (Vec<RrStore>, Vec<Option<CoverageFragment>>) =
+            parts.into_iter().unzip();
+        (
+            merge(stores, count, avg_hint),
+            fragments.into_iter().flatten().collect(),
+        )
+    }
+
+    /// Generate sets `0..count` with uniformly random roots, preallocating
+    /// for an expected `avg_hint` members per set. Byte-identical for every
+    /// thread count (see the module docs).
+    pub fn generate(&self, count: u64, avg_hint: usize) -> RrStore {
+        self.sample_batch(batch_len(count), |p| p as u64, avg_hint, None)
+            .0
     }
 
     /// [`ShardedGenerator::generate`] with the coverage-index build
@@ -154,223 +177,73 @@ where
         avg_hint: usize,
         n: usize,
     ) -> (RrStore, CoverageIndex) {
-        let threads = self.threads.min(count.max(1) as usize).max(1);
-        let shard = |tid: usize| -> (RrStore, CoverageFragment) {
-            let per = count / threads as u64;
-            let extra = count % threads as u64;
-            let share = per + u64::from((tid as u64) < extra);
-            let mut sampler = (self.factory)();
-            let mut rng = SmallRng::seed_from_u64(self.seed ^ splitmix64(tid as u64 + 1));
-            let mut store =
-                RrStore::with_capacity(share.min(MAX_PREALLOC_SETS) as usize, avg_hint.max(1));
-            let mut fragment = CoverageFragment::new(n);
-            let mut out = Vec::new();
-            for _ in 0..share {
-                let (_, width) = sampler.sample_random_with_width(&mut rng, &mut out);
-                store.push_with_width(&out, width);
-                fragment.note_members(&out);
-            }
-            fragment.seal(&store);
-            (store, fragment)
-        };
-        let (merged, index) = if threads == 1 {
-            let (store, fragment) = shard(0);
-            let index = CoverageIndex::from_fragments(vec![fragment], n, 1);
-            (store, index)
-        } else {
-            let mut shards: Vec<(RrStore, CoverageFragment)> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for tid in 0..threads {
-                    let shard = &shard;
-                    handles.push(scope.spawn(move || shard(tid)));
-                }
-                for h in handles {
-                    shards.push(h.join().expect("RR-generation worker panicked"));
-                }
-            });
-            let mut merged =
-                RrStore::with_capacity(count.min(MAX_PREALLOC_SETS) as usize, avg_hint.max(1));
-            let mut fragments = Vec::with_capacity(threads);
-            for (s, f) in shards {
-                merged.absorb(s);
-                fragments.push(f);
-            }
-            let index = CoverageIndex::from_fragments(fragments, n, threads);
-            (merged, index)
-        };
+        let (store, fragments) =
+            self.sample_batch(batch_len(count), |p| p as u64, avg_hint, Some(n));
+        let index = CoverageIndex::from_fragments(fragments, n, self.threads);
         debug_assert_eq!(
             index,
-            CoverageIndex::build(&merged, n, 1),
+            CoverageIndex::build(&store, n, 1),
             "fused coverage index diverged from the standalone build"
         );
-        (merged, index)
-    }
-
-    /// [`ShardedGenerator::generate_indexed`] with **per-set RNG seeding**
-    /// and a [`TouchMap`] recorded alongside the fused coverage index.
-    ///
-    /// Instead of one sequential stream per shard, the set at shard `tid`,
-    /// local index `l` draws from its own stream seeded by
-    /// [`per_set_seed`] — still a pure function of `(seed, threads, count)`,
-    /// so the output remains byte-identical for a fixed configuration, but
-    /// now any individual set can be re-derived in isolation: the
-    /// foundation of [`ShardedGenerator::regenerate_marked`]. Each shard
-    /// additionally folds every member node it emits into a fixed-width
-    /// bloom, giving downstream delta screening a no-false-negative
-    /// "did this shard ever visit node v" test.
-    pub fn generate_indexed_touched(
-        &self,
-        count: u64,
-        avg_hint: usize,
-        n: usize,
-    ) -> (RrStore, CoverageIndex, TouchMap) {
-        let threads = self.threads.min(count.max(1) as usize).max(1);
-        let per = count / threads as u64;
-        let extra = count % threads as u64;
-        let max_share = per + u64::from(extra > 0);
-        let words = bloom_words_for((max_share as usize).saturating_mul(avg_hint.max(1)));
-        let shard = |tid: usize| -> (RrStore, CoverageFragment, Vec<u64>) {
-            let share = per + u64::from((tid as u64) < extra);
-            let mut sampler = (self.factory)();
-            let mut store =
-                RrStore::with_capacity(share.min(MAX_PREALLOC_SETS) as usize, avg_hint.max(1));
-            let mut fragment = CoverageFragment::new(n);
-            let mut bloom = vec![0u64; words];
-            let mut out = Vec::new();
-            for l in 0..share {
-                let mut rng = SmallRng::seed_from_u64(per_set_seed(self.seed, tid as u64, l));
-                let (_, width) = sampler.sample_random_with_width(&mut rng, &mut out);
-                store.push_with_width(&out, width);
-                fragment.note_members(&out);
-                for &v in &out {
-                    bloom_insert(&mut bloom, v);
-                }
-            }
-            fragment.seal(&store);
-            (store, fragment, bloom)
-        };
-        let shards: Vec<(RrStore, CoverageFragment, Vec<u64>)> = if threads == 1 {
-            vec![shard(0)]
-        } else {
-            let mut shards = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for tid in 0..threads {
-                    let shard = &shard;
-                    handles.push(scope.spawn(move || shard(tid)));
-                }
-                for h in handles {
-                    shards.push(h.join().expect("RR-generation worker panicked"));
-                }
-            });
-            shards
-        };
-        let mut merged =
-            RrStore::with_capacity(count.min(MAX_PREALLOC_SETS) as usize, avg_hint.max(1));
-        let mut fragments = Vec::with_capacity(threads);
-        let mut bounds = Vec::with_capacity(threads + 1);
-        let mut blooms = Vec::with_capacity(threads * words);
-        bounds.push(0u64);
-        for (s, f, b) in shards {
-            merged.absorb(s);
-            fragments.push(f);
-            bounds.push(merged.len() as u64);
-            blooms.extend_from_slice(&b);
-        }
-        let index = CoverageIndex::from_fragments(fragments, n, threads);
-        debug_assert_eq!(
-            index,
-            CoverageIndex::build(&merged, n, 1),
-            "fused coverage index diverged from the standalone build"
-        );
-        let touch = TouchMap::from_parts(bounds, blooms, words);
-        debug_assert_eq!(
-            touch,
-            TouchMap::over_store(&merged, touch.bounds().to_vec(), words),
-            "fused touch blooms diverged from a store scan"
-        );
-        (merged, index, touch)
+        (store, index)
     }
 
     /// Resample exactly the sets flagged in `marks` against this
     /// generator's (new) graph, splicing the rest byte-for-byte from
     /// `store` — the incremental leg of a delta refresh.
     ///
-    /// `store` and `touch` must come from a
-    /// [`ShardedGenerator::generate_indexed_touched`] run (or a spill
-    /// reload of one) whose `seed` equals this generator's: each marked set
-    /// re-derives its original per-set stream from its `(shard, local)`
-    /// coordinates in `touch`, so the result is **identical to a
-    /// from-scratch `generate_indexed_touched` on the new graph** with the
-    /// original `(seed, threads, count)` — provided `marks` covers every
-    /// set whose replay the graph change affects (the
-    /// [`crate::pool::SketchPool::invalidate`] contract). This generator's
-    /// own `threads` knob only sets regeneration concurrency; the output
-    /// bytes do not depend on it.
+    /// Set `i` is reseeded from `set_seed(seed, i)` directly, so when
+    /// this generator's `seed` is the one `store` was generated with, the
+    /// result is **identical to a from-scratch
+    /// [`ShardedGenerator::generate_indexed`] on the new graph** — provided
+    /// `marks` covers every set whose replay the graph change affects (the
+    /// [`crate::pool::SketchPool::invalidate`] contract). Marking every set
+    /// is that from-scratch generation.
     ///
-    /// Returns the spliced store, its rebuilt coverage index, and the
-    /// refreshed touch map (same shard geometry, blooms rescanned).
+    /// Returns the spliced store and its rebuilt coverage index.
     pub fn regenerate_marked(
         &self,
         store: &RrStore,
-        touch: &TouchMap,
         marks: &[bool],
         avg_hint: usize,
         n: usize,
-    ) -> (RrStore, CoverageIndex, TouchMap) {
+    ) -> (RrStore, CoverageIndex) {
         assert_eq!(marks.len(), store.len(), "marks must cover the store");
-        assert_eq!(
-            touch.bounds().last().copied(),
-            Some(store.len() as u64),
-            "touch map must describe the store"
-        );
-        let marked: Vec<usize> = (0..marks.len()).filter(|&i| marks[i]).collect();
-        let workers = self.threads.min(marked.len().max(1)).max(1);
-        let chunk_len = marked.len().div_ceil(workers);
-        let resample = |chunk: &[usize]| -> Vec<(Vec<NodeId>, u64)> {
-            let mut sampler = (self.factory)();
-            let mut fresh = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                let (tid, l) = touch.locate(i);
-                let mut rng = SmallRng::seed_from_u64(per_set_seed(self.seed, tid as u64, l));
-                let mut out = Vec::new();
-                let (_, width) = sampler.sample_random_with_width(&mut rng, &mut out);
-                fresh.push((out, width));
-            }
-            fresh
-        };
-        let fresh: Vec<(Vec<NodeId>, u64)> = if workers <= 1 || marked.len() <= 1 {
-            resample(&marked)
-        } else {
-            let mut parts: Vec<Vec<(Vec<NodeId>, u64)>> = Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk in marked.chunks(chunk_len) {
-                    let resample = &resample;
-                    handles.push(scope.spawn(move || resample(chunk)));
-                }
-                for h in handles {
-                    parts.push(h.join().expect("RR-regeneration worker panicked"));
-                }
-            });
-            parts.into_iter().flatten().collect()
-        };
-        let mut merged = RrStore::with_capacity(store.len(), avg_hint.max(1));
+        let marked: Vec<u64> = (0..marks.len())
+            .filter(|&i| marks[i])
+            .map(|i| i as u64)
+            .collect();
+        let (fresh, _) = self.sample_batch(marked.len(), |p| marked[p], avg_hint, None);
+        let mut spliced = RrStore::with_capacity(store.len(), avg_hint.max(1));
         let mut next = 0usize;
         for (i, &dirty) in marks.iter().enumerate() {
             if dirty {
-                let (members, width) = &fresh[next];
+                spliced.push_with_width(fresh.set(next), fresh.width(next));
                 next += 1;
-                merged.push_with_width(members, *width);
             } else {
-                merged.push_with_width(store.set(i), store.width(i));
+                spliced.push_with_width(store.set(i), store.width(i));
             }
         }
-        let index = CoverageIndex::build(&merged, n, self.threads);
-        let touch = TouchMap::over_store(&merged, touch.bounds().to_vec(), touch.words_per_shard());
-        (merged, index, touch)
+        let index = CoverageIndex::build(&spliced, n, self.threads);
+        (spliced, index)
     }
+}
+
+/// A batch size as an in-memory set count.
+fn batch_len(count: u64) -> usize {
+    usize::try_from(count).expect("RR batch size exceeds the address space")
+}
+
+/// Absorb worker stores, in order, into one store sized for `count` sets.
+fn merge(mut stores: Vec<RrStore>, count: usize, avg_hint: usize) -> RrStore {
+    if stores.len() == 1 {
+        return stores.pop().expect("one store");
+    }
+    let mut merged = RrStore::with_capacity(count.min(MAX_PREALLOC_SETS as usize), avg_hint.max(1));
+    for store in stores {
+        merged.absorb(store);
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -388,14 +261,18 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_and_threads_is_byte_identical() {
+    fn every_thread_count_gives_the_same_bytes() {
         let g = test_graph();
-        for threads in [1, 2, 3, 8] {
-            let a = ShardedGenerator::new(|| IcRrSampler::new(&g), 42, threads).generate(997, 4);
-            let b = ShardedGenerator::new(|| IcRrSampler::new(&g), 42, threads).generate(997, 4);
-            assert_eq!(a, b, "threads = {threads}");
-            assert_eq!(a.len(), 997);
+        let base = ShardedGenerator::new(|| IcRrSampler::new(&g), 42, 1).generate(997, 4);
+        assert_eq!(base.len(), 997);
+        for threads in [2, 3, 8] {
+            let store =
+                ShardedGenerator::new(|| IcRrSampler::new(&g), 42, threads).generate(997, 4);
+            assert_eq!(store, base, "threads = {threads}");
         }
+        // A longer batch extends a shorter one: set i depends on i alone.
+        let longer = ShardedGenerator::new(|| IcRrSampler::new(&g), 42, 3).generate(1_200, 4);
+        assert_eq!(longer.prefix(997), base);
     }
 
     #[test]
@@ -410,32 +287,6 @@ mod tests {
         // Zero samples is an empty store.
         let store = ShardedGenerator::new(|| IcRrSampler::new(&g), 5, 4).generate(0, 4);
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn shard_streams_are_independent_but_distribution_matches() {
-        // Mean RR-set size must agree between 1-thread and 4-thread runs
-        // (different streams, same distribution): the 4σ pattern from
-        // spread.rs::parallel_matches_sequential_in_expectation.
-        let g = test_graph();
-        let count = 20_000u64;
-        let seq = ShardedGenerator::new(|| IcRrSampler::new(&g), 11, 1).generate(count, 4);
-        let par = ShardedGenerator::new(|| IcRrSampler::new(&g), 11, 4).generate(count, 4);
-        let mean = |s: &RrStore| s.total_members() as f64 / s.len() as f64;
-        let var = |s: &RrStore| {
-            let m = mean(s);
-            s.iter()
-                .map(|set| (set.len() as f64 - m) * (set.len() as f64 - m))
-                .sum::<f64>()
-                / (s.len() as f64 - 1.0)
-        };
-        let tol = 4.0 * ((var(&seq) / count as f64).sqrt() + (var(&par) / count as f64).sqrt());
-        assert!(
-            (mean(&seq) - mean(&par)).abs() < tol.max(0.05),
-            "sequential mean {} vs parallel mean {} (tol {tol})",
-            mean(&seq),
-            mean(&par)
-        );
     }
 
     #[test]
@@ -474,43 +325,13 @@ mod tests {
     }
 
     #[test]
-    fn generate_indexed_touched_is_deterministic_with_no_bloom_false_negatives() {
-        let g = test_graph();
-        let n = g.num_nodes();
-        for threads in [1, 2, 3, 8] {
-            let gen = ShardedGenerator::new(|| IcRrSampler::new(&g), 42, threads);
-            let (store, index, touch) = gen.generate_indexed_touched(997, 4, n);
-            let (store2, index2, touch2) = gen.generate_indexed_touched(997, 4, n);
-            assert_eq!(store, store2, "threads {threads}");
-            assert_eq!(index, index2);
-            assert_eq!(touch, touch2);
-            assert_eq!(store.len(), 997);
-            assert_eq!(index, crate::select::CoverageIndex::build(&store, n, 1));
-            // Shard geometry covers the store, and every member of every
-            // set registers in its shard's bloom (the no-false-negative
-            // contract delta screening relies on).
-            assert_eq!(touch.bounds().first(), Some(&0));
-            assert_eq!(touch.bounds().last(), Some(&(store.len() as u64)));
-            for shard in 0..touch.num_shards() {
-                for i in touch.shard_range(shard) {
-                    assert_eq!(touch.locate(i), (shard, (i as u64) - touch.bounds()[shard]));
-                    for &v in store.set(i) {
-                        assert!(touch.shard_may_touch(shard, v), "set {i} node {v}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn regenerate_marked_equals_from_scratch_on_the_delta_graph() {
         use comic_graph::delta::EdgeDelta;
         let g = test_graph();
         let n = g.num_nodes();
         let seed = 77u64;
-        let orig_threads = 3;
-        let gen = ShardedGenerator::new(|| IcRrSampler::new(&g), seed, orig_threads);
-        let (store, _index, touch) = gen.generate_indexed_touched(600, 4, n);
+        let (store, _index) =
+            ShardedGenerator::new(|| IcRrSampler::new(&g), seed, 3).generate_indexed(600, 4, n);
 
         // Remove one existing edge and reweight another.
         let mut picks = Vec::new();
@@ -545,33 +366,25 @@ mod tests {
         assert!(marks.iter().any(|&m| m), "fixture must dirty some sets");
         assert!(!marks.iter().all(|&m| m), "fixture must keep some sets");
 
-        let scratch = ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, orig_threads)
-            .generate_indexed_touched(600, 4, n);
+        let scratch =
+            ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, 2).generate_indexed(600, 4, n);
         // Regeneration concurrency is a free knob: the spliced output is
         // identical at every worker count and equals the from-scratch run.
         for regen_threads in [1, 2, 8] {
-            let (rstore, rindex, rtouch) =
+            let (rstore, rindex) =
                 ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, regen_threads)
-                    .regenerate_marked(&store, &touch, &marks, 4, n);
+                    .regenerate_marked(&store, &marks, 4, n);
             assert_eq!(rstore, scratch.0, "regen threads {regen_threads}");
             assert_eq!(rindex, scratch.1);
-            assert_eq!(rtouch, scratch.2);
         }
         // Unmarked sets were spliced byte-for-byte.
-        let (rstore, _, _) = ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, 2)
-            .regenerate_marked(&store, &touch, &marks, 4, n);
+        let (rstore, _) = ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, 2)
+            .regenerate_marked(&store, &marks, 4, n);
         for (i, &dirty) in marks.iter().enumerate() {
             if !dirty {
                 assert_eq!(rstore.set(i), store.set(i), "unmarked set {i} changed");
                 assert_eq!(rstore.width(i), store.width(i));
             }
         }
-    }
-
-    #[test]
-    fn resolve_threads_contract() {
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(1), 1);
-        assert_eq!(resolve_threads(7), 7);
     }
 }

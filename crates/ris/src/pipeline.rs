@@ -20,9 +20,11 @@
 //!    [`SelectorKind`] ([`select_seeds`] runs the standalone variant, for
 //!    reuse over pre-sampled stores in benches and tests).
 //!
-//! The output is bit-for-bit deterministic for a fixed `(seed, threads)`
-//! pair, and the *selection* stage is additionally identical across thread
-//! counts and selectors (see the [`crate::select`] determinism contract).
+//! Every RR-set draws from a stream keyed on the configured seed and its
+//! index in the batch, so the output — pool bytes, KPT*, θ and the
+//! selected seeds — is bit-for-bit identical for every thread count, and
+//! the *selection* stage is additionally identical across selectors (see
+//! the [`crate::select`] determinism contract).
 
 use crate::error::RisError;
 use crate::kpt::kpt_star_with_dims;
@@ -104,8 +106,9 @@ impl RisPipeline {
     /// configs, concurrently) can select over.
     ///
     /// Only `k`, `epsilon`, `ell`, `max_rr_sets`, `seed`, and `threads`
-    /// matter here; the pool records them as its provenance. The pool's
-    /// bytes are deterministic for a fixed `(seed, threads)` pair.
+    /// matter here; the pool records all but `threads` as its provenance.
+    /// The pool's bytes are a function of the graph and `seed` alone —
+    /// identical for every thread count.
     pub fn generate_pool<S, F>(&self, factory: F) -> Result<SketchPool, RisError>
     where
         S: RrSampler,
@@ -158,31 +161,26 @@ impl RisPipeline {
         // resident index and later selections never re-scan the store.
         observe(PoolStage::Generate);
         let avg = (kpt.total_members / kpt.samples.max(1)).max(1) as usize;
-        let (store, index, touch) =
+        let (store, index) =
             ShardedGenerator::new(&factory, theta_stream_seed(cfg.seed), cfg.threads)
-                .generate_indexed_touched(theta_n, avg, n);
+                .generate_indexed(theta_n, avg, n);
 
-        let pool = SketchPool::new(
+        // "Sets containing a changed node are the dirty sets" only holds
+        // for samplers whose members are their full visit set; marking a
+        // touch-opaque pool would make incremental invalidation silently
+        // unsound, so those pools stay untracked and the serving layer
+        // falls back to full rebuilds for them.
+        Ok(SketchPool::new(
             Arc::new(store),
             n,
             cfg.seed,
-            cfg.threads,
             cfg.k,
             cfg.epsilon,
             kpt.kpt,
             capped,
         )
-        .with_index(Arc::new(index));
-        // Touch provenance only means "sets visiting a changed node are the
-        // dirty sets" for samplers whose members are their full visit set;
-        // attaching it to a touch-opaque sampler would make incremental
-        // invalidation silently unsound, so those pools stay untouched and
-        // the serving layer falls back to full rebuilds for them.
-        Ok(if touch_capable {
-            pool.with_touch(Arc::new(touch))
-        } else {
-            pool
-        })
+        .with_index(Arc::new(index))
+        .with_touch_tracked(touch_capable))
     }
 
     /// Stage 4 alone over a pre-generated pool: run the configured
@@ -223,25 +221,25 @@ fn theta_stream_seed(seed: u64) -> u64 {
     splitmix64(seed ^ 0x74_6865_7461)
 }
 
-/// Incrementally refresh a touch-tracked pool after a graph change:
-/// resample exactly the sets flagged in `marks` against the *new* graph
-/// (the one `factory`'s samplers walk), splicing every unmarked set
-/// byte-for-byte from the resident pool.
+/// Incrementally refresh a pool after a graph change: resample exactly the
+/// sets flagged in `marks` against the *new* graph (the one `factory`'s
+/// samplers walk), splicing every unmarked set byte-for-byte from the
+/// resident pool.
 ///
 /// θ, KPT*, ε, and the capped flag are **frozen** from the pool's
 /// provenance — an incremental refresh answers "what do my θ sketches look
 /// like on the updated graph", not "what θ does the updated graph need".
-/// Provided `marks` covers every set the change affects (the
-/// [`SketchPool::invalidate`] contract), the result equals a from-scratch
-/// [`crate::parallel::ShardedGenerator::generate_indexed_touched`] on the
-/// new graph with the pool's original `(seed, threads, count)`; `threads`
-/// here only sets regeneration concurrency. The generation counter is
-/// carried over unchanged — callers bump it when they swap the pool in.
+/// Set `i` is resampled from the stream keyed on the pool's seed and `i`,
+/// so provided `marks` covers every set the change affects (the
+/// [`SketchPool::invalidate`] contract), the result's bytes equal
+/// [`RisPipeline::generate_pool`] on the new graph at the same seed and θ,
+/// at any thread count; marking every set is that regeneration. `threads`
+/// only sets regeneration concurrency. The generation counter is carried
+/// over unchanged — callers bump it when they swap the pool in.
 ///
 /// # Panics
 ///
-/// If the pool carries no [`crate::touch::TouchMap`] (touch-opaque pools
-/// must be fully rebuilt instead) or `marks` does not cover its store.
+/// If `marks` does not cover the pool's store.
 pub fn refresh_pool_marked<S, F>(
     pool: &SketchPool,
     marks: &[bool],
@@ -252,25 +250,21 @@ where
     S: RrSampler,
     F: Fn() -> S + Sync,
 {
-    let touch = pool
-        .touch_map()
-        .expect("incremental refresh needs touch provenance");
     let store = pool.store();
     let avg = (store.total_members() as usize / store.len().max(1)).max(1);
     let gen = ShardedGenerator::new(factory, theta_stream_seed(pool.seed()), threads);
-    let (store, index, touch) = gen.regenerate_marked(store, touch, marks, avg, pool.num_nodes());
+    let (store, index) = gen.regenerate_marked(store, marks, avg, pool.num_nodes());
     SketchPool::new(
         Arc::new(store),
         pool.num_nodes(),
         pool.seed(),
-        pool.threads(),
         pool.design_k(),
         pool.epsilon(),
         pool.kpt(),
         pool.capped(),
     )
     .with_index(Arc::new(index))
-    .with_touch(Arc::new(touch))
+    .with_touch_tracked(pool.touch_tracked())
     .with_generation(pool.generation())
 }
 
@@ -281,19 +275,6 @@ where
 pub fn select_seeds(cfg: &TimConfig, n: usize, store: &RrStore) -> CoverageResult {
     let index = CoverageIndex::build(store, n, cfg.threads);
     cfg.selector.select(&index, store, cfg.k, cfg.threads)
-}
-
-/// Wrap a selection over `store` into a [`TimResult`] (shared by the
-/// borrowing [`crate::tim::general_tim`] and the sharded pipeline).
-pub(crate) fn assemble(
-    n: usize,
-    cfg: &TimConfig,
-    kpt: f64,
-    theta_n: u64,
-    capped: bool,
-    store: &RrStore,
-) -> TimResult {
-    wrap(n, kpt, theta_n, capped, select_seeds(cfg, n, store))
 }
 
 /// Package an already-computed coverage selection into a [`TimResult`].
@@ -385,7 +366,6 @@ mod tests {
         // Pool provenance mirrors the generating config.
         assert_eq!(pool.design_k(), 5);
         assert_eq!(pool.seed(), 9);
-        assert_eq!(pool.threads(), 2);
         assert_eq!(pool.len() as u64, oneshot.theta);
     }
 
@@ -471,7 +451,6 @@ mod tests {
             pool.store_arc(),
             pool.num_nodes(),
             pool.seed(),
-            pool.threads(),
             pool.design_k(),
             pool.epsilon(),
             pool.kpt(),
@@ -490,12 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn generated_pools_carry_touch_provenance_only_for_member_touch_samplers() {
+    fn generated_pools_record_touch_tracking_from_the_sampler() {
         let g = test_graph();
         let pipe = RisPipeline::new(TimConfig::new(4).seed(21).max_rr_sets(10_000).threads(2));
         let pool = pipe.generate_pool(|| IcRrSampler::new(&g)).unwrap();
-        let touch = pool.touch_map().expect("IC sampler is member-touch");
-        assert_eq!(touch.bounds().last(), Some(&(pool.len() as u64)));
+        assert!(pool.touch_tracked(), "IC sampler is member-touch");
+        assert!(pool.invalidate(&[]).is_some());
     }
 
     #[test]
@@ -513,36 +492,21 @@ mod tests {
         let deltas = [EdgeDelta::Remove { source, target }];
         let g2 = g.apply_deltas(&deltas).unwrap();
 
-        let marks = pool.invalidate(&deltas).expect("touched pool");
+        let marks = pool.invalidate(&deltas).expect("touch-tracked pool");
         let refreshed = refresh_pool_marked(&pool, &marks, || IcRrSampler::new(&g2), 2);
 
-        // Provenance (θ, KPT*, seed, threads) is frozen; only dirty sets'
-        // bytes move — and the result is exactly what a from-scratch
-        // per-set-seeded generation on the new graph would produce.
+        // Provenance (θ, KPT*, seed) is frozen; only dirty sets' bytes move
+        // — and the result is exactly what a from-scratch generation on the
+        // new graph produces, at yet another thread count.
         assert_eq!(refreshed.len(), pool.len());
         assert_eq!(refreshed.seed(), pool.seed());
         assert_eq!(refreshed.kpt(), pool.kpt());
-        let scratch = ShardedGenerator::new(
-            || IcRrSampler::new(&g2),
-            theta_stream_seed(pool.seed()),
-            pool.threads(),
-        )
-        .generate_indexed_touched(pool.len() as u64, 1, pool.num_nodes());
+        assert!(refreshed.touch_tracked());
+        let scratch =
+            ShardedGenerator::new(|| IcRrSampler::new(&g2), theta_stream_seed(pool.seed()), 1)
+                .generate_indexed(pool.len() as u64, 1, pool.num_nodes());
         assert_eq!(refreshed.store(), &scratch.0);
         assert_eq!(**refreshed.coverage_index().unwrap(), scratch.1);
-        // The refreshed touch map keeps the pool's original bloom width
-        // (the KPT-derived hint, not this test's); compare at the same
-        // geometry over the identical stores.
-        let rt = refreshed.touch_map().unwrap();
-        assert_eq!(rt.bounds(), scratch.2.bounds());
-        assert_eq!(
-            **rt,
-            crate::touch::TouchMap::over_store(
-                &scratch.0,
-                rt.bounds().to_vec(),
-                rt.words_per_shard()
-            )
-        );
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! behind an [`Arc`], so any number of concurrent readers (query worker
 //! threads, a background refresher swapping in a successor pool) share one
 //! arena with no locks and no copies. The pool records the provenance
-//! needed to reason about an answer computed from it: the `(seed, threads)`
-//! pair that fixes the sample stream byte-for-byte, the design `k` and ε
-//! its θ was derived for, the KPT* estimate, and a caller-maintained
-//! `generation` counter for refresh bookkeeping.
+//! needed to reason about an answer computed from it: the seed that fixes
+//! the sample streams byte-for-byte (at every thread count), the design
+//! `k` and ε its θ was derived for, the KPT* estimate, and a
+//! caller-maintained `generation` counter for refresh bookkeeping.
 //!
 //! # Guarantee semantics
 //!
@@ -30,9 +30,7 @@
 
 use crate::rr::RrStore;
 use crate::select::CoverageIndex;
-use crate::touch::TouchMap;
 use comic_graph::delta::EdgeDelta;
-use comic_graph::fasthash::FxHashSet;
 use comic_graph::NodeId;
 use std::sync::Arc;
 
@@ -46,10 +44,9 @@ use std::sync::Arc;
 pub struct SketchPool {
     store: Arc<RrStore>,
     index: Option<Arc<CoverageIndex>>,
-    touch: Option<Arc<TouchMap>>,
+    touch_tracked: bool,
     n: usize,
     seed: u64,
-    threads: usize,
     design_k: usize,
     epsilon: f64,
     kpt: f64,
@@ -59,16 +56,14 @@ pub struct SketchPool {
 
 impl SketchPool {
     /// Wrap a pre-sampled store. `n` is the node count of the graph the
-    /// sets were sampled over; `seed`/`threads` document the generation
-    /// configuration; `design_k`/`epsilon` the θ derivation; `kpt` the
-    /// KPT* estimate (pass 1.0 for stores not produced by the pipeline);
-    /// `capped` whether θ was clamped below Equation (3)'s bound.
-    #[allow(clippy::too_many_arguments)]
+    /// sets were sampled over; `seed` documents the generation seed;
+    /// `design_k`/`epsilon` the θ derivation; `kpt` the KPT* estimate
+    /// (pass 1.0 for stores not produced by the pipeline); `capped` whether
+    /// θ was clamped below Equation (3)'s bound.
     pub fn new(
         store: Arc<RrStore>,
         n: usize,
         seed: u64,
-        threads: usize,
         design_k: usize,
         epsilon: f64,
         kpt: f64,
@@ -77,10 +72,9 @@ impl SketchPool {
         SketchPool {
             store,
             index: None,
-            touch: None,
+            touch_tracked: false,
             n,
             seed,
-            threads,
             design_k,
             epsilon,
             kpt,
@@ -111,70 +105,46 @@ impl SketchPool {
         self.index.as_ref()
     }
 
-    /// Attach the [`TouchMap`] recorded during a per-set-seeded generation
-    /// ([`crate::parallel::ShardedGenerator::generate_indexed_touched`]).
-    /// Only meaningful when the sampler's members are its touch set
-    /// ([`crate::sampler::RrSampler::touch_is_members`]); touch-opaque
-    /// pools keep `None` and are fully rebuilt on graph deltas.
-    pub fn with_touch(mut self, touch: Arc<TouchMap>) -> SketchPool {
-        assert_eq!(
-            touch.bounds().last().copied(),
-            Some(self.store.len() as u64),
-            "touch/store mismatch"
-        );
-        self.touch = Some(touch);
+    /// Record whether the sampler's members are its touch set
+    /// ([`crate::sampler::RrSampler::touch_is_members`]) — the pipeline
+    /// sets this at generation. Touch-opaque pools keep `false` and are
+    /// fully rebuilt on graph deltas.
+    pub fn with_touch_tracked(mut self, tracked: bool) -> SketchPool {
+        self.touch_tracked = tracked;
         self
     }
 
-    /// The resident touch map, when the pool carries one.
-    pub fn touch_map(&self) -> Option<&Arc<TouchMap>> {
-        self.touch.as_ref()
+    /// Whether the pool's members are its sampler's touch sets, so
+    /// [`SketchPool::invalidate`] can mark dirty sets from them.
+    pub fn touch_tracked(&self) -> bool {
+        self.touch_tracked
     }
 
     /// Mark the RR-sets whose replay a batch of edge deltas can change:
     /// for member-touch samplers those are exactly the sets containing a
-    /// delta's **target** node (the node whose in-adjacency run changed).
+    /// delta's **target** node (the node whose in-adjacency run changed),
+    /// read off the resident coverage index.
     ///
-    /// Returns `None` when the pool carries no touch provenance — the
-    /// caller must fall back to a full rebuild. Otherwise a mark vector
-    /// over the pool's sets: exact per-set marks when the resident
-    /// coverage index is available, conservative whole-shard marks (bloom
-    /// screened, no false negatives) without it. Delta targets outside the
-    /// pool's node universe are ignored (the compaction step rejects them
-    /// with typed errors before any invalidation runs).
+    /// Returns `None` unless the pool is touch-tracked and carries its
+    /// index — the caller must fall back to a full rebuild. Delta targets
+    /// outside the pool's node universe are ignored (the compaction step
+    /// rejects them with typed errors before any invalidation runs).
     pub fn invalidate(&self, deltas: &[EdgeDelta]) -> Option<Vec<bool>> {
-        let touch = self.touch.as_ref()?;
-        let mut marks = vec![false; self.len()];
+        if !self.touch_tracked {
+            return None;
+        }
+        let index = self.index.as_ref()?;
         let mut targets: Vec<NodeId> = deltas
             .iter()
             .map(EdgeDelta::target)
             .filter(|v| v.index() < self.n)
-            .collect::<FxHashSet<_>>()
-            .into_iter()
             .collect();
         targets.sort_unstable();
-        match &self.index {
-            Some(index) => {
-                // The bloom is a cheap screen; the index is exact, so a
-                // shard whose bloom rejects every target contributes no
-                // sets and the per-set refinement never visits it.
-                for &v in &targets {
-                    if !touch.any_shard_may_touch(v) {
-                        continue;
-                    }
-                    for &s in index.sets_containing(v) {
-                        marks[s as usize] = true;
-                    }
-                }
-            }
-            None => {
-                for shard in 0..touch.num_shards() {
-                    if targets.iter().any(|&v| touch.shard_may_touch(shard, v)) {
-                        marks[touch.shard_range(shard)].iter_mut().for_each(|m| {
-                            *m = true;
-                        });
-                    }
-                }
+        targets.dedup();
+        let mut marks = vec![false; self.len()];
+        for v in targets {
+            for &s in index.sets_containing(v) {
+                marks[s as usize] = true;
             }
         }
         Some(marks)
@@ -205,16 +175,10 @@ impl SketchPool {
         self.n
     }
 
-    /// The RNG seed the generation streams were derived from.
+    /// The RNG seed the generation streams were derived from — with the
+    /// graph, it fixes the pool's bytes at every thread count.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The worker-thread count generation ran under. Together with
-    /// [`SketchPool::seed`] this fixes the pool's bytes (the
-    /// [`crate::parallel`] `(seed, threads)` contract).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The `k` the pool's θ was derived for.
@@ -260,10 +224,8 @@ impl SketchPool {
         SketchPool {
             store: Arc::new(self.store.prefix(sets)),
             // The resident index (if any) spans the full set range; a
-            // truncated pool must not inherit it. Same for the touch map:
-            // its shard bounds describe the untruncated store.
+            // truncated pool must not inherit it.
             index: None,
-            touch: None,
             capped: true,
             ..self.clone()
         }
@@ -297,7 +259,7 @@ mod tests {
     fn pool_over_star() -> SketchPool {
         let g = gen::star(40, 1.0);
         let store = ShardedGenerator::new(|| IcRrSampler::new(&g), 9, 2).generate(1_000, 2);
-        SketchPool::new(Arc::new(store), 40, 9, 2, 5, 0.5, 1.0, false)
+        SketchPool::new(Arc::new(store), 40, 9, 5, 0.5, 1.0, false)
     }
 
     #[test]
@@ -306,7 +268,8 @@ mod tests {
         assert_eq!(pool.len(), 1_000);
         assert!(!pool.is_empty());
         assert_eq!(pool.num_nodes(), 40);
-        assert_eq!((pool.seed(), pool.threads()), (9, 2));
+        assert_eq!(pool.seed(), 9);
+        assert!(!pool.touch_tracked());
         assert_eq!(pool.design_k(), 5);
         assert_eq!(pool.epsilon(), 0.5);
         assert_eq!(pool.generation(), 0);
@@ -375,23 +338,35 @@ mod tests {
         assert!(pool.prefix(pool.len()).coverage_index().is_some());
     }
 
-    #[test]
-    fn invalidate_marks_exactly_the_dirty_sets_with_an_index() {
-        let g = gen::star(40, 0.6);
-        let (store, index, touch) = ShardedGenerator::new(|| IcRrSampler::new(&g), 9, 3)
-            .generate_indexed_touched(800, 2, 40);
-        let pool = SketchPool::new(Arc::new(store), 40, 9, 3, 5, 0.5, 1.0, false)
+    fn touch_tracked_pool(g: &comic_graph::DiGraph) -> SketchPool {
+        let (store, index) =
+            ShardedGenerator::new(|| IcRrSampler::new(g), 9, 3).generate_indexed(800, 2, 40);
+        SketchPool::new(Arc::new(store), 40, 9, 5, 0.5, 1.0, false)
             .with_index(Arc::new(index))
-            .with_touch(Arc::new(touch));
-        let deltas = [EdgeDelta::Remove {
-            source: NodeId(3),
-            target: NodeId(0),
-        }];
-        let marks = pool.invalidate(&deltas).expect("touched pool marks");
+            .with_touch_tracked(true)
+    }
+
+    #[test]
+    fn invalidate_marks_exactly_the_sets_containing_a_target() {
+        let g = gen::star(40, 0.6);
+        let pool = touch_tracked_pool(&g);
+        let deltas = [
+            EdgeDelta::Remove {
+                source: NodeId(3),
+                target: NodeId(0),
+            },
+            EdgeDelta::Reweight {
+                source: NodeId(0),
+                target: NodeId(7),
+                p: 0.3,
+            },
+        ];
+        let marks = pool.invalidate(&deltas).expect("touch-tracked pool marks");
         assert_eq!(marks.len(), pool.len());
         for (i, &m) in marks.iter().enumerate() {
-            let dirty = pool.store().set(i).contains(&NodeId(0));
-            assert_eq!(m, dirty, "set {i}: exact marks with a resident index");
+            let set = pool.store().set(i);
+            let dirty = set.contains(&NodeId(0)) || set.contains(&NodeId(7));
+            assert_eq!(m, dirty, "set {i}");
         }
         // Out-of-universe targets are ignored; an empty batch marks nothing.
         let far = [EdgeDelta::Remove {
@@ -403,36 +378,25 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_without_index_is_a_conservative_superset() {
+    fn invalidate_is_none_without_touch_tracking_or_an_index() {
         let g = gen::star(40, 0.6);
-        let (store, _index, touch) = ShardedGenerator::new(|| IcRrSampler::new(&g), 9, 3)
-            .generate_indexed_touched(800, 2, 40);
-        let store = Arc::new(store);
-        let pool = SketchPool::new(Arc::clone(&store), 40, 9, 3, 5, 0.5, 1.0, false)
-            .with_touch(Arc::new(touch));
-        let deltas = [EdgeDelta::Reweight {
-            source: NodeId(7),
+        let deltas = [EdgeDelta::Remove {
+            source: NodeId(1),
             target: NodeId(0),
-            p: 0.3,
         }];
-        let marks = pool.invalidate(&deltas).expect("touched pool marks");
-        // No false negatives: every genuinely dirty set is marked (whole
-        // shards at a time without the index).
-        for (i, &m) in marks.iter().enumerate() {
-            if store.set(i).contains(&NodeId(0)) {
-                assert!(m, "dirty set {i} must be marked");
-            }
-        }
-    }
-
-    #[test]
-    fn invalidate_is_none_without_touch_provenance() {
-        let pool = pool_over_star();
+        let pool = touch_tracked_pool(&g);
+        assert!(pool.invalidate(&deltas).is_some());
+        // Touch-opaque: the sampler's members do not bound what it read.
         assert!(pool
-            .invalidate(&[EdgeDelta::Remove {
-                source: NodeId(1),
-                target: NodeId(0),
-            }])
+            .clone()
+            .with_touch_tracked(false)
+            .invalidate(&deltas)
+            .is_none());
+        // No resident index: budget prefixes and bare pools.
+        assert!(pool.prefix(10).invalidate(&deltas).is_none());
+        assert!(pool_over_star()
+            .with_touch_tracked(true)
+            .invalidate(&deltas)
             .is_none());
     }
 

@@ -45,9 +45,9 @@ pub trait RrSampler {
 
     /// Whether this sampler's emitted members are exactly the nodes whose
     /// in-adjacency runs its reverse search read — the precondition for
-    /// member-keyed touch tracking ([`crate::touch::TouchMap`]): an edge
-    /// delta on `(u, v)` can change a sampled set's replay only if `v` is
-    /// among the set's members.
+    /// member-keyed touch tracking ([`crate::pool::SketchPool::invalidate`]):
+    /// an edge delta on `(u, v)` can change a sampled set's replay only if
+    /// `v` is among the set's members.
     ///
     /// Defaults to `false` (touch-opaque): samplers that probe nodes they
     /// do not emit (e.g. the Com-IC samplers' adoption tests against

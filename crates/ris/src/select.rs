@@ -1233,15 +1233,95 @@ mod tests {
         }
     }
 
+    /// Both selectors through the config-level [`SelectorKind::select`]
+    /// dispatch, asserted identical; returns the shared result.
+    fn select_both(store: &RrStore, n: usize, k: usize, threads: usize) -> CoverageResult {
+        let index = CoverageIndex::build(store, n, threads);
+        let celf = SelectorKind::Celf.select(&index, store, k, threads);
+        assert_eq!(
+            SelectorKind::NaiveGreedy.select(&index, store, k, threads),
+            celf
+        );
+        celf
+    }
+
+    #[test]
+    fn picks_the_dominant_node_first() {
+        let (store, n) = store_from(&[&[0, 1], &[0, 2], &[0, 3], &[4]]);
+        let r = select_both(&store, n, 1, 1);
+        assert_eq!(r.seeds, vec![NodeId(0)]);
+        assert_eq!(r.covered, 3);
+        assert_eq!(r.marginals, vec![3]);
+    }
+
+    #[test]
+    fn second_pick_maximizes_marginal_not_raw_count() {
+        // Node 1 appears in 2 sets but both covered by node 0's pick;
+        // node 4 appears in 1 uncovered set.
+        let (store, n) = store_from(&[&[0, 1], &[0, 1], &[0], &[4]]);
+        let r = select_both(&store, n, 2, 1);
+        assert_eq!(r.seeds, vec![NodeId(0), NodeId(4)]);
+        assert_eq!(r.covered, 4);
+        assert_eq!(r.marginals, vec![3, 1]);
+    }
+
+    #[test]
+    fn covers_everything_with_enough_budget() {
+        let (store, n) = store_from(&[&[0], &[1], &[2], &[3]]);
+        let r = select_both(&store, n, 4, 1);
+        assert_eq!(r.covered, 4);
+        assert_eq!(r.seeds.len(), 4);
+    }
+
+    #[test]
+    fn greedy_is_within_the_greedy_bound_of_bruteforce_optimum() {
+        let mut rng = SmallRng::seed_from_u64(42);
+        for trial in 0..20 {
+            let n = 8;
+            let g = gen::complete(n, 1.0);
+            let mut store = RrStore::new();
+            for _ in 0..30 {
+                let size = rng.random_range(1..4usize);
+                let mut members = Vec::new();
+                while members.len() < size {
+                    let v = NodeId(rng.random_range(0..n as u32));
+                    if !members.contains(&v) {
+                        members.push(v);
+                    }
+                }
+                store.push(&members, &g);
+            }
+            let greedy = select_both(&store, n, 2, 2);
+            // Brute force best pair.
+            let mut best = 0u64;
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    let mut mark = vec![false; n];
+                    mark[a] = true;
+                    mark[b] = true;
+                    let c = (store.coverage_fraction(&mark) * store.len() as f64).round() as u64;
+                    best = best.max(c);
+                }
+            }
+            // Greedy max coverage is a (1 - 1/e) approximation; on these tiny
+            // instances it is nearly always optimal, and must never exceed it.
+            assert!(greedy.covered <= best);
+            assert!(
+                greedy.covered as f64 >= 0.63 * best as f64,
+                "trial {trial}: greedy {} vs best {best}",
+                greedy.covered
+            );
+        }
+    }
+
     #[test]
     fn k_beyond_useful_nodes_fills_with_smallest_ids() {
         let (store, n) = store_from(&[&[0], &[0]]);
-        let index = CoverageIndex::build(&store, n, 1);
-        let naive = NaiveGreedy.select(&index, &store, n + 5);
-        let celf = CelfGreedy { threads: 1 }.select(&index, &store, n + 5);
-        assert_eq!(naive, celf);
-        assert_eq!(naive.covered, 2);
-        assert!(naive.seeds.len() <= n);
+        for threads in [1, 4] {
+            let r = select_both(&store, n, n + 5, threads);
+            assert_eq!(r.covered, 2);
+            assert!(r.seeds.len() <= n);
+        }
     }
 
     #[test]

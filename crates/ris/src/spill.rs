@@ -4,7 +4,7 @@
 //! A resident pool is expensive: millions of reverse BFS walks, merged
 //! shards, and (for fused builds) a coverage index. All of that is pure
 //! derived data — a function of the graph and the generation provenance
-//! `(seed, threads, design_k, ε)` — so a service restart that re-pays
+//! `(seed, design_k, ε)` — so a service restart that re-pays
 //! generation is wasted work. This module spills a pool to a
 //! `COMICRRS` segment file using the exact machinery of
 //! [`comic_graph::store`] (fixed-width little-endian sections, header
@@ -13,31 +13,29 @@
 //! zero-copy under the mmap fast path, via one bulk read otherwise
 //! (`COMIC_MMAP=off`).
 //!
-//! # Layout (`COMICRRS` v2)
+//! # Layout (`COMICRRS` v3)
 //!
-//! Meta words: `[graph_digest, n, seed, threads, design_k, epsilon_bits,
-//! kpt_bits, capped, generation, touched, bloom_words]` — the full
-//! provenance a [`SketchPool`] carries, plus the digest of the graph the
-//! sets were sampled over, plus whether the pool records edge-touch
-//! provenance (`touched ∈ {0, 1}`; `bloom_words` is the per-shard bloom
-//! width and 0 when untouched). Sections, in order:
+//! Meta words: `[graph_digest, n, seed, design_k, epsilon_bits, kpt_bits,
+//! capped, generation, touched]` — the full provenance a [`SketchPool`]
+//! carries, plus the digest of the graph the sets were sampled over.
+//! `touched ∈ {0, 1}` records whether the pool is touch-tracked
+//! ([`SketchPool::touch_tracked`]), so a reloaded pool stays incrementally
+//! refreshable. No thread count is recorded: pool bytes are the same for
+//! every generation thread count. Sections, in order:
 //!
 //! | # | contents            | elements          |
 //! |---|---------------------|-------------------|
 //! | 0 | set offsets         | `(sets+1)×u64`    |
 //! | 1 | flat members        | `members×u32`     |
 //! | 2 | per-set widths      | `sets×u64`        |
-//! |   | index offsets       | `(n+1)×u64`       | (only for indexed pools)
-//! |   | index set ids       | `members×u32`     | (only for indexed pools)
-//! |   | shard bounds        | `(shards+1)×u64`  | (only when touched)
-//! |   | shard blooms        | `shards×W×u64`    | (only when touched)
+//! | 3 | index offsets       | `(n+1)×u64`       | (only for indexed pools)
+//! | 4 | index set ids       | `members×u32`     | (only for indexed pools)
 //!
 //! Pools carrying a resident [`CoverageIndex`] spill it too, so a warm
-//! reload skips both regeneration *and* the index build; pools carrying a
-//! [`TouchMap`] spill their shard bounds and blooms as the trailing two
-//! sections, so a reloaded pool stays incrementally refreshable. v1 files
-//! (no touch meta) are rejected with [`GraphError::UnsupportedVersion`] —
-//! the serving layer observes that as a `spill_reject` and rebuilds.
+//! reload skips both regeneration *and* the index build. v1 and v2 files
+//! (which recorded the generation thread count, and v2 per-shard touch
+//! blooms) are rejected with [`GraphError::UnsupportedVersion`] — the
+//! serving layer observes that as a `spill_reject` and rebuilds.
 //!
 //! # Untrusted-header contract
 //!
@@ -54,7 +52,6 @@
 use crate::pool::SketchPool;
 use crate::rr::RrStore;
 use crate::select::CoverageIndex;
-use crate::touch::TouchMap;
 use comic_graph::store::{write_segment, Section, SectionData, SegmentFile, MAX_PLAUSIBLE_NODES};
 use comic_graph::{GraphError, NodeId};
 use std::fs::File;
@@ -65,17 +62,13 @@ use std::sync::Arc;
 /// Magic prefix of a pool spill file.
 pub const POOL_MAGIC: &[u8; 8] = b"COMICRRS";
 
-/// Format version written and required by this module (v2 added the
-/// touch-provenance meta words and trailing sections).
-pub const POOL_FORMAT_VERSION: u32 = 2;
+/// Format version written and required by this module (v3 dropped the
+/// generation thread count and the touch blooms).
+pub const POOL_FORMAT_VERSION: u32 = 3;
 
-/// Meta words: `[graph_digest, n, seed, threads, design_k, epsilon_bits,
-/// kpt_bits, capped, generation, touched, bloom_words]`.
-const POOL_META_LEN: usize = 11;
-
-/// Plausibility cap for the per-shard bloom width (words). The generator
-/// never exceeds `1 << 16`; anything larger is a crafted header.
-const MAX_PLAUSIBLE_BLOOM_WORDS: u64 = 1 << 20;
+/// Meta words: `[graph_digest, n, seed, design_k, epsilon_bits, kpt_bits,
+/// capped, generation, touched]`.
+const POOL_META_LEN: usize = 9;
 
 fn corrupt(msg: impl Into<String>) -> GraphError {
     GraphError::Corrupt(msg.into())
@@ -87,19 +80,16 @@ fn corrupt(msg: impl Into<String>) -> GraphError {
 /// [`GraphError::StaleSource`], not silently wrong answers.
 pub fn write_pool<W: Write>(pool: &SketchPool, graph_digest: u64, w: W) -> Result<(), GraphError> {
     let store = pool.store();
-    let touch = pool.touch_map();
     let meta = [
         graph_digest,
         pool.num_nodes() as u64,
         pool.seed(),
-        pool.threads() as u64,
         pool.design_k() as u64,
         pool.epsilon().to_bits(),
         pool.kpt().to_bits(),
         u64::from(pool.capped()),
         pool.generation(),
-        u64::from(touch.is_some()),
-        touch.map_or(0, |t| t.words_per_shard() as u64),
+        u64::from(pool.touch_tracked()),
     ];
     let mut sections = vec![
         SectionData::U64(store.offsets_raw()),
@@ -109,10 +99,6 @@ pub fn write_pool<W: Write>(pool: &SketchPool, graph_digest: u64, w: W) -> Resul
     if let Some(index) = pool.coverage_index() {
         sections.push(SectionData::U64(index.offsets_raw()));
         sections.push(SectionData::U32(index.sets_raw()));
-    }
-    if let Some(t) = touch {
-        sections.push(SectionData::U64(t.bounds()));
-        sections.push(SectionData::U64(t.blooms()));
     }
     let mut w = BufWriter::new(w);
     write_segment(&mut w, POOL_MAGIC, POOL_FORMAT_VERSION, &meta, &sections)
@@ -149,10 +135,10 @@ pub fn read_pool_bytes(bytes: Vec<u8>, expected_graph: u64) -> Result<SketchPool
 }
 
 fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool, GraphError> {
-    let [graph_digest, n64, seed, threads64, design_k64, eps_bits, kpt_bits, capped64, generation, touched64, bloom_words64] =
+    let [graph_digest, n64, seed, design_k64, eps_bits, kpt_bits, capped64, generation, touched64] =
         seg.meta()
     else {
-        unreachable!("POOL_META_LEN is 11");
+        unreachable!("POOL_META_LEN is 9");
     };
     let (graph_digest, n64) = (*graph_digest, *n64);
 
@@ -162,7 +148,6 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
         return Err(corrupt(format!("implausible node count {n64}")));
     }
     let n = usize::try_from(n64).map_err(|_| corrupt("node count exceeds address space"))?;
-    let threads = usize::try_from(*threads64).map_err(|_| corrupt("implausible thread count"))?;
     let design_k = usize::try_from(*design_k64).map_err(|_| corrupt("implausible design k"))?;
     let epsilon = f64::from_bits(*eps_bits);
     if !epsilon.is_finite() || epsilon <= 0.0 {
@@ -172,32 +157,8 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
     if !kpt.is_finite() || kpt <= 0.0 {
         return Err(corrupt(format!("implausible KPT* {kpt}")));
     }
-    let capped = match capped64 {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(corrupt(format!(
-                "capped flag must be 0 or 1, found {other}"
-            )))
-        }
-    };
-    let touched = match touched64 {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(corrupt(format!(
-                "touched flag must be 0 or 1, found {other}"
-            )))
-        }
-    };
-    let bloom_words = match (touched, *bloom_words64) {
-        (false, 0) => 0,
-        (false, w) => return Err(corrupt(format!("untouched pool declares bloom width {w}"))),
-        (true, w) if w == 0 || w > MAX_PLAUSIBLE_BLOOM_WORDS || !w.is_power_of_two() => {
-            return Err(corrupt(format!("implausible bloom width {w}")))
-        }
-        (true, w) => w as usize,
-    };
+    let capped = flag(*capped64, "capped")?;
+    let touched = flag(*touched64, "touched")?;
 
     // Integrity is proven by the segment digests; staleness ranks above
     // structure, matching the graph store's ordering.
@@ -208,17 +169,12 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
         });
     }
 
-    // Section count disambiguation needs the touched flag: the two touch
-    // sections are always the trailing pair, so 5 sections means either
-    // "indexed, untouched" or "bare, touched".
-    let nsec = seg.num_sections();
-    let indexed = match (touched, nsec) {
-        (false, 3) | (true, 5) => false,
-        (false, 5) | (true, 7) => true,
-        _ => {
+    let indexed = match seg.num_sections() {
+        3 => false,
+        5 => true,
+        nsec => {
             return Err(corrupt(format!(
-                "pool spill needs {} sections, found {nsec}",
-                if touched { "5 or 7" } else { "3 or 5" },
+                "pool spill needs 3 or 5 sections, found {nsec}"
             )))
         }
     };
@@ -274,53 +230,25 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
         None
     };
 
-    let touch = if touched {
-        let bounds_at = if indexed { 5 } else { 3 };
-        let bound_elems = seg.section_elems::<u64>(bounds_at)?;
-        let shards = bound_elems
-            .checked_sub(1)
-            .filter(|&s| s > 0)
-            .ok_or_else(|| corrupt("shard bounds section needs at least two entries"))?;
-        let bounds: Section<u64> = seg.section(bounds_at, shards + 1)?;
-        validate_csr(&bounds, sets as u64, "shard bounds")?;
-        let bloom_elems = shards
-            .checked_mul(bloom_words)
-            .ok_or_else(|| corrupt("bloom section size overflows"))?;
-        let declared = seg.section_elems::<u64>(bounds_at + 1)?;
-        if declared != bloom_elems {
-            return Err(corrupt(format!(
-                "bloom section holds {declared} words, expected {shards} shards × {bloom_words}"
-            )));
-        }
-        let blooms: Section<u64> = seg.section(bounds_at + 1, bloom_elems)?;
-        Some(TouchMap::from_parts(
-            bounds.to_vec(),
-            blooms.to_vec(),
-            bloom_words,
-        ))
-    } else {
-        None
-    };
-
     let store = RrStore::from_raw_parts(offsets, nodes, widths);
-    let mut pool = SketchPool::new(
-        Arc::new(store),
-        n,
-        *seed,
-        threads,
-        design_k,
-        epsilon,
-        kpt,
-        capped,
-    )
-    .with_generation(*generation);
+    let mut pool = SketchPool::new(Arc::new(store), n, *seed, design_k, epsilon, kpt, capped)
+        .with_touch_tracked(touched)
+        .with_generation(*generation);
     if let Some(index) = index {
         pool = pool.with_index(Arc::new(index));
     }
-    if let Some(touch) = touch {
-        pool = pool.with_touch(Arc::new(touch));
-    }
     Ok(pool)
+}
+
+/// A 0/1 meta word as a bool.
+fn flag(word: u64, what: &str) -> Result<bool, GraphError> {
+    match word {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(corrupt(format!(
+            "{what} flag must be 0 or 1, found {other}"
+        ))),
+    }
 }
 
 /// Offsets table validation shared by the set CSR and the index CSR:
@@ -368,7 +296,7 @@ mod tests {
             2,
             g.num_nodes(),
         );
-        let pool = SketchPool::new(Arc::new(store), g.num_nodes(), 7, 2, 5, 0.4, 1.25, false)
+        let pool = SketchPool::new(Arc::new(store), g.num_nodes(), 7, 5, 0.4, 1.25, false)
             .with_generation(3);
         if indexed {
             pool.with_index(Arc::new(index))
@@ -381,7 +309,7 @@ mod tests {
         assert_eq!(a.store(), b.store());
         assert_eq!(a.num_nodes(), b.num_nodes());
         assert_eq!(a.seed(), b.seed());
-        assert_eq!(a.threads(), b.threads());
+        assert_eq!(a.touch_tracked(), b.touch_tracked());
         assert_eq!(a.design_k(), b.design_k());
         assert_eq!(a.epsilon(), b.epsilon());
         assert_eq!(a.kpt(), b.kpt());
@@ -391,11 +319,6 @@ mod tests {
             (Some(x), Some(y)) => assert_eq!(**x, **y),
             (None, None) => {}
             other => panic!("index presence mismatch: {:?}", other.0.is_some()),
-        }
-        match (a.touch_map(), b.touch_map()) {
-            (Some(x), Some(y)) => assert_eq!(**x, **y),
-            (None, None) => {}
-            other => panic!("touch presence mismatch: {:?}", other.0.is_some()),
         }
     }
 
@@ -444,79 +367,63 @@ mod tests {
         assert_eq!(store.len(), back.store().len() + 1);
     }
 
-    fn sample_touched_pool(g: &DiGraph, indexed: bool) -> SketchPool {
-        let (store, index, touch) = ShardedGenerator::new(|| IcRrSampler::new(g), 7, 2)
-            .generate_indexed_touched(400, 2, g.num_nodes());
-        let pool = SketchPool::new(Arc::new(store), g.num_nodes(), 7, 2, 5, 0.4, 1.25, false)
-            .with_generation(4)
-            .with_touch(Arc::new(touch));
-        if indexed {
-            pool.with_index(Arc::new(index))
-        } else {
-            pool
-        }
-    }
-
     #[test]
-    fn touched_pool_round_trips_with_its_touch_map() {
+    fn touch_tracked_pool_round_trips_and_stays_refreshable() {
         let g = gen::star(24, 0.7);
         let d = graph_digest(&g);
-        let pool = sample_touched_pool(&g, true);
+        let pool = sample_pool(&g, true).with_touch_tracked(true);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         let back = read_pool_bytes(bytes, d).unwrap();
         assert_pools_equal(&pool, &back);
-        assert!(back.coverage_index().is_some());
-        assert!(back.touch_map().is_some());
+        assert!(back.touch_tracked());
+        let deltas = [comic_graph::EdgeDelta::Remove {
+            source: NodeId(0),
+            target: NodeId(3),
+        }];
+        assert_eq!(back.invalidate(&deltas), pool.invalidate(&deltas));
+        assert!(back.invalidate(&deltas).is_some());
     }
 
     #[test]
-    fn touched_pool_without_index_round_trips() {
-        // Exercises the 5-section "bare, touched" arm of the disambiguation.
-        let g = gen::path(15, 0.8);
-        let d = graph_digest(&g);
-        let pool = sample_touched_pool(&g, false);
-        let mut bytes = Vec::new();
-        write_pool(&pool, d, &mut bytes).unwrap();
-        let back = read_pool_bytes(bytes, d).unwrap();
-        assert_pools_equal(&pool, &back);
-        assert!(back.coverage_index().is_none());
-        assert!(back.touch_map().is_some());
-    }
-
-    #[test]
-    fn v1_spill_files_are_rejected_as_unsupported() {
-        // Re-encode a pool under the retired v1 layout (9 meta words, no
-        // touch provenance): the reader must refuse with a typed version
-        // error, which the serving layer surfaces as a spill reject.
+    fn v1_and_v2_spill_files_are_rejected_as_unsupported() {
+        // Re-encode a pool under the retired layouts — v1 (9 meta words
+        // with a thread count, no touch provenance) and v2 (11 meta words,
+        // touch flag and bloom width): the reader must refuse both with a
+        // typed version error, which the serving layer surfaces as a spill
+        // reject.
         let g = gen::path(6, 0.5);
         let d = graph_digest(&g);
         let pool = sample_pool(&g, false);
         let store = pool.store();
-        let meta = [
+        let v1_meta = vec![
             d,
             pool.num_nodes() as u64,
             pool.seed(),
-            pool.threads() as u64,
+            2, // threads
             pool.design_k() as u64,
             pool.epsilon().to_bits(),
             pool.kpt().to_bits(),
             u64::from(pool.capped()),
             pool.generation(),
         ];
+        let mut v2_meta = v1_meta.clone();
+        v2_meta.extend([0, 0]); // untouched, no blooms
         let sections = [
             SectionData::U64(store.offsets_raw()),
             SectionData::Nodes(store.nodes_raw()),
             SectionData::U64(store.widths_raw()),
         ];
-        let mut bytes = Vec::new();
-        write_segment(&mut bytes, POOL_MAGIC, 1, &meta, &sections).unwrap();
-        match read_pool_bytes(bytes, d) {
-            Err(GraphError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, 1);
-                assert_eq!(supported, POOL_FORMAT_VERSION);
+        for (version, meta) in [(1u32, v1_meta), (2, v2_meta)] {
+            let mut bytes = Vec::new();
+            write_segment(&mut bytes, POOL_MAGIC, version, &meta, &sections).unwrap();
+            match read_pool_bytes(bytes, d) {
+                Err(GraphError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, POOL_FORMAT_VERSION);
+                }
+                other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 
@@ -543,7 +450,7 @@ mod tests {
         let pool = sample_pool(&g, true);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
-        // Prefix = magic(8) + version(4) + meta(88) + count(4) + digest(8).
+        // Prefix = magic(8) + version(4) + meta(72) + count(4) + digest(8).
         let prefix = 8 + 4 + 8 * POOL_META_LEN + 4 + 8;
         for byte in 0..prefix {
             for bit in 0..8 {
@@ -580,7 +487,7 @@ mod tests {
         let d = graph_digest(&g);
         let mut store = RrStore::new();
         store.push_with_width(&[NodeId(99)], 1); // 99 >= n = 4
-        let pool = SketchPool::new(Arc::new(store), 4, 1, 1, 2, 0.5, 1.0, false);
+        let pool = SketchPool::new(Arc::new(store), 4, 1, 2, 0.5, 1.0, false);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         match read_pool_bytes(bytes, d) {

@@ -2,19 +2,15 @@
 //!
 //! The orchestration lives in [`crate::pipeline::RisPipeline`]; this module
 //! holds the configuration ([`TimConfig`]), the θ math of Equation (3), and
-//! the two classic entry points [`general_tim`] / [`general_tim_with`].
+//! the classic entry point [`general_tim_with`].
 
 use crate::error::RisError;
-use crate::kpt::kpt_star;
-use crate::pipeline::{assemble, RisPipeline};
-use crate::rr::{RrStore, MAX_PREALLOC_SETS};
+use crate::pipeline::RisPipeline;
 use crate::sampler::RrSampler;
 use crate::select::SelectorKind;
 use comic_graph::NodeId;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-/// Configuration for [`general_tim`].
+/// Configuration for [`general_tim_with`].
 #[derive(Clone, Debug)]
 pub struct TimConfig {
     /// Seed budget `k`.
@@ -29,12 +25,9 @@ pub struct TimConfig {
     pub max_rr_sets: Option<u64>,
     /// RNG seed for the whole pipeline.
     pub seed: u64,
-    /// Worker threads for RR-set generation in [`general_tim_with`]
-    /// (`0` = one per available core; default `1`). Results are
-    /// deterministic for a fixed `(seed, threads)` pair. The borrowing
-    /// [`general_tim`] entry point always samples on the calling thread
-    /// (only the coverage-index build and invalidation sweeps honor the
-    /// knob there).
+    /// Worker threads for RR-set generation and selection (`0` = one per
+    /// available core; default `1`). A pure latency knob: results are
+    /// identical for every thread count at a fixed seed.
     pub threads: usize,
     /// Max-coverage strategy for the selection phase (default
     /// [`SelectorKind::Celf`]). Every selector returns identical seeds for
@@ -75,8 +68,7 @@ impl TimConfig {
         self
     }
 
-    /// Set the worker-thread count for [`general_tim_with`] (`0` = all
-    /// cores).
+    /// Set the worker-thread count (`0` = all cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -122,7 +114,7 @@ impl TimConfig {
     }
 }
 
-/// Output of [`general_tim`].
+/// Output of [`general_tim_with`].
 #[derive(Clone, Debug)]
 pub struct TimResult {
     /// Selected seeds, in greedy pick order.
@@ -159,51 +151,20 @@ pub fn theta(n: usize, k: usize, epsilon: f64, ell: f64, lower_bound: f64) -> u6
     (lambda / lower_bound.max(1.0)).ceil().max(1.0) as u64
 }
 
-/// Run GeneralTIM over any [`RrSampler`] (Algorithm 1), single-threaded.
+/// Run GeneralTIM over any [`RrSampler`] (Algorithm 1), with sharded,
+/// multi-threaded RR-set generation.
 ///
 /// For samplers whose per-world activation indicator is monotone and
 /// submodular (Lemmas 4–5 / Theorem 6), the result is a
 /// `(1 − 1/e − ε)`-approximation with probability ≥ `1 − n^{−ℓ}`
 /// (unless capped).
 ///
-/// This entry point borrows one sampler and therefore always *samples* on
-/// the calling thread ([`TimConfig::threads`] only parallelizes the
-/// selection phase); [`general_tim_with`] takes a sampler *factory* instead
-/// and shards RR-set generation across worker threads.
-pub fn general_tim<S: RrSampler>(sampler: &mut S, cfg: &TimConfig) -> Result<TimResult, RisError> {
-    let n = sampler.graph().num_nodes();
-    cfg.validate(n)?;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-    // Phase 1: lower-bound estimation.
-    let kpt = kpt_star(sampler, cfg.k, cfg.ell, &mut rng);
-
-    // Phase 2: θ from Equation (3).
-    let (theta_n, capped) = cfg.cap_theta(theta(n, cfg.k, cfg.epsilon, cfg.ell, kpt.kpt));
-
-    // Phase 3: sample θ RR-sets into an arena pre-sized from the average
-    // set size observed during KPT*.
-    let avg = (kpt.total_members / kpt.samples.max(1)).max(1) as usize;
-    let mut store = RrStore::with_capacity(theta_n.min(MAX_PREALLOC_SETS) as usize, avg);
-    let mut out = Vec::new();
-    for _ in 0..theta_n {
-        let (_, width) = sampler.sample_random_with_width(&mut rng, &mut out);
-        store.push_with_width(&out, width);
-    }
-
-    // Phase 4: greedy max coverage.
-    Ok(assemble(n, cfg, kpt.kpt, theta_n, capped, &store))
-}
-
-/// Run GeneralTIM with sharded, multi-threaded RR-set generation.
-///
 /// `factory` builds one sampler per worker thread (plus one probe on the
 /// calling thread); both the KPT* rounds and the θ-loop generate their
 /// RR-sets through a [`crate::parallel::ShardedGenerator`] honoring
 /// [`TimConfig::threads`]. The output — selected seeds, θ, coverage — is
-/// **bit-for-bit deterministic for a fixed `(seed, threads)`
-/// configuration** (see the [`crate::parallel`] module docs for the
-/// stream-derivation contract).
+/// **bit-for-bit identical for every thread count at a fixed seed** (see
+/// the [`crate::parallel`] module docs for the stream-derivation contract).
 ///
 /// This is a thin wrapper over [`RisPipeline`], which exposes the stages
 /// individually.
@@ -247,24 +208,26 @@ mod tests {
     #[test]
     fn config_validation() {
         let g = gen::path(5, 1.0);
-        let mut s = IcRrSampler::new(&g);
-        assert!(general_tim(&mut s, &TimConfig::new(0)).is_err());
-        assert!(general_tim(&mut s, &TimConfig::new(9)).is_err());
-        assert!(general_tim(&mut s, &TimConfig::new(2).epsilon(-1.0)).is_err());
+        let tim = |cfg: TimConfig| general_tim_with(|| IcRrSampler::new(&g), &cfg);
+        assert!(tim(TimConfig::new(0)).is_err());
+        assert!(tim(TimConfig::new(9)).is_err());
+        assert!(tim(TimConfig::new(2).epsilon(-1.0)).is_err());
     }
 
     #[test]
     fn finds_the_hub_of_a_star() {
         let g = gen::star(100, 1.0);
-        let mut s = IcRrSampler::new(&g);
-        let r = general_tim(&mut s, &TimConfig::new(1)).unwrap();
-        assert_eq!(r.seeds, vec![NodeId(0)]);
-        assert!(!r.capped);
-        assert!(
-            (r.est_spread - 100.0).abs() < 10.0,
-            "est_spread {}",
-            r.est_spread
-        );
+        for threads in [1, 0] {
+            let cfg = TimConfig::new(1).threads(threads);
+            let r = general_tim_with(|| IcRrSampler::new(&g), &cfg).unwrap();
+            assert_eq!(r.seeds, vec![NodeId(0)]);
+            assert!(!r.capped);
+            assert!(
+                (r.est_spread - 100.0).abs() < 10.0,
+                "est_spread {}",
+                r.est_spread
+            );
+        }
     }
 
     #[test]
@@ -278,8 +241,7 @@ mod tests {
             b.add_edge(60, v, 1.0);
         }
         let g = b.build().unwrap();
-        let mut s = IcRrSampler::new(&g);
-        let r = general_tim(&mut s, &TimConfig::new(2)).unwrap();
+        let r = general_tim_with(|| IcRrSampler::new(&g), &TimConfig::new(2)).unwrap();
         let mut seeds: Vec<u32> = r.seeds.iter().map(|v| v.0).collect();
         seeds.sort_unstable();
         assert_eq!(seeds, vec![0, 60]);
@@ -291,8 +253,7 @@ mod tests {
         let g = gen::gnm(400, 2400, &mut grng).unwrap();
         let g = comic_graph::prob::ProbModel::WeightedCascade.apply(&g, &mut grng);
         let k = 5;
-        let mut s = IcRrSampler::new(&g);
-        let r = general_tim(&mut s, &TimConfig::new(k).seed(3)).unwrap();
+        let r = general_tim_with(|| IcRrSampler::new(&g), &TimConfig::new(k).seed(3)).unwrap();
         let mut rng = SmallRng::seed_from_u64(11);
         let tim_spread = ic_spread(&g, &r.seeds, 20_000, &mut rng);
         let random_seeds: Vec<NodeId> = (0..k as u32).map(NodeId).collect();
@@ -310,67 +271,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_tim_is_bit_for_bit_deterministic() {
+    fn general_tim_with_is_identical_across_thread_counts() {
         let mut grng = SmallRng::seed_from_u64(20);
         let g = gen::gnm(300, 1800, &mut grng).unwrap();
         let g = comic_graph::prob::ProbModel::WeightedCascade.apply(&g, &mut grng);
-        for threads in [1, 3, 4] {
+        let run = |threads: usize| {
             let cfg = TimConfig::new(5)
                 .seed(77)
                 .max_rr_sets(40_000)
                 .threads(threads);
-            let r1 = general_tim_with(|| IcRrSampler::new(&g), &cfg).unwrap();
-            let r2 = general_tim_with(|| IcRrSampler::new(&g), &cfg).unwrap();
-            assert_eq!(r1.seeds, r2.seeds, "threads = {threads}");
-            assert_eq!(r1.theta, r2.theta);
-            assert_eq!(r1.kpt, r2.kpt);
-            assert_eq!(r1.covered, r2.covered);
-            assert_eq!(r1.est_spread, r2.est_spread);
+            let r = general_tim_with(|| IcRrSampler::new(&g), &cfg).unwrap();
+            (
+                r.seeds,
+                r.theta,
+                r.kpt.to_bits(),
+                r.covered,
+                r.est_spread.to_bits(),
+            )
+        };
+        let base = run(1);
+        for threads in [1, 2, 3, 4, 7] {
+            assert_eq!(run(threads), base, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn parallel_tim_quality_matches_sequential_across_thread_counts() {
-        // Different thread counts draw different RR samples, but the seed
-        // sets they pick must have statistically indistinguishable spread
-        // (the 4σ pattern from spread.rs).
-        let mut grng = SmallRng::seed_from_u64(21);
-        let g = gen::gnm(400, 2400, &mut grng).unwrap();
-        let g = comic_graph::prob::ProbModel::WeightedCascade.apply(&g, &mut grng);
-        let k = 5;
-        let mut s = IcRrSampler::new(&g);
-        let seq = general_tim(&mut s, &TimConfig::new(k).seed(3)).unwrap();
-        let par = general_tim_with(
-            || IcRrSampler::new(&g),
-            &TimConfig::new(k).seed(3).threads(4),
-        )
-        .unwrap();
-        let mut rng = SmallRng::seed_from_u64(22);
-        let trials = 20_000;
-        let seq_spread = ic_spread(&g, &seq.seeds, trials, &mut rng);
-        let par_spread = ic_spread(&g, &par.seeds, trials, &mut rng);
-        // Spread per run is bounded by n; a very generous σ bound for the
-        // MC means keeps this robust while catching real regressions.
-        let sigma = 400.0 / (trials as f64).sqrt();
-        assert!(
-            (seq_spread - par_spread).abs() < 4.0 * (2.0 * sigma).max(seq_spread * 0.05),
-            "sequential {seq_spread} vs parallel {par_spread}"
-        );
-    }
-
-    #[test]
-    fn parallel_tim_finds_the_hub_of_a_star() {
-        let g = gen::star(100, 1.0);
-        let r = general_tim_with(|| IcRrSampler::new(&g), &TimConfig::new(1).threads(0)).unwrap();
-        assert_eq!(r.seeds, vec![NodeId(0)]);
-        assert!(!r.capped);
     }
 
     #[test]
     fn cap_limits_theta() {
         let g = gen::star(50, 1.0);
-        let mut s = IcRrSampler::new(&g);
-        let r = general_tim(&mut s, &TimConfig::new(1).max_rr_sets(100)).unwrap();
+        let cfg = TimConfig::new(1).max_rr_sets(100);
+        let r = general_tim_with(|| IcRrSampler::new(&g), &cfg).unwrap();
         assert!(r.capped);
         assert_eq!(r.theta, 100);
         // Even capped, the hub of a certain star is unmissable.

@@ -21,8 +21,9 @@ USAGE:
 OPTIONS:
   --dataset <name|path[:model]>  dataset to load (default: fixture-small)
   --seed <u64>                   service seed (default: 0xC0111C)
-  --gen-threads <n>              pool-generation workers; part of pool
-                                 identity, fixed per instance (default: 2)
+  --gen-threads <n>              pool-generation and refit workers;
+                                 latency-only knob, spills reload at any
+                                 count (default: 2)
   --threads <n>                  query-time selection workers; latency-only
                                  knob (default: 2)
   --design-k <n>                 k the pools' theta derivation targets

@@ -132,13 +132,14 @@ fn validate_schema(v: &Json) -> Result<(), String> {
 }
 
 /// Required schema of a `BENCH_incremental.json` snapshot: graph
-/// provenance, pool size, and per-ratio run rows pairing the incremental
-/// refit against the full rebuild it replaces.
+/// provenance, pool size, the host's core count next to the thread count,
+/// and per-ratio run rows pairing the incremental refit against the full
+/// rebuild it replaces.
 fn validate_incremental_schema(v: &Json) -> Result<(), String> {
     v.get("graph")
         .and_then(Json::as_obj)
         .ok_or("missing object field \"graph\"")?;
-    for f in ["sketches", "threads"] {
+    for f in ["host_cores", "sketches", "threads"] {
         if v.get(f).and_then(Json::as_f64).is_none() {
             return Err(format!("missing numeric field {f:?}"));
         }

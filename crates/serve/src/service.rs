@@ -8,13 +8,14 @@
 //! **byte-identical** response lines for every deterministic op (`ping`,
 //! `select`, `estimate`, `refresh`, `batch` thereof, and errors), because:
 //!
-//! - each pool's sketches are fixed by `(pool seed, gen_threads)` — the
-//!   [`comic_ris::parallel`] reproducibility contract — where the pool seed
-//!   is derived from the service seed, the pool key, and the refresh
-//!   generation, and `gen_threads` is part of the service config;
+//! - each pool's sketches are fixed by its pool seed alone — every RR-set
+//!   draws from a stream keyed on that seed and the set's index
+//!   ([`comic_ris::parallel`]) — where the pool seed is derived from the
+//!   service seed, the pool key, and the refresh generation, so
+//!   [`ServeConfig::gen_threads`] is purely a latency knob;
 //! - seed *selection* over a fixed store is thread-count invariant
 //!   ([`comic_ris::select`]), so [`ServeConfig::threads`] — the per-query
-//!   worker count — is purely a latency knob;
+//!   worker count — is purely a latency knob too;
 //! - responses carry no wall-clock fields. Timing lives only in the
 //!   `stats` op ([`Response::Stats`]), which is exempt from the contract.
 //!
@@ -49,8 +50,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Static configuration of a service instance. Everything that affects
-/// response *bytes* is here (dataset, seed, `gen_threads`, design `k`,
-/// sketch cap, pool set); [`ServeConfig::threads`] affects latency only.
+/// response *bytes* is here (dataset, seed, design `k`, sketch cap, pool
+/// set); [`ServeConfig::gen_threads`] and [`ServeConfig::threads`] affect
+/// latency only.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Dataset argument ([`comic_bench::datasets::load`] syntax: a registry
@@ -58,9 +60,9 @@ pub struct ServeConfig {
     pub dataset: String,
     /// Service seed; every pool's generation stream derives from it.
     pub seed: u64,
-    /// Worker threads for pool *generation* — part of pool identity (the
-    /// `(seed, threads)` reproducibility contract), so it is fixed per
-    /// service instance, never per query.
+    /// Worker threads for pool *generation* and delta refits — pool bytes
+    /// are the same for every thread count, so this is a pure latency knob
+    /// (a spill written at one count reloads at any other).
     pub gen_threads: usize,
     /// Worker threads for query-time selection — thread-invariant, so this
     /// is a pure latency knob.
@@ -611,13 +613,13 @@ impl ComicService {
     ///
     /// The graph swap is compaction ([`DiGraph::apply_deltas`]): queries
     /// racing the apply see the old graph or the new one, never a torn
-    /// pair. Each pool is then refitted — *incrementally* when it carries
-    /// touch provenance, its sampler's touch sets are exact member sets
-    /// (vanilla IC), and the batch is within
-    /// [`ServeConfig::max_stale_deltas`]: only the RR-sets whose shard
-    /// bloom intersects a changed in-adjacency are resampled
-    /// (deterministic per-set streams — untouched sets keep their exact
-    /// bytes). Every other pool takes a full rebuild, counted in
+    /// pair. Each pool is then refitted — *incrementally* when it is
+    /// touch-tracked (its sampler's touch sets are exact member sets:
+    /// vanilla IC) and the batch is within
+    /// [`ServeConfig::max_stale_deltas`]: only the RR-sets the resident
+    /// coverage index lists under a changed in-adjacency's target are
+    /// resampled (deterministic per-set streams — untouched sets keep their
+    /// exact bytes). Every other pool takes a full rebuild, counted in
     /// `full_rebuilds`.
     ///
     /// A conflicting batch ([`comic_graph::GraphError::DeltaConflict`] —
@@ -667,11 +669,10 @@ impl ComicService {
         // Incremental refresh replays only marked sets with the *original*
         // sampler semantics, so it is sound only where touch sets are
         // exact member sets — the vanilla IC sampler. Com-IC samplers are
-        // touch-opaque (their pools carry no touch map) and the check on
-        // provenance makes that structural rather than by sampler name.
-        let eligible = key.sampler == SamplerKind::VanillaIc
-            && pool.touch_map().is_some()
-            && batch <= self.cfg.max_stale_deltas;
+        // touch-opaque (their pools are not touch-tracked, so
+        // `invalidate` yields no marks), which makes that structural
+        // rather than by sampler name alone.
+        let eligible = key.sampler == SamplerKind::VanillaIc && batch <= self.cfg.max_stale_deltas;
         if eligible {
             if let Some(marks) = pool.invalidate(deltas) {
                 let dirty = marks.iter().filter(|&&m| m).count() as u64;
@@ -732,10 +733,11 @@ impl ComicService {
     /// expected cold start (no file) from an observable fault (a file
     /// that exists but is corrupt, written for a different graph, or
     /// carrying provenance that disagrees with what *this* config would
-    /// generate — seed chain, `gen_threads`, design `k`, tier ε, node
-    /// count): a provenance mismatch means the spill's bytes are some
-    /// other config's pool, and serving it would break the
-    /// byte-determinism contract.
+    /// generate — seed chain, design `k`, tier ε, node count): a
+    /// provenance mismatch means the spill's bytes are some other config's
+    /// pool, and serving it would break the byte-determinism contract.
+    /// `gen_threads` is not provenance: pool bytes are the same at every
+    /// thread count.
     fn try_load_spilled(&self, key: &PoolKey) -> SpillLoad {
         let Some(path) = self.spill_path(key) else {
             return SpillLoad::Missing;
@@ -748,7 +750,6 @@ impl ComicService {
             Err(e) => return SpillLoad::Rejected(e.to_string()),
         };
         let provenance_ok = pool.seed() == self.pool_seed(key, pool.generation())
-            && pool.threads() == self.cfg.gen_threads
             && pool.design_k() == self.cfg.design_k
             && pool.epsilon() == key.tier.epsilon()
             && pool.num_nodes() == self.graph().num_nodes()
@@ -761,11 +762,10 @@ impl ComicService {
         } else {
             SpillLoad::Rejected(format!(
                 "provenance mismatch: spill holds generation {} seed {:#x} \
-                 ({} threads, design-k {}, ε {}, {} nodes), which this \
-                 config would not generate",
+                 (design-k {}, ε {}, {} nodes), which this config would \
+                 not generate",
                 pool.generation(),
                 pool.seed(),
-                pool.threads(),
                 pool.design_k(),
                 pool.epsilon(),
                 pool.num_nodes(),
@@ -1457,6 +1457,53 @@ mod tests {
     }
 
     #[test]
+    fn spills_reload_at_any_gen_threads_with_identical_answers() {
+        let dir = temp_pool_dir("genthreads");
+        let select_lines = |svc: &ComicService| -> Vec<String> {
+            svc.pool_keys()
+                .into_iter()
+                .map(|pool| {
+                    svc.handle(&Request::Select {
+                        pool,
+                        k: 5,
+                        selector: None,
+                        budget: None,
+                        deadline_ms: None,
+                    })
+                    .to_line()
+                })
+                .collect()
+        };
+        let mut cfg = small_cfg();
+        cfg.gen_threads = 2;
+        cfg.pool_dir = Some(dir.clone());
+        let first = ComicService::start(cfg.clone()).unwrap();
+        assert_eq!(first.pool_builds(), 2);
+        let spilled = select_lines(&first);
+        drop(first);
+
+        // Generation threads are a latency knob, not provenance: the
+        // spills reload at another count, and answer identically.
+        cfg.gen_threads = 1;
+        let reloaded = ComicService::start(cfg.clone()).unwrap();
+        assert_eq!(
+            reloaded.pool_builds(),
+            0,
+            "spills reload across gen_threads"
+        );
+        assert_eq!(reloaded.spill_rejects(), 0);
+        assert_eq!(select_lines(&reloaded), spilled);
+        drop(reloaded);
+
+        // A cold build at that count lands on the same bytes too.
+        cfg.pool_dir = None;
+        let cold = ComicService::start(cfg).unwrap();
+        assert_eq!(cold.pool_builds(), 2);
+        assert_eq!(select_lines(&cold), spilled);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn provenance_mismatched_spills_are_rebuilt_not_served() {
         let dir = temp_pool_dir("mismatch");
         let mut cfg = small_cfg();
@@ -1567,7 +1614,7 @@ mod tests {
         let svc = ComicService::start(cfg.clone()).unwrap();
         let key = PoolKey::new(SamplerKind::VanillaIc, "default", EpsTier::Coarse).unwrap();
         let before = svc.pool(&key).unwrap();
-        assert!(before.touch_map().is_some(), "IC pools carry provenance");
+        assert!(before.touch_tracked(), "IC pools are touch-tracked");
         let edges_before = svc.graph().num_edges();
         let (s, t) = first_edge(&svc);
 
@@ -1635,7 +1682,10 @@ mod tests {
         );
         let other = svc2.pool(&key).unwrap();
         assert_eq!(after.store(), other.store());
-        assert_eq!(**after.touch_map().unwrap(), **other.touch_map().unwrap());
+        assert_eq!(
+            **after.coverage_index().unwrap(),
+            **other.coverage_index().unwrap()
+        );
 
         // And the refitted pool still answers queries.
         let sel = svc.handle(&Request::Select {

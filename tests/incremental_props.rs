@@ -1,5 +1,5 @@
 //! Property tests for the incremental sketch-maintenance path: after a
-//! batch of edge deltas, the bloom-screened partial refresh
+//! batch of edge deltas, the index-driven partial refresh
 //! ([`SketchPool::invalidate`] + [`refresh_pool_marked`]) must produce a
 //! pool byte-identical to resampling *every* set on the compacted graph —
 //! in particular it must not resurrect RR-sets rooted in removed
@@ -8,7 +8,9 @@
 //! The all-marks refresh is the from-scratch oracle: marking every set
 //! resamples the whole pool against the new graph through the exact
 //! per-set seed streams the pool was generated from, so any set the
-//! invalidation screen wrongly left untouched shows up as a byte diff.
+//! invalidation wrongly left untouched shows up as a byte diff. Those
+//! streams are keyed on each set's index alone, so the refresh also equals
+//! a fresh `generate_pool` on the compacted graph at any thread count.
 
 use comic_bench::invariance::{assert_thread_invariance, thread_counts};
 use comic_graph::delta::node_removal_deltas;
@@ -16,7 +18,7 @@ use comic_graph::{DiGraph, EdgeDelta, NodeId};
 use comic_ris::ic_sampler::IcRrSampler;
 use comic_ris::pipeline::refresh_pool_marked;
 use comic_ris::tim::TimConfig;
-use comic_ris::{RisPipeline, SketchPool, TouchMap};
+use comic_ris::{RisPipeline, SketchPool};
 use proptest::prelude::*;
 
 const GEN_THREADS: usize = 2;
@@ -48,36 +50,38 @@ fn arb_graph() -> impl Strategy<Value = DiGraph> {
 /// Build a touch-tracked IC pool over `g` through the real pipeline, so its
 /// seed/θ provenance matches what [`refresh_pool_marked`] re-derives.
 fn build_pool(g: &DiGraph, seed: u64) -> SketchPool {
+    build_pool_with(g, seed, GEN_THREADS, 512)
+}
+
+/// [`build_pool`] at an explicit generation thread count and sketch cap.
+fn build_pool_with(g: &DiGraph, seed: u64, threads: usize, cap: u64) -> SketchPool {
     RisPipeline::new(
         TimConfig::new(2)
             .seed(seed)
-            .threads(GEN_THREADS)
-            .max_rr_sets(512),
+            .threads(threads)
+            .max_rr_sets(cap),
     )
     .generate_pool(|| IcRrSampler::new(g))
     .expect("IC pool over a small proptest graph")
 }
 
 /// Refresh with every set marked — from-scratch generation on `g2` with the
-/// pool's frozen `(seed, threads, θ)` provenance.
+/// pool's frozen `(seed, θ)` provenance.
 fn scratch_refresh(pool: &SketchPool, g2: &DiGraph) -> SketchPool {
     let all = vec![true; pool.len()];
     refresh_pool_marked(pool, &all, || IcRrSampler::new(g2), GEN_THREADS)
 }
 
 /// Assert two pools over the same provenance are byte-identical: store,
-/// coverage index, and touch map (the refreshes preserve the original
-/// bloom geometry, so the maps compare directly).
+/// coverage index, and touch tracking.
 fn assert_pools_equal(a: &SketchPool, b: &SketchPool) {
     assert_eq!(a.store(), b.store(), "store mismatch");
-    let (ta, tb) = (a.touch_map().unwrap(), b.touch_map().unwrap());
-    assert_eq!(ta.bounds(), tb.bounds(), "shard bounds mismatch");
-    assert_eq!(**ta, **tb, "touch map mismatch");
-    // The coverage indices describe identical stores; spot-check the
-    // cheap aggregate identities rather than re-walking the CSR.
-    let (ia, ib) = (a.coverage_index().unwrap(), b.coverage_index().unwrap());
-    assert_eq!(ia.num_sets(), ib.num_sets());
-    assert_eq!(ia.total_entries(), ib.total_entries());
+    assert_eq!(
+        a.coverage_index().unwrap(),
+        b.coverage_index().unwrap(),
+        "coverage index mismatch"
+    );
+    assert_eq!(a.touch_tracked(), b.touch_tracked());
 }
 
 /// Every RR-set must be internally consistent with the *current* graph:
@@ -155,14 +159,12 @@ proptest! {
                 );
             }
         }
-        // The rescanned touch provenance must have buried v too, except in
-        // shards whose only trace of v is its own bare-root set.
-        let rescan = TouchMap::over_store(
-            refreshed.store(),
-            refreshed.touch_map().unwrap().bounds().to_vec(),
-            refreshed.touch_map().unwrap().words_per_shard(),
-        );
-        prop_assert_eq!(&rescan, &**refreshed.touch_map().unwrap());
+        // The refreshed index buries v too: it lists v only under its own
+        // bare-root sets.
+        let index = refreshed.coverage_index().unwrap();
+        for &set in index.sets_containing(v) {
+            prop_assert_eq!(refreshed.store().set(set as usize), &[v][..]);
+        }
     }
 
     /// The regeneration thread count is a latency-only knob: refreshing on
@@ -191,5 +193,41 @@ proptest! {
                 .collect::<Vec<_>>()
         });
         prop_assert_eq!(report.digests.len(), thread_counts().len());
+    }
+
+    /// A refresh at thread count `t` equals `generate_pool` on the
+    /// compacted graph at a different thread count: pool bytes depend on
+    /// the seed and each set's index, never on who sampled it. The cap sits
+    /// below Equation (3)'s θ for every graph here (θ ≥ 2λ/n ≈ 100 at
+    /// ε = 0.5, ℓ = 1), so both pools hold exactly `CAP` sets.
+    #[test]
+    fn refresh_equals_generate_pool_on_the_compacted_graph(
+        g in arb_graph(),
+        seed in 0u64..1_000,
+        pick in 0usize..10_000,
+    ) {
+        const CAP: u64 = 96;
+        prop_assume!(g.num_edges() > 0);
+        let (_, e) = g.edges().nth(pick % g.num_edges()).unwrap();
+        let deltas = vec![EdgeDelta::Remove { source: e.source, target: e.target }];
+        let counts = thread_counts();
+
+        let pool = build_pool_with(&g, seed, counts[counts.len() - 1], CAP);
+        prop_assert_eq!(pool.len() as u64, CAP);
+        let g2 = g.apply_deltas(&deltas).unwrap();
+        let marks = pool.invalidate(&deltas).expect("IC pools are touch-tracked");
+
+        let report = assert_thread_invariance("refresh_vs_generate_pool(proptest)", |t| {
+            let refreshed = refresh_pool_marked(&pool, &marks, || IcRrSampler::new(&g2), t);
+            let other = counts[(counts.iter().position(|&c| c == t).unwrap() + 1) % counts.len()];
+            let fresh = build_pool_with(&g2, seed, other, CAP);
+            assert_pools_equal(&refreshed, &fresh);
+            refreshed
+                .store()
+                .iter()
+                .map(|set| set.iter().map(|v| v.0).collect::<Vec<u32>>())
+                .collect::<Vec<_>>()
+        });
+        prop_assert_eq!(report.digests.len(), counts.len());
     }
 }

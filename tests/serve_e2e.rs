@@ -9,7 +9,7 @@
 //!   response lines, including across a deterministic refresh;
 //! - **thread invariance** — response bytes are identical for every
 //!   query-thread count in the `comic_bench::invariance` matrix
-//!   (`gen_threads`, which is part of pool identity, stays fixed);
+//!   (`gen_threads` stays pinned, so only the query knob varies);
 //! - **warm ≡ cold** — a pooled (warm) `select` returns exactly the seed
 //!   set a cold [`RisPipeline::run_on_pool`] computes over the same pool,
 //!   on fixture-small and fixture-medium, with `pool_builds` unchanged
@@ -30,7 +30,7 @@ use comic_serve::service::{ComicService, ServeConfig};
 /// Service config over fixture-small: two pools (the classic-IC baseline
 /// and RR-SIM under the one-way preset), small sketch caps so the whole
 /// suite stays fast. `threads` is the query-time knob under test;
-/// `gen_threads` is pinned — it is part of pool identity.
+/// `gen_threads` is pinned so only that knob varies.
 fn small_cfg(threads: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new("fixture-small");
     cfg.design_k = 10;
@@ -97,7 +97,7 @@ fn two_instances_answer_the_script_byte_identically() {
 
 #[test]
 fn responses_are_invariant_across_query_thread_counts() {
-    // gen_threads is fixed (pool identity); the per-query selection
+    // gen_threads is fixed; the per-query selection
     // thread count must be a pure latency knob. The shared harness drives
     // the full {1, 2, 4, 7} matrix (or COMIC_TEST_THREADS).
     invariance::assert_thread_invariance("serve: scripted batch", |threads| {
