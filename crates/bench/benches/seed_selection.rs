@@ -6,12 +6,12 @@
 //! engine end-to-end on the scalability dataset: [`CoverageIndex::build`]
 //! at 1 / 4 / all-cores threads, the **fused**
 //! [`CoverageIndex::from_fragments`] merge that replaces it when the index
-//! rides along with generation, then [`NaiveGreedy`] vs [`CelfGreedy`] at
-//! `k = 50` — the latter both pinned scalar and on the active SIMD
-//! kernels. It also **asserts** the determinism contract — parallel and
-//! fused index builds byte-identical to sequential ones, CELF seed sets
-//! byte-identical to the naive oracle's in every SIMD mode — so the
-//! quick-mode CI smoke run fails if a selector ever diverges. Set
+//! rides along with generation, then [`NaiveGreedy`] (on the active SIMD
+//! kernel) vs [`CelfGreedy`] at `k = 50`. It also **asserts** the
+//! determinism contract — parallel and fused index builds byte-identical
+//! to sequential ones, CELF seed sets byte-identical to the naive
+//! oracle's — so the quick-mode CI smoke run, repeated with
+//! `COMIC_SIMD=off`, fails if a selector ever diverges. Set
 //! `COMIC_BENCH_JSON=<path>` to write the numbers as a JSON snapshot
 //! (committed as `BENCH_seed_selection.json` at the repo root).
 
@@ -25,7 +25,7 @@ use comic_ris::parallel::resolve_threads;
 use comic_ris::rr::RrStore;
 use comic_ris::sampler::RrSampler;
 use comic_ris::select::{CelfGreedy, CoverageFragment, CoverageIndex, NaiveGreedy, SeedSelector};
-use comic_ris::simd::{self, SimdMode};
+use comic_ris::simd;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -60,7 +60,7 @@ fn bench_seed_selection(c: &mut Criterion) {
 
     group.bench_function("celf_select_k50", |b| {
         let index = CoverageIndex::build(&store, n, 1);
-        b.iter(|| black_box(CelfGreedy { threads: 1 }.select(&index, &store, 50).covered));
+        b.iter(|| black_box(CelfGreedy.select(&index, &store, 50).covered));
     });
 
     group.bench_function("kpt_star_k50", |b| {
@@ -178,45 +178,26 @@ fn bench_selector_comparison(c: &mut Criterion) {
         });
     }
 
-    // Selectors: the naive oracle vs CELF, the latter pinned scalar and on
-    // the active (auto-dispatched) SIMD kernels. Every row must agree.
+    // Selectors: the naive oracle vs CELF; both must agree.
     let (naive, secs) = timed(|| NaiveGreedy.select(&index, &store, k));
     runs.push(Run {
         label: "select_naive".into(),
         threads: 1,
         secs,
     });
-    let mut celf_threads = vec![1usize, max_threads];
-    celf_threads.dedup();
-    for threads in celf_threads.clone() {
-        let (celf_r, secs) =
-            timed(|| CelfGreedy { threads }.select_with(&index, &store, k, SimdMode::Scalar));
-        // The determinism contract CI enforces: byte-identical seed sets.
-        assert_eq!(
-            celf_r, naive,
-            "CELF (scalar) diverged from the naive-greedy oracle at {threads} threads"
-        );
-        runs.push(Run {
-            label: "select_celf".into(),
-            threads,
-            secs,
-        });
-    }
-    for threads in celf_threads {
-        let (celf_r, secs) =
-            timed(|| CelfGreedy { threads }.select_with(&index, &store, k, simd::active()));
-        assert_eq!(
-            celf_r,
-            naive,
-            "CELF ({}) diverged from the naive-greedy oracle at {threads} threads",
-            simd::active().name()
-        );
-        runs.push(Run {
-            label: "select_celf_simd".into(),
-            threads,
-            secs,
-        });
-    }
+    let (celf_r, secs) = timed(|| CelfGreedy.select(&index, &store, k));
+    // The determinism contract CI enforces: byte-identical seed sets.
+    assert_eq!(
+        celf_r,
+        naive,
+        "CELF diverged from the naive-greedy oracle ({})",
+        simd::active().name()
+    );
+    runs.push(Run {
+        label: "select_celf".into(),
+        threads: 1,
+        secs,
+    });
 
     for r in &runs {
         println!(
@@ -247,7 +228,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
             ("simd", format!("\"{}\"", simd::active().name())),
             (
                 "note",
-                "\"selectors return byte-identical seed sets across selectors, threads, and SIMD modes (asserted); index_build_fused times only the merge-time from_fragments materialization (fragment histograms ride inside generation in production); select_celf is pinned scalar, select_celf_simd runs the active kernels; on a host where host_cores = 1 the multi-thread rows measure pure oversubscription overhead\"".into(),
+                "\"selectors return byte-identical seed sets (asserted); both run on one thread, and select_naive runs the simd kernel named above; index_build_fused times only the merge-time from_fragments materialization (fragment histograms ride inside generation in production); rows with more threads than host_cores measure oversubscription overhead\"".into(),
             ),
         ],
         &runs

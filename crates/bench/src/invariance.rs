@@ -9,8 +9,8 @@
 //! (`comic_ris::parallel::ShardedGenerator`, whose per-set RNG streams are
 //! keyed on each set's index — so pool bytes, KPT* estimates and
 //! GeneralTIM results match at every thread count), and the
-//! seed-selection engine (`comic_ris::select`: index builds and CELF
-//! sweeps). Checked by [`assert_thread_invariance`] /
+//! seed-selection engine (`comic_ris::select`: index builds, and CELF
+//! over them). Checked by [`assert_thread_invariance`] /
 //! [`check_thread_invariance`].
 //!
 //! Monte-Carlo spread estimation
@@ -463,8 +463,8 @@ mod tests {
         );
     }
 
-    /// Seed selection: given a fixed RR-set store, index builds and CELF
-    /// sweeps are fully thread-count invariant.
+    /// Seed selection: given a fixed RR-set store, the index build and the
+    /// CELF selection over it are fully thread-count invariant.
     #[test]
     fn seed_selection_is_thread_invariant() {
         let g = test_graph(120, 700, 8);
@@ -472,7 +472,7 @@ mod tests {
         let n = g.num_nodes();
         assert_thread_invariance("coverage_index+celf", |threads| {
             let index = CoverageIndex::build(&store, n, threads);
-            let sol = CelfGreedy { threads }.select(&index, &store, 10);
+            let sol = CelfGreedy.select(&index, &store, 10);
             let mut acc: Vec<u64> = sol.seeds.iter().map(|s| s.0 as u64).collect();
             acc.push(sol.covered);
             acc.extend(sol.marginals.iter().copied());

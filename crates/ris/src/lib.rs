@@ -35,13 +35,13 @@
 //! per-shard node histograms and pre-bucketed member runs
 //! ([`select::CoverageFragment`]) alongside their RR-sets, so the CSR
 //! index materializes during the shard merge instead of a second pass
-//! over the store. The selection hot loops run over the runtime-dispatched
-//! kernels of [`simd`] (AVX2 with a scalar reference fallback, overridable
-//! via `COMIC_SIMD=off`). [`tim::general_tim_with`] is the classic entry
-//! point. Everything is deterministic for a fixed seed and identical for
-//! every thread count — pool bytes, KPT*, θ and the selected seeds — and
-//! seed *selection* is additionally identical across selectors and SIMD
-//! modes.
+//! over the store. The naive oracle's marginal-gain recount runs on the
+//! runtime-dispatched kernel of [`simd`] (AVX2 with a scalar reference
+//! fallback, overridable via `COMIC_SIMD=off`). [`tim::general_tim_with`]
+//! is the classic entry point. Everything is deterministic for a fixed
+//! seed and identical for every thread count — pool bytes, KPT*, θ and
+//! the selected seeds — and seed *selection* is additionally identical
+//! across selectors and SIMD modes.
 
 // `unsafe` is denied crate-wide and allowed back in exactly one place: the
 // AVX2 intrinsics of `simd::avx2`, whose outputs are pinned byte-identical

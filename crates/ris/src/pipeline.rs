@@ -189,9 +189,9 @@ impl RisPipeline {
     /// all), or build one standalone otherwise, with **no RR-set
     /// regeneration** either way — the warm path a resident query service
     /// answers from. Honors this config's `k`, `selector`, and `threads`
-    /// (selection is thread-count invariant, so `threads` is purely a
-    /// latency knob here); θ, KPT*, and the capped flag come from the
-    /// pool's provenance.
+    /// (which only sizes the standalone index build, itself
+    /// thread-count invariant, so it is purely a latency knob here); θ,
+    /// KPT*, and the capped flag come from the pool's provenance.
     ///
     /// Errors if `k` exceeds the pool's node count. See the
     /// [`crate::pool`] docs for when the approximation guarantee carries

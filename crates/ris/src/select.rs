@@ -15,29 +15,24 @@
 //!   shard merge with no re-scan of the merged store. Both paths are
 //!   **byte-identical** by construction and by test.
 //! * [`SeedSelector`] — interchangeable max-coverage strategies sharing the
-//!   index: [`NaiveGreedy`], an exhaustive-rescan oracle, and
-//!   [`CelfGreedy`], a CELF lazy-greedy over a max-heap of stale marginal
-//!   counts with partitioned parallel coverage-invalidation sweeps.
-//! * the [`crate::simd`] kernels the selectors' hot loops run on: covered
-//!   sets live in a word-array bitset, marginal-gain counting is a
-//!   (gather-)vectorized scan, and nodes whose membership degree clears
-//!   [`hot_threshold`] are represented as RR-membership **bitsets**, so
-//!   their invalidation becomes popcount-over-words instead of scattered
-//!   per-member decrements.
+//!   index: [`NaiveGreedy`], an exhaustive-rescan oracle whose marginal-gain
+//!   recount runs on the [`crate::simd`] gather kernel, and [`CelfGreedy`],
+//!   a single-threaded CELF lazy-greedy over a max-heap of stale marginal
+//!   counts, an exact per-node gain array and a covered-set bitset.
 //!
 //! # Determinism contract
 //!
 //! Selection is **bit-for-bit deterministic and independent of thread
 //! count and SIMD mode**: the index is an exact structure (parallel and
 //! fused builds produce byte-identical arrays), marginal gains are exact
-//! integers (swept or popcounted), and ties are broken by the *smallest
-//! node id* among maximum-gain candidates. Because the marginal coverage
-//! objective is monotone and submodular (a stale cached gain is an upper
-//! bound on the fresh gain), CELF's lazy-forward rule selects exactly the
-//! same argmax sequence as the exhaustive oracle, so **every selector, at
-//! every thread count, in every SIMD mode, returns the identical seed
-//! set** on the same store — the contract the cross-selector tests, the
-//! SIMD ≡ scalar proptests, and the CI bench smoke enforce.
+//! integers, and ties are broken by the *smallest node id* among
+//! maximum-gain candidates. Because the marginal coverage objective is
+//! monotone and submodular (a stale cached gain is an upper bound on the
+//! fresh gain), CELF's lazy-forward rule selects exactly the same argmax
+//! sequence as the exhaustive oracle, so **every selector, over an index
+//! built at any thread count, in every SIMD mode, returns the identical
+//! seed set** on the same store — the contract the cross-selector tests,
+//! the SIMD ≡ scalar proptests, and the CI bench smoke enforce.
 
 use crate::parallel::resolve_threads;
 use crate::rr::RrStore;
@@ -471,29 +466,6 @@ fn partition_nodes(offsets: &[u64], parts: usize) -> Vec<usize> {
     bounds
 }
 
-/// Below this many sets the hot-node bitset machinery is all overhead: a
-/// full scan of such a store is a few cache lines.
-const HOT_MIN_SETS: usize = 256;
-/// A node is *hot* when it appears in at least `num_sets / DIVISOR` sets;
-/// the divisor bounds total bitset memory at `DIVISOR × avg-set-size`
-/// nodes × `num_sets / 8` bytes.
-const HOT_DEGREE_DIVISOR: usize = 16;
-/// Floor on the hot threshold so tiny stores near [`HOT_MIN_SETS`] don't
-/// classify half their nodes hot.
-const HOT_MIN_COUNT: u32 = 48;
-
-/// Membership-count threshold above which a node gets a word-parallel
-/// RR-membership bitset in [`CelfGreedy`] (invalidation by
-/// popcount-over-words instead of per-member decrements), or `None` when
-/// the store is too small for the representation to pay
-/// (`num_sets <` [`HOT_MIN_SETS`]).
-pub fn hot_threshold(num_sets: usize) -> Option<u32> {
-    if num_sets < HOT_MIN_SETS {
-        return None;
-    }
-    Some(((num_sets / HOT_DEGREE_DIVISOR) as u32).max(HOT_MIN_COUNT))
-}
-
 /// A max-coverage seed-selection strategy over a prebuilt [`CoverageIndex`].
 ///
 /// Implementations must obey the module-level determinism contract: for the
@@ -504,8 +476,8 @@ pub trait SeedSelector {
     /// Human-readable strategy name (used in bench reports).
     fn name(&self) -> &'static str;
 
-    /// Pick up to `k` seeds maximizing covered RR-sets, on the ambient
-    /// [`simd::active`] kernels.
+    /// Pick up to `k` seeds maximizing covered RR-sets (a selector with a
+    /// SIMD kernel runs it on the ambient [`simd::active`] mode).
     fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult;
 }
 
@@ -579,207 +551,17 @@ impl SeedSelector for NaiveGreedy {
     }
 }
 
-/// Invalidation sweeps below this many member touches run inline; above it
-/// they are partitioned across the selector's worker threads. Each
-/// partitioned sweep pays one scoped spawn+join per worker (~hundreds of
-/// microseconds total), so the threshold sits high enough that the inline
-/// work it replaces clearly dominates that overhead.
-const PARALLEL_SWEEP_MIN_WORK: u64 = 1 << 17;
-
-/// Set-major member lists sorted ascending by node id — the transpose of
-/// the [`CoverageIndex`] back to set order, materialized once per
-/// [`CelfGreedy`] run (threads > 1 only) so each invalidation-sweep worker
-/// can binary-search the segment of a set that falls inside its node range
-/// and touch nothing else. Built in O(total members) by walking the index
-/// node-ascending (no per-set sort needed).
-struct SweepStore {
-    offsets: Vec<u64>,
-    members: Vec<u32>,
-}
-
-impl SweepStore {
-    fn build(index: &CoverageIndex, store: &RrStore) -> SweepStore {
-        let mut offsets = vec![0u64; store.len() + 1];
-        for i in 0..store.len() {
-            offsets[i + 1] = offsets[i] + store.set(i).len() as u64;
-        }
-        let mut cursor: Vec<u64> = offsets[..store.len()].to_vec();
-        let mut members = vec![0u32; store.total_members() as usize];
-        for v in 0..index.num_nodes() as u32 {
-            for &s in index.sets_containing(NodeId(v)) {
-                members[cursor[s as usize] as usize] = v;
-                cursor[s as usize] += 1;
-            }
-        }
-        SweepStore { offsets, members }
-    }
-
-    fn set(&self, s: usize) -> &[u32] {
-        &self.members[self.offsets[s] as usize..self.offsets[s + 1] as usize]
-    }
-}
-
 /// CELF lazy-greedy max coverage.
 ///
 /// A max-heap caches each candidate's marginal gain; a popped entry whose
 /// cache is stale (gains only shrink under submodularity) is re-pushed with
 /// its live gain, so each round touches only the few heads that changed.
-/// Live gains come from two representations:
-///
-/// * **cold nodes** (membership below [`hot_threshold`]) keep an exact
-///   integer in the `gain` array, maintained by the *coverage-invalidation
-///   sweep* after each pick — marking the pick's uncovered sets covered
-///   and decrementing every cold member's live gain. When the sweep is
-///   large it is partitioned by node range across `threads` workers, each
-///   owning a disjoint slice of the gain array and binary-searching its
-///   node range inside node-sorted per-set member lists (a [`SweepStore`]
-///   built once per run). Exact integer decrements commute, so the result
-///   is thread-count independent.
-/// * **hot nodes** carry a word-parallel RR-membership bitset instead:
-///   sweeps skip them entirely (their scattered decrements are the
-///   cache-hostile part of a sweep), and their live gain is recomputed on
-///   pop as `popcount(membership & !covered)` over the
-///   [`crate::simd`] kernels — exact, and O(θ/64) words per probe.
-///
-/// Both representations are exact at the moment they are read, so the
-/// selection is byte-identical to an all-cold, all-scalar run.
+/// Live gains are exact integers in a per-node array, kept current by the
+/// *coverage-invalidation sweep* after each pick: every set the pick newly
+/// covers is marked in the covered-set bitset, and the live gain of each of
+/// its members drops by one.
 #[derive(Clone, Copy, Debug)]
-pub struct CelfGreedy {
-    /// Worker threads for invalidation sweeps (`0` = one per core).
-    pub threads: usize,
-}
-
-impl Default for CelfGreedy {
-    fn default() -> Self {
-        CelfGreedy { threads: 1 }
-    }
-}
-
-impl CelfGreedy {
-    /// [`SeedSelector::select`] with an explicit SIMD mode (benches and
-    /// the SIMD ≡ scalar property tests pin both paths through this).
-    pub fn select_with(
-        &self,
-        index: &CoverageIndex,
-        store: &RrStore,
-        k: usize,
-        mode: SimdMode,
-    ) -> CoverageResult {
-        let n = index.num_nodes();
-        let num_sets = store.len();
-        let threads = resolve_threads(self.threads).min(n.max(1)).max(1);
-        let mut gain: Vec<u32> = (0..n).map(|v| index.count(NodeId(v as u32))).collect();
-        let words = simd::words_for(num_sets);
-        let mut covered_bits = vec![0u64; words];
-        let mut picked = vec![false; n];
-
-        // Hot nodes: membership bitsets for everything above the degree
-        // threshold, so their invalidation is popcount-over-words. Built
-        // from the index's ascending runs (sequential bit sets).
-        let mut hot_slot = vec![u32::MAX; n];
-        let mut hot_bits: Vec<Vec<u64>> = Vec::new();
-        if let Some(th) = hot_threshold(num_sets) {
-            for v in 0..n {
-                if gain[v] >= th {
-                    let mut bits = vec![0u64; words];
-                    for &s in index.sets_containing(NodeId(v as u32)) {
-                        simd::set_bit(&mut bits, s as usize);
-                    }
-                    hot_slot[v] = hot_bits.len() as u32;
-                    hot_bits.push(bits);
-                }
-            }
-        }
-        let hot: Vec<bool> = hot_slot.iter().map(|&s| s != u32::MAX).collect();
-
-        // Max-heap on (cached gain, Reverse(node id)): among equal cached
-        // gains the smallest id pops first, matching NaiveGreedy's rule.
-        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..n as u32)
-            .map(|v| (gain[v as usize], Reverse(v)))
-            .collect();
-        let bounds = if threads > 1 {
-            partition_nodes(&index.offsets, threads)
-        } else {
-            Vec::new()
-        };
-        // The node-sorted transpose costs O(total members); build it lazily
-        // on the first sweep heavy enough for the parallel path, so sparse
-        // stores whose sweeps all run inline never pay for it.
-        let mut sweep_store: Option<SweepStore> = None;
-
-        let mut seeds = Vec::with_capacity(k.min(n));
-        let mut marginals = Vec::with_capacity(k.min(n));
-        let mut covered = 0u64;
-        let mut newly: Vec<u32> = Vec::new();
-
-        while seeds.len() < k {
-            let Some((cached, Reverse(v))) = heap.pop() else {
-                break;
-            };
-            let vi = v as usize;
-            if picked[vi] {
-                continue;
-            }
-            // Live gain: swept integer for cold nodes, popcount over the
-            // membership bitset for hot ones — both exact right now.
-            let current = if hot[vi] {
-                simd::popcount_and_not(mode, &hot_bits[hot_slot[vi] as usize], &covered_bits) as u32
-            } else {
-                gain[vi]
-            };
-            if cached > current {
-                heap.push((current, Reverse(v)));
-                continue;
-            }
-            // Fresh maximum (smallest id among ties): pick it.
-            picked[vi] = true;
-            seeds.push(NodeId(v));
-            marginals.push(current as u64);
-            covered += current as u64;
-            newly.clear();
-            if hot[vi] {
-                // Newly covered = membership & !covered, read off the words
-                // (ascending, matching the scalar path's order); then the
-                // union is one vectorized OR.
-                let bits = &hot_bits[hot_slot[vi] as usize];
-                for (w, (&bw, &cw)) in bits.iter().zip(covered_bits.iter()).enumerate() {
-                    let mut fresh = bw & !cw;
-                    while fresh != 0 {
-                        newly.push((w as u32) * 64 + fresh.trailing_zeros());
-                        fresh &= fresh - 1;
-                    }
-                }
-                simd::or_assign(mode, &mut covered_bits, bits);
-            } else {
-                for &s in index.sets_containing(NodeId(v)) {
-                    if !simd::test_bit(&covered_bits, s as usize) {
-                        simd::set_bit(&mut covered_bits, s as usize);
-                        newly.push(s);
-                    }
-                }
-            }
-            let work: u64 = newly
-                .iter()
-                .map(|&s| store.set(s as usize).len() as u64)
-                .sum();
-            if bounds.len() > 2 && work >= PARALLEL_SWEEP_MIN_WORK {
-                let sorted = sweep_store.get_or_insert_with(|| SweepStore::build(index, store));
-                sweep_parallel(&mut gain, &newly, sorted, &bounds, &hot);
-            } else {
-                sweep_inline(&mut gain, &newly, store, &hot);
-            }
-            if !hot[vi] {
-                debug_assert_eq!(gain[vi], 0);
-            }
-        }
-
-        CoverageResult {
-            seeds,
-            covered,
-            marginals,
-        }
-    }
-}
+pub struct CelfGreedy;
 
 impl SeedSelector for CelfGreedy {
     fn name(&self) -> &'static str {
@@ -787,59 +569,50 @@ impl SeedSelector for CelfGreedy {
     }
 
     fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult {
-        self.select_with(index, store, k, simd::active())
-    }
-}
+        let n = index.num_nodes();
+        let mut gain: Vec<u32> = (0..n).map(|v| index.count(NodeId(v as u32))).collect();
+        let mut covered_bits = vec![0u64; simd::words_for(store.len())];
 
-/// Partitioned parallel invalidation sweep: decrement the live gain of
-/// every **cold** member of the newly covered sets (hot nodes carry
-/// bitsets and are skipped — their gain is popcounted on demand).
-///
-/// The sweep fans out over scoped workers along the node-range `bounds`
-/// (from [`partition_nodes`]): each owns one disjoint sub-slice of `gain`
-/// and binary-searches its node range inside every newly covered set's
-/// node-sorted member list, so it reads and writes only its own segment.
-/// Every cold member entry is applied exactly once — same as
-/// [`sweep_inline`] — so the resulting gain array is identical regardless
-/// of threading.
-fn sweep_parallel(
-    gain: &mut [u32],
-    newly: &[u32],
-    sorted: &SweepStore,
-    bounds: &[usize],
-    hot: &[bool],
-) {
-    std::thread::scope(|scope| {
-        let mut rest: &mut [u32] = gain;
-        let mut consumed = 0usize;
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let (mine, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            debug_assert_eq!(consumed, lo);
-            consumed = hi;
-            scope.spawn(move || {
-                for &s in newly {
-                    let mem = sorted.set(s as usize);
-                    let a = mem.partition_point(|&x| (x as usize) < lo);
-                    let b = a + mem[a..].partition_point(|&x| (x as usize) < hi);
-                    for &x in &mem[a..b] {
-                        if !hot[x as usize] {
-                            mine[x as usize - lo] -= 1;
-                        }
+        // Max-heap on (cached gain, Reverse(node id)): among equal cached
+        // gains the smallest id pops first, matching NaiveGreedy's rule.
+        // Each node holds exactly one entry until it is picked, so a popped
+        // node is never already a seed.
+        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..n as u32)
+            .map(|v| (gain[v as usize], Reverse(v)))
+            .collect();
+
+        let mut seeds = Vec::with_capacity(k.min(n));
+        let mut marginals = Vec::with_capacity(k.min(n));
+        let mut covered = 0u64;
+
+        while seeds.len() < k {
+            let Some((cached, Reverse(v))) = heap.pop() else {
+                break;
+            };
+            let current = gain[v as usize];
+            if cached > current {
+                heap.push((current, Reverse(v)));
+                continue;
+            }
+            // Fresh maximum (smallest id among ties): pick it.
+            seeds.push(NodeId(v));
+            marginals.push(current as u64);
+            covered += current as u64;
+            for &s in index.sets_containing(NodeId(v)) {
+                if !simd::test_bit(&covered_bits, s as usize) {
+                    simd::set_bit(&mut covered_bits, s as usize);
+                    for &w in store.set(s as usize) {
+                        gain[w.index()] -= 1;
                     }
                 }
-            });
-        }
-    });
-}
-
-fn sweep_inline(gain: &mut [u32], newly: &[u32], store: &RrStore, hot: &[bool]) {
-    for &s in newly {
-        for &w in store.set(s as usize) {
-            if !hot[w.index()] {
-                gain[w.index()] -= 1;
             }
+            debug_assert_eq!(gain[v as usize], 0);
+        }
+
+        CoverageResult {
+            seeds,
+            covered,
+            marginals,
         }
     }
 }
@@ -870,35 +643,23 @@ impl SelectorKind {
     pub fn name(self) -> &'static str {
         match self {
             SelectorKind::NaiveGreedy => NaiveGreedy.name(),
-            SelectorKind::Celf => CelfGreedy::default().name(),
+            SelectorKind::Celf => CelfGreedy.name(),
         }
     }
 
-    /// Run the chosen selector (`threads` only affects [`CelfGreedy`]'s
-    /// invalidation sweeps; results are thread-count independent) on the
-    /// ambient [`simd::active`] kernels.
+    /// Run the chosen selector on the ambient [`simd::active`] kernels.
+    /// `_threads` is unused: both selectors run on the calling thread, and
+    /// only index builds ([`CoverageIndex::build`]) take a thread count.
     pub fn select(
         self,
         index: &CoverageIndex,
         store: &RrStore,
         k: usize,
-        threads: usize,
-    ) -> CoverageResult {
-        self.select_mode(index, store, k, threads, simd::active())
-    }
-
-    /// [`SelectorKind::select`] with an explicit SIMD mode.
-    pub fn select_mode(
-        self,
-        index: &CoverageIndex,
-        store: &RrStore,
-        k: usize,
-        threads: usize,
-        mode: SimdMode,
+        _threads: usize,
     ) -> CoverageResult {
         match self {
-            SelectorKind::NaiveGreedy => NaiveGreedy.select_with(index, store, k, mode),
-            SelectorKind::Celf => CelfGreedy { threads }.select_with(index, store, k, mode),
+            SelectorKind::NaiveGreedy => NaiveGreedy.select(index, store, k),
+            SelectorKind::Celf => CelfGreedy.select(index, store, k),
         }
     }
 }
@@ -1068,7 +829,7 @@ mod tests {
         let index = CoverageIndex::build(&store, 0, 4);
         assert_eq!(index.num_nodes(), 0);
         assert_eq!(index.total_entries(), 0);
-        let r = CelfGreedy { threads: 4 }.select(&index, &store, 3);
+        let r = CelfGreedy.select(&index, &store, 3);
         assert!(r.seeds.is_empty());
         assert_eq!(r.covered, 0);
         let r = NaiveGreedy.select(&index, &store, 3);
@@ -1081,55 +842,41 @@ mod tests {
         let (store, n) = store_from(&[&[1, 3], &[2, 3], &[1], &[2]]);
         let index = CoverageIndex::build(&store, n, 1);
         let naive = NaiveGreedy.select(&index, &store, 2);
-        let celf = CelfGreedy { threads: 1 }.select(&index, &store, 2);
+        let celf = CelfGreedy.select(&index, &store, 2);
         assert_eq!(naive, celf);
         assert_eq!(naive.seeds[0], NodeId(1), "smallest id wins the tie");
     }
 
-    #[test]
-    fn celf_matches_naive_on_random_stores_across_threads_and_modes() {
-        for trial in 0..10 {
-            let store = random_store(100 + trial, 30, 400, 5);
-            let index = CoverageIndex::build(&store, 30, 2);
-            let naive = NaiveGreedy.select_with(&index, &store, 6, SimdMode::Scalar);
-            for threads in [1, 3] {
-                for mode in modes() {
-                    let celf = CelfGreedy { threads }.select_with(&index, &store, 6, mode);
-                    assert_eq!(naive, celf, "trial {trial} threads {threads} {mode:?}");
-                }
-            }
+    /// CELF against the naive oracle in every SIMD mode the host offers.
+    fn assert_celf_matches_naive(index: &CoverageIndex, store: &RrStore, k: usize, what: &str) {
+        let celf = CelfGreedy.select(index, store, k);
+        for mode in modes() {
+            let naive = NaiveGreedy.select_with(index, store, k, mode);
+            assert_eq!(naive, celf, "{what} {mode:?}");
         }
     }
 
     #[test]
-    fn hot_threshold_kicks_in_only_past_min_sets() {
-        assert_eq!(hot_threshold(0), None);
-        assert_eq!(hot_threshold(HOT_MIN_SETS - 1), None);
-        let th = hot_threshold(HOT_MIN_SETS).expect("past the floor");
-        assert!(th >= HOT_MIN_COUNT);
-        assert_eq!(
-            hot_threshold(1 << 20),
-            Some(((1usize << 20) / HOT_DEGREE_DIVISOR) as u32)
-        );
+    fn celf_matches_naive_on_random_stores() {
+        for trial in 0..10 {
+            let store = random_store(100 + trial, 30, 400, 5);
+            let index = CoverageIndex::build(&store, 30, 2);
+            assert_celf_matches_naive(&index, &store, 6, &format!("trial {trial}"));
+        }
     }
 
     #[test]
-    fn hot_node_path_matches_oracle_straddling_the_threshold() {
-        // A store big enough for the hot machinery (>= HOT_MIN_SETS), with
-        // node 0 comfortably hot, node 1 exactly at the threshold, node 2
-        // exactly one below — plus random filler. Every selector/mode must
-        // agree with the all-cold oracle on the exact same seeds.
-        let num_sets = HOT_MIN_SETS * 2;
-        let th = hot_threshold(num_sets).expect("large store") as usize;
+    fn celf_matches_naive_on_a_hub_store() {
+        // 512 sets: a hub (node 0) in the first 144, random filler from
+        // 3..23 in every one, then 48 singleton sets of node 1 and 47 of
+        // node 2, whose counts differ by one.
+        let (num_sets, th) = (512usize, 48usize);
         let mut rng = SmallRng::seed_from_u64(77);
         let mut store = RrStore::new();
         for i in 0..num_sets {
             let mut members: Vec<NodeId> = Vec::new();
             if i < th * 3 {
-                members.push(NodeId(0)); // way past the threshold
-            }
-            if i % 2 == 0 && members.len() * 2 < th * 2 {
-                // placeholder, replaced below by exact-count loops
+                members.push(NodeId(0));
             }
             let filler = NodeId(3 + rng.random_range(0..20u32));
             if !members.contains(&filler) {
@@ -1137,26 +884,14 @@ mod tests {
             }
             store.push_with_width(&members, 0);
         }
-        // Give node 1 exactly `th` memberships and node 2 exactly `th - 1`
-        // by appending dedicated sets.
         for i in 0..th {
             store.push_with_width(&[NodeId(1)], 0);
             if i + 1 < th {
                 store.push_with_width(&[NodeId(2)], 0);
             }
         }
-        let n = 23usize;
-        let index = CoverageIndex::build(&store, n, 1);
-        let total = store.len();
-        let th_now = hot_threshold(total).expect("still large");
-        assert!(index.count(NodeId(0)) >= th_now, "node 0 must be hot");
-        let naive = NaiveGreedy.select_with(&index, &store, 8, SimdMode::Scalar);
-        for mode in modes() {
-            for threads in [1, 4] {
-                let celf = CelfGreedy { threads }.select_with(&index, &store, 8, mode);
-                assert_eq!(naive, celf, "{mode:?} threads {threads}");
-            }
-        }
+        let index = CoverageIndex::build(&store, 23, 1);
+        assert_celf_matches_naive(&index, &store, 8, "hub store");
     }
 
     #[test]
@@ -1166,7 +901,7 @@ mod tests {
         // the number of sets containing seed i and none of seeds 0..i.
         let store = random_store(7, 20, 250, 5);
         let index = CoverageIndex::build(&store, 20, 1);
-        let r = CelfGreedy { threads: 1 }.select(&index, &store, 8);
+        let r = CelfGreedy.select(&index, &store, 8);
         for (i, (&seed, &marginal)) in r.seeds.iter().zip(&r.marginals).enumerate() {
             let recount = (0..store.len())
                 .filter(|&s| {
@@ -1181,12 +916,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_path_is_exercised_and_identical() {
-        // Big dense sets so a single pick invalidates > the inline
-        // threshold, forcing the partitioned sweep: the top node sits in
-        // roughly sets·density ≈ 800 sets of 200 members, ~160k member
-        // touches > PARALLEL_SWEEP_MIN_WORK. (Every node here is also far
-        // past the hot threshold, so this doubles as a hot-path stress.)
+    fn celf_matches_naive_on_a_dense_store() {
+        // Big dense sets: the top node sits in roughly 800 sets of 200
+        // members, so one pick's sweep touches ~160k members.
         let mut rng = SmallRng::seed_from_u64(9);
         let mut store = RrStore::new();
         let n = 300u32;
@@ -1206,31 +938,7 @@ mod tests {
             store.push_with_width(&members, 0);
         }
         let index = CoverageIndex::build(&store, n as usize, 4);
-        let seq = CelfGreedy { threads: 1 }.select(&index, &store, 10);
-        let par = CelfGreedy { threads: 4 }.select(&index, &store, 10);
-        assert_eq!(seq, par);
-        assert_eq!(seq, NaiveGreedy.select(&index, &store, 10));
-        for mode in modes() {
-            assert_eq!(
-                seq,
-                CelfGreedy { threads: 4 }.select_with(&index, &store, 10, mode),
-                "{mode:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sweep_store_is_the_node_sorted_transpose() {
-        let store = random_store(11, 40, 300, 7);
-        let index = CoverageIndex::build(&store, 40, 1);
-        let sorted = SweepStore::build(&index, &store);
-        for s in 0..store.len() {
-            let mem = sorted.set(s);
-            assert!(mem.windows(2).all(|w| w[0] < w[1]), "set {s} not sorted");
-            let mut expect: Vec<u32> = store.set(s).iter().map(|v| v.0).collect();
-            expect.sort_unstable();
-            assert_eq!(mem, &expect[..], "set {s}");
-        }
+        assert_celf_matches_naive(&index, &store, 10, "dense store");
     }
 
     /// Both selectors through the config-level [`SelectorKind::select`]
@@ -1339,10 +1047,7 @@ mod tests {
         let b = SelectorKind::Celf.select(&index, &store, 1, 1);
         assert_eq!(a, b);
         for mode in modes() {
-            assert_eq!(
-                SelectorKind::Celf.select_mode(&index, &store, 1, 1, mode),
-                a
-            );
+            assert_eq!(NaiveGreedy.select_with(&index, &store, 1, mode), a);
         }
     }
 

@@ -1,79 +1,22 @@
-//! AVX2 kernels (x86-64). Byte-identical outputs to [`crate::simd::scalar`]
-//! — the reference implementation — just 4–8 lanes at a time.
+//! AVX2 kernel (x86-64). Byte-identical output to [`crate::simd::scalar`]
+//! — the reference implementation — just 8 lanes at a time.
 //!
 //! Safety: every `#[target_feature(enable = "avx2")]` function here is
 //! reachable only through the [`crate::simd`] dispatcher with
 //! [`crate::simd::SimdMode::Avx2`], which is only ever produced after
 //! `is_x86_feature_detected!("avx2")` succeeded, so the required CPU
 //! features are guaranteed at every call site. All loads and stores are
-//! unaligned (`loadu`/`storeu`); remainders that do not fill a vector are
-//! handled by the scalar reference.
+//! unaligned (`loadu`/`storeu`); a remainder that does not fill a vector
+//! is handled by the scalar reference.
 
 #![allow(unsafe_code)]
 
 use super::scalar;
 use std::arch::x86_64::{
-    __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-    _mm256_andnot_si256, _mm256_extract_epi64, _mm256_i32gather_epi32, _mm256_loadu_si256,
-    _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi8, _mm256_setr_epi8,
-    _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_srlv_epi32,
+    __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_i32gather_epi32, _mm256_loadu_si256,
+    _mm256_set1_epi32, _mm256_setzero_si256, _mm256_srli_epi32, _mm256_srlv_epi32,
     _mm256_storeu_si256,
 };
-
-/// `|a & !b|` via the `vpshufb` nibble-LUT popcount (Muła's method) with
-/// `vpsadbw` byte-sum accumulation, 4 words per iteration.
-pub(crate) fn popcount_and_not(a: &[u64], b: &[u64]) -> u64 {
-    // SAFETY: dispatcher guarantees AVX2 (module docs).
-    unsafe { popcount_and_not_impl(a, b) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn popcount_and_not_impl(a: &[u64], b: &[u64]) -> u64 {
-    let chunks = a.len() / 4;
-    // Per-nibble popcounts for the low/high 4 bits of every byte.
-    let lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-    );
-    let low_mask = _mm256_set1_epi8(0x0f);
-    let zero = _mm256_setzero_si256();
-    let mut acc = _mm256_setzero_si256();
-    for c in 0..chunks {
-        let va = _mm256_loadu_si256(a.as_ptr().add(c * 4) as *const __m256i);
-        let vb = _mm256_loadu_si256(b.as_ptr().add(c * 4) as *const __m256i);
-        // andnot computes (!first) & second, so pass the mask first.
-        let v = _mm256_andnot_si256(vb, va);
-        let lo = _mm256_and_si256(v, low_mask);
-        let hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-        let pop = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-        // Sum the 32 byte-counts into 4 u64 lanes.
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(pop, zero));
-    }
-    let mut total = (_mm256_extract_epi64(acc, 0) as u64)
-        .wrapping_add(_mm256_extract_epi64(acc, 1) as u64)
-        .wrapping_add(_mm256_extract_epi64(acc, 2) as u64)
-        .wrapping_add(_mm256_extract_epi64(acc, 3) as u64);
-    total += scalar::popcount_and_not(&a[chunks * 4..], &b[chunks * 4..]);
-    total
-}
-
-/// `dst |= src`, 4 words per iteration.
-pub(crate) fn or_assign(dst: &mut [u64], src: &[u64]) {
-    // SAFETY: dispatcher guarantees AVX2 (module docs).
-    unsafe { or_assign_impl(dst, src) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn or_assign_impl(dst: &mut [u64], src: &[u64]) {
-    let chunks = dst.len() / 4;
-    for c in 0..chunks {
-        let p = dst.as_mut_ptr().add(c * 4) as *mut __m256i;
-        let d = _mm256_loadu_si256(p as *const __m256i);
-        let s = _mm256_loadu_si256(src.as_ptr().add(c * 4) as *const __m256i);
-        _mm256_storeu_si256(p, _mm256_or_si256(d, s));
-    }
-    scalar::or_assign(&mut dst[chunks * 4..], &src[chunks * 4..]);
-}
 
 /// Count ids whose bit in `covered` is clear: 8 ids per iteration via a
 /// `vpgatherdd` gather of the 32-bit words holding each bit, then a

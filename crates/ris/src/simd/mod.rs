@@ -1,16 +1,16 @@
-//! Runtime-dispatched SIMD kernels for the selection hot loops.
+//! Runtime-dispatched SIMD kernel for the naive-greedy oracle's hot loop.
 //!
-//! The scan-heavy inner loops of [`crate::select`] — marginal-gain coverage
-//! counting over a node's set-id list, popcount-over-words marginal gains
-//! for bitset-represented high-degree nodes, and bitset unions when a pick
-//! covers its sets — are expressed here as three flat-array kernels with
-//! two implementations each:
+//! [`crate::select::NaiveGreedy`] recounts every candidate's marginal gain
+//! each round by scanning the node's set-id list against the covered-set
+//! bitset. That scan is [`count_uncovered`], with two implementations:
 //!
 //! * [`scalar`] — portable safe Rust, the **reference implementation**.
 //!   Every other path is defined as "byte-identical output to scalar".
-//! * [`avx2`] (x86-64 only) — explicit 256-bit vectors: a `vpshufb`
-//!   nibble-LUT popcount with `vpsadbw` accumulation for the bitset
-//!   kernels, and `vpgatherdd` word gathers for coverage counting.
+//! * [`avx2`] (x86-64 only) — explicit 256-bit vectors: `vpgatherdd` word
+//!   gathers, a variable shift and a mask, 8 ids per iteration.
+//!
+//! The bit helpers ([`words_for`], [`test_bit`], [`set_bit`]) are the
+//! covered-set bitset both selectors share.
 //!
 //! # Dispatch
 //!
@@ -24,7 +24,7 @@
 //!
 //! # Determinism contract
 //!
-//! All kernels compute exact integer results (counts, ORs) with no
+//! The kernel computes an exact integer count with no
 //! reassociation-sensitive arithmetic, so every mode returns bit-identical
 //! values on every input — the property `tests/properties.rs` pins with a
 //! SIMD ≡ scalar proptest and the selector suite extends to whole seed
@@ -36,7 +36,7 @@ pub(crate) mod scalar;
 
 use std::sync::OnceLock;
 
-/// Which kernel implementation services the selection hot loops.
+/// Which kernel implementation services [`count_uncovered`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimdMode {
     /// Portable scalar reference (always available, defines correctness).
@@ -103,38 +103,6 @@ pub fn set_bit(words: &mut [u64], i: usize) {
     words[i >> 6] |= 1u64 << (i & 63);
 }
 
-/// `|a & !b|`: the number of bits set in `a` but not in `b`.
-///
-/// This is a bitset-represented node's live marginal gain: `a` its
-/// RR-membership bits, `b` the covered-set bits. Slices must have equal
-/// length.
-#[inline]
-pub fn popcount_and_not(mode: SimdMode, a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    match mode {
-        SimdMode::Scalar => scalar::popcount_and_not(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY-by-construction: Avx2 is only ever produced by `detect`,
-        // which gates on `is_x86_feature_detected!("avx2")`.
-        SimdMode::Avx2 => avx2::popcount_and_not(a, b),
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdMode::Avx2 => scalar::popcount_and_not(a, b),
-    }
-}
-
-/// `dst |= src`, word-wise. Slices must have equal length.
-#[inline]
-pub fn or_assign(mode: SimdMode, dst: &mut [u64], src: &[u64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    match mode {
-        SimdMode::Scalar => scalar::or_assign(dst, src),
-        #[cfg(target_arch = "x86_64")]
-        SimdMode::Avx2 => avx2::or_assign(dst, src),
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdMode::Avx2 => scalar::or_assign(dst, src),
-    }
-}
-
 /// How many of `ids` index a **zero** bit of `covered` — the marginal-gain
 /// coverage count over a node's (set-id-sorted) membership list against
 /// the covered-set bitset. Every id must be `< covered.len() * 64`.
@@ -143,6 +111,8 @@ pub fn count_uncovered(mode: SimdMode, ids: &[u32], covered: &[u64]) -> u64 {
     match mode {
         SimdMode::Scalar => scalar::count_uncovered(ids, covered),
         #[cfg(target_arch = "x86_64")]
+        // SAFETY-by-construction: Avx2 is only ever produced by `detect`,
+        // which gates on `is_x86_feature_detected!("avx2")`.
         SimdMode::Avx2 => avx2::count_uncovered(ids, covered),
         #[cfg(not(target_arch = "x86_64"))]
         SimdMode::Avx2 => scalar::count_uncovered(ids, covered),
@@ -191,52 +161,6 @@ mod tests {
             assert!(test_bit(&w, i));
         }
         assert_eq!(w.iter().map(|x| x.count_ones()).sum::<u32>(), 7);
-    }
-
-    #[test]
-    fn popcount_and_not_matches_bruteforce_in_every_mode() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        // Lengths straddle the 4-word AVX2 chunk boundary, including the
-        // empty and tail-only cases.
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 64, 100] {
-            let a = random_words(&mut rng, len, 20);
-            let b = random_words(&mut rng, len, 20);
-            let expect: u64 = a
-                .iter()
-                .zip(&b)
-                .map(|(x, y)| (x & !y).count_ones() as u64)
-                .sum();
-            for mode in modes() {
-                assert_eq!(popcount_and_not(mode, &a, &b), expect, "{mode:?} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn popcount_and_not_extremes() {
-        for mode in modes() {
-            let ones = vec![u64::MAX; 9];
-            let zeros = vec![0u64; 9];
-            assert_eq!(popcount_and_not(mode, &ones, &zeros), 9 * 64);
-            assert_eq!(popcount_and_not(mode, &ones, &ones), 0);
-            assert_eq!(popcount_and_not(mode, &zeros, &ones), 0);
-            assert_eq!(popcount_and_not(mode, &[], &[]), 0);
-        }
-    }
-
-    #[test]
-    fn or_assign_matches_scalar_in_every_mode() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        for len in [0usize, 1, 3, 4, 5, 9, 31, 64] {
-            let a = random_words(&mut rng, len, 10);
-            let b = random_words(&mut rng, len, 10);
-            let expect: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x | y).collect();
-            for mode in modes() {
-                let mut dst = a.clone();
-                or_assign(mode, &mut dst, &b);
-                assert_eq!(dst, expect, "{mode:?} len {len}");
-            }
-        }
     }
 
     #[test]

@@ -1,26 +1,9 @@
-//! Portable scalar kernels — the reference implementation every SIMD path
-//! is checked against (see the [`crate::simd`] module docs).
+//! Portable scalar kernel — the reference implementation the SIMD path is
+//! checked against (see the [`crate::simd`] module docs).
 //!
-//! These loops are written for clarity first: `u64::count_ones` compiles
-//! to a single `popcnt` on every x86-64 target the workspace builds for,
-//! and the bit test in [`count_uncovered`] is a load, shift, and mask. The
-//! AVX2 variants win by processing 4–8 lanes per iteration, not by doing
-//! anything smarter.
-
-/// `|a & !b|` — see [`crate::simd::popcount_and_not`].
-pub(crate) fn popcount_and_not(a: &[u64], b: &[u64]) -> u64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x & !y).count_ones() as u64)
-        .sum()
-}
-
-/// `dst |= src` — see [`crate::simd::or_assign`].
-pub(crate) fn or_assign(dst: &mut [u64], src: &[u64]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
+//! The loop is written for clarity first: the bit test in
+//! [`count_uncovered`] is a load, shift, and mask. The AVX2 variant wins
+//! by processing 8 lanes per iteration, not by doing anything smarter.
 
 /// Count ids whose bit in `covered` is clear — see
 /// [`crate::simd::count_uncovered`].

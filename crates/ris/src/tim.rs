@@ -25,9 +25,10 @@ pub struct TimConfig {
     pub max_rr_sets: Option<u64>,
     /// RNG seed for the whole pipeline.
     pub seed: u64,
-    /// Worker threads for RR-set generation and selection (`0` = one per
-    /// available core; default `1`). A pure latency knob: results are
-    /// identical for every thread count at a fixed seed.
+    /// Worker threads for KPT\*, RR-set generation and the standalone
+    /// coverage-index build (`0` = one per available core; default `1`).
+    /// The selector itself runs on the calling thread. A pure latency
+    /// knob: results are identical for every thread count at a fixed seed.
     pub threads: usize,
     /// Max-coverage strategy for the selection phase (default
     /// [`SelectorKind::Celf`]). Every selector returns identical seeds for

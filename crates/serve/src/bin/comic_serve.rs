@@ -24,8 +24,8 @@ OPTIONS:
   --gen-threads <n>              pool-generation and refit workers;
                                  latency-only knob, spills reload at any
                                  count (default: 2)
-  --threads <n>                  query-time selection workers; latency-only
-                                 knob (default: 2)
+  --threads <n>                  coverage-index build workers for budgeted
+                                 selects; latency-only knob (default: 2)
   --design-k <n>                 k the pools' theta derivation targets
                                  (default: 50)
   --max-rr <n|none>              sketch cap per pool (default: 200000)

@@ -24,6 +24,7 @@ use comic_graph::fasthash::splitmix64;
 use comic_graph::io::{graph_digest, read_binary_for_source, write_binary_with_source};
 use comic_graph::store;
 use comic_ris::ic_sampler::IcRrSampler;
+use comic_ris::parallel::resolve_threads;
 use comic_ris::select::SelectorKind;
 use comic_ris::tim::TimConfig;
 use comic_ris::RisPipeline;
@@ -173,9 +174,9 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
 }
 
 /// Required schema of a `BENCH_seed_selection.json` snapshot: graph and
-/// workload provenance, the active SIMD mode, the 1-core caveat note, and
-/// per-run `{label, threads, secs}` rows including the fused-build and
-/// SIMD selection rows introduced with the fused index path.
+/// workload provenance, the host's core count, the active SIMD mode, the
+/// caveat note, and per-run `{label, threads, secs}` rows for the
+/// standalone and fused index builds and both selectors.
 fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     for f in ["simd", "note"] {
         if v.get(f).and_then(Json::as_str).is_none() {
@@ -215,7 +216,6 @@ fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
         "index_build_fused",
         "select_naive",
         "select_celf",
-        "select_celf_simd",
     ] {
         if !labels.iter().any(|l| l == required) {
             return Err(format!("required run label {required:?} is absent"));
@@ -322,7 +322,13 @@ fn validate_serving_schema(v: &Json) -> Result<(), String> {
     expect_str("pool")?;
     expect_str("caveat")?;
     expect_str("faults")?;
-    for f in ["gen_threads", "threads", "design_k", "sketches"] {
+    for f in [
+        "host_cores",
+        "gen_threads",
+        "threads",
+        "design_k",
+        "sketches",
+    ] {
         expect_num(f)?;
     }
     let classes = v
@@ -467,6 +473,7 @@ fn main() -> ExitCode {
     let pool_key =
         PoolKey::new(SamplerKind::VanillaIc, "default", EpsTier::Coarse).expect("static key");
     cfg.pools = vec![pool_key.clone()];
+    let host_cores = resolve_threads(0);
     let gen_threads = cfg.gen_threads;
     let threads = cfg.threads;
     let design_k = cfg.design_k;
@@ -575,6 +582,7 @@ fn main() -> ExitCode {
         ("bench", build::str("serving")),
         ("dataset", build::str(&*dataset)),
         ("quick", Json::Bool(quick)),
+        ("host_cores", build::num_u64(host_cores as u64)),
         ("gen_threads", build::num_u64(gen_threads as u64)),
         ("threads", build::num_u64(threads as u64)),
         ("design_k", build::num_u64(design_k as u64)),
@@ -602,10 +610,10 @@ fn main() -> ExitCode {
         ("restart", restart.clone()),
         (
             "caveat",
-            build::str(
-                "measured in a 1-core container: absolute latencies and qps are \
-                 indicative only; the warm-vs-cold ratio is the signal",
-            ),
+            build::str(format!(
+                "measured on a {host_cores}-core host: absolute latencies and qps are \
+                 indicative only; the warm-vs-cold ratio is the signal"
+            )),
         ),
     ]);
     let text = report.serialize();

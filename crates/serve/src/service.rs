@@ -13,9 +13,10 @@
 //!   ([`comic_ris::parallel`]) — where the pool seed is derived from the
 //!   service seed, the pool key, and the refresh generation, so
 //!   [`ServeConfig::gen_threads`] is purely a latency knob;
-//! - seed *selection* over a fixed store is thread-count invariant
-//!   ([`comic_ris::select`]), so [`ServeConfig::threads`] — the per-query
-//!   worker count — is purely a latency knob too;
+//! - seed *selection* over a fixed store runs on the query's own thread
+//!   and the coverage-index build is thread-count invariant
+//!   ([`comic_ris::select`]), so [`ServeConfig::threads`] — the workers of
+//!   a budgeted select's index build — is purely a latency knob too;
 //! - responses carry no wall-clock fields. Timing lives only in the
 //!   `stats` op ([`Response::Stats`]), which is exempt from the contract.
 //!
@@ -64,8 +65,10 @@ pub struct ServeConfig {
     /// are the same for every thread count, so this is a pure latency knob
     /// (a spill written at one count reloads at any other).
     pub gen_threads: usize,
-    /// Worker threads for query-time selection — thread-invariant, so this
-    /// is a pure latency knob.
+    /// Worker threads for the standalone coverage-index build of a
+    /// budgeted (prefix) select. Selection itself runs on the query's
+    /// thread over the pool's resident index, and the build is
+    /// thread-invariant, so this is a pure latency knob.
     pub threads: usize,
     /// The `k` pool θ derivation targets (queries with `k` ≤ this keep the
     /// approximation guarantee; see [`comic_ris::pool`]).

@@ -125,8 +125,8 @@ proptest! {
 
     /// The CELF lazy-greedy selector returns exactly the same seeds,
     /// coverage and marginals as the exhaustive naive-greedy oracle on
-    /// arbitrary RR-set collections, for every thread count — the
-    /// determinism contract of `comic_ris::select`.
+    /// arbitrary RR-set collections, over an index built at any thread
+    /// count — the determinism contract of `comic_ris::select`.
     #[test]
     fn celf_selection_matches_naive_greedy(
         raw_sets in proptest::collection::vec(
@@ -145,12 +145,10 @@ proptest! {
         let index = CoverageIndex::build(&store, n, 1);
         prop_assert_eq!(CoverageIndex::build(&store, n, 3), index.clone());
         let naive = NaiveGreedy.select(&index, &store, k);
-        for threads in [1usize, 4] {
-            let celf = CelfGreedy { threads }.select(&index, &store, k);
-            prop_assert_eq!(&celf.seeds, &naive.seeds, "threads {}", threads);
-            prop_assert_eq!(celf.covered, naive.covered);
-            prop_assert_eq!(&celf.marginals, &naive.marginals);
-        }
+        let celf = CelfGreedy.select(&index, &store, k);
+        prop_assert_eq!(&celf.seeds, &naive.seeds);
+        prop_assert_eq!(celf.covered, naive.covered);
+        prop_assert_eq!(&celf.marginals, &naive.marginals);
         // Coverage really is the number of intersected sets.
         let mut mark = vec![false; n];
         for s in &naive.seeds {
@@ -163,11 +161,11 @@ proptest! {
     }
 
     /// SIMD ≡ scalar and fused ≡ standalone on arbitrary stores: every
-    /// kernel mode available on the host returns the identical selection
-    /// for both selectors, the fragment-merge index equals the standalone
-    /// build for any contiguous sharding (including empty shards), and the
-    /// hot-node bitset machinery is exercised by a hub node whose
-    /// membership count straddles the threshold as `hub_extra` varies.
+    /// kernel mode available on the host returns the identical naive
+    /// selection, CELF matches it, and the fragment-merge index equals the
+    /// standalone build for any contiguous sharding (including empty
+    /// shards). A hub node in `hub_extra` extra sets gives the draws a
+    /// dominant, high-degree node of varying weight.
     #[test]
     fn simd_and_fused_paths_match_scalar_standalone(
         raw_sets in proptest::collection::vec(
@@ -177,7 +175,7 @@ proptest! {
         k in 1usize..8,
     ) {
         use comic::ris::select::{
-            hot_threshold, CelfGreedy, CoverageFragment, CoverageIndex, NaiveGreedy,
+            CelfGreedy, CoverageFragment, CoverageIndex, NaiveGreedy, SeedSelector,
         };
         use comic::ris::simd::{self, SimdMode};
         let n = 12usize;
@@ -188,17 +186,11 @@ proptest! {
             members.dedup();
             store.push_with_width(&members, 0);
         }
-        // A hub (node 0) in `hub_extra` extra singleton sets: large draws
-        // push the store past the hot-node floor and the hub past (or
-        // exactly onto either side of) the degree threshold.
+        // A hub (node 0) in `hub_extra` extra singleton sets.
         for _ in 0..hub_extra {
             store.push_with_width(&[NodeId(0)], 0);
         }
         let index = CoverageIndex::build(&store, n, 1);
-        // Draws with hub_extra past ~256 put the store over the hot-node
-        // floor; the hub's count then lands on either side of the degree
-        // threshold depending on the draw, exercising both classifications.
-        prop_assert!(hot_threshold(store.len()).is_none() || store.len() >= 256);
         // Fused fragment merge over contiguous shards (some possibly
         // empty) must reproduce the standalone index bit-for-bit.
         let per = store.len() / parts;
@@ -218,8 +210,8 @@ proptest! {
             CoverageIndex::from_fragments(fragments, n, 2),
             index.clone()
         );
-        // Selection: scalar NaiveGreedy is the oracle; every available
-        // mode × selector × thread count must agree exactly.
+        // Selection: scalar NaiveGreedy is the oracle; naive in every
+        // available mode, and CELF, must agree exactly.
         let oracle = NaiveGreedy.select_with(&index, &store, k, SimdMode::Scalar);
         let mut modes = vec![SimdMode::Scalar];
         if simd::detect() == SimdMode::Avx2 {
@@ -228,11 +220,8 @@ proptest! {
         for &mode in &modes {
             let nv = NaiveGreedy.select_with(&index, &store, k, mode);
             prop_assert_eq!(&nv, &oracle, "naive mode {:?}", mode);
-            for threads in [1usize, 3] {
-                let celf = CelfGreedy { threads }.select_with(&index, &store, k, mode);
-                prop_assert_eq!(&celf, &oracle, "celf mode {:?} threads {}", mode, threads);
-            }
         }
+        prop_assert_eq!(&CelfGreedy.select(&index, &store, k), &oracle);
     }
 
     /// Graph serialization round-trips exactly.
