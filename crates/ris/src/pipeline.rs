@@ -17,8 +17,8 @@
 //!    comes out carrying a resident [`CoverageIndex`] for free;
 //! 4. **selection** — the pool's resident index (or a standalone
 //!    [`CoverageIndex::build`] when there is none) feeding the configured
-//!    [`SelectorKind`] ([`select_seeds`] runs the standalone variant, for
-//!    reuse over pre-sampled stores in benches and tests).
+//!    [`SelectorKind`], read in place up to a sketch count when a query
+//!    consults only a prefix of the pool ([`RisPipeline::run_on_prefix`]).
 //!
 //! Every RR-set draws from a stream keyed on the configured seed and its
 //! index in the batch, so the output — pool bytes, KPT*, θ and the
@@ -30,7 +30,6 @@ use crate::error::RisError;
 use crate::kpt::kpt_star_with_dims;
 use crate::parallel::ShardedGenerator;
 use crate::pool::SketchPool;
-use crate::rr::RrStore;
 use crate::sampler::RrSampler;
 use crate::select::{CoverageIndex, CoverageResult};
 use crate::tim::{theta, TimConfig, TimResult};
@@ -183,31 +182,49 @@ impl RisPipeline {
         .with_touch_tracked(touch_capable))
     }
 
-    /// Stage 4 alone over a pre-generated pool: run the configured
-    /// selector over the pool's **resident coverage index** when it
-    /// carries one (fused builds do — no per-query index construction at
-    /// all), or build one standalone otherwise, with **no RR-set
-    /// regeneration** either way — the warm path a resident query service
-    /// answers from. Honors this config's `k`, `selector`, and `threads`
-    /// (which only sizes the standalone index build, itself
-    /// thread-count invariant, so it is purely a latency knob here); θ,
-    /// KPT*, and the capped flag come from the pool's provenance.
+    /// Stage 4 alone over every sketch of a pre-generated pool: the
+    /// full-cut case of [`RisPipeline::run_on_prefix`].
+    pub fn run_on_pool(&self, pool: &SketchPool) -> Result<TimResult, RisError> {
+        self.run_on_prefix(pool, pool.len())
+    }
+
+    /// Stage 4 alone over the first `sets` sketches of a pre-generated
+    /// pool (all of them when `sets ≥ pool.len()`): run the configured
+    /// selector over the pool's **resident coverage index** in place, cut
+    /// at `sets` ([`crate::select::SeedSelector::select_prefix`]), with
+    /// **no RR-set regeneration, no store copy and no index build** — the
+    /// warm path a resident query service answers every select from,
+    /// budgeted or not. A pool without an index (one wrapped by
+    /// [`SketchPool::new`]) gets a standalone [`CoverageIndex::build`]
+    /// sized by this config's `threads`, itself thread-count invariant.
+    ///
+    /// Honors this config's `k` and `selector`; KPT* comes from the pool.
+    /// The result's θ is the number of sketches consulted, and it is
+    /// capped when the pool is or when the cut drops sketches — field for
+    /// field what [`RisPipeline::run_on_pool`] returns over
+    /// `pool.prefix(sets)`.
     ///
     /// Errors if `k` exceeds the pool's node count. See the
     /// [`crate::pool`] docs for when the approximation guarantee carries
     /// over to `k ≠ design_k` queries.
-    pub fn run_on_pool(&self, pool: &SketchPool) -> Result<TimResult, RisError> {
+    pub fn run_on_prefix(&self, pool: &SketchPool, sets: usize) -> Result<TimResult, RisError> {
         let cfg = &self.cfg;
         cfg.validate(pool.num_nodes())?;
-        let cov = match pool.coverage_index() {
-            Some(index) => cfg.selector.select(index, pool.store(), cfg.k, cfg.threads),
-            None => select_seeds(cfg, pool.num_nodes(), pool.store()),
+        let sets = sets.min(pool.len());
+        let built;
+        let index = match pool.coverage_index() {
+            Some(index) => index.as_ref(),
+            None => {
+                built = CoverageIndex::build(pool.store(), pool.num_nodes(), cfg.threads);
+                &built
+            }
         };
+        let cov = cfg.selector.select_prefix(index, pool.store(), cfg.k, sets);
         Ok(wrap(
             pool.num_nodes(),
             pool.kpt(),
-            pool.len() as u64,
-            pool.capped(),
+            sets as u64,
+            pool.capped() || sets < pool.len(),
             cov,
         ))
     }
@@ -266,15 +283,6 @@ where
     .with_index(Arc::new(index))
     .with_touch_tracked(pool.touch_tracked())
     .with_generation(pool.generation())
-}
-
-/// Stage 4 alone: build the inverted index over an existing `store` and run
-/// the configured selector. Selection is deterministic regardless of
-/// `cfg.threads` and identical across selectors (the contract verified by
-/// `benches/seed_selection.rs` and the cross-selector property tests).
-pub fn select_seeds(cfg: &TimConfig, n: usize, store: &RrStore) -> CoverageResult {
-    let index = CoverageIndex::build(store, n, cfg.threads);
-    cfg.selector.select(&index, store, cfg.k, cfg.threads)
 }
 
 /// Package an already-computed coverage selection into a [`TimResult`].
@@ -510,14 +518,19 @@ mod tests {
     }
 
     #[test]
-    fn select_seeds_stage_is_reusable_and_thread_independent() {
+    fn bare_pool_stage_4_is_reusable_and_thread_independent() {
         let g = gen::star(50, 1.0);
         let store = ShardedGenerator::new(|| IcRrSampler::new(&g), 3, 2).generate(2_000, 2);
-        let cfg1 = TimConfig::new(1).threads(1);
-        let cfg4 = TimConfig::new(1).threads(4);
-        let a = select_seeds(&cfg1, 50, &store);
-        let b = select_seeds(&cfg4, 50, &store);
-        assert_eq!(a, b);
+        let bare = SketchPool::new(Arc::new(store), 50, 3, 1, 0.5, 1.0, false);
+        let run = |threads: usize| {
+            RisPipeline::new(TimConfig::new(1).threads(threads))
+                .run_on_pool(&bare)
+                .unwrap()
+        };
+        let (a, b) = (run(1), run(4));
+        assert_eq!(a.seeds, b.seeds);
+        assert_eq!(a.covered, b.covered);
+        assert_eq!(a.est_spread.to_bits(), b.est_spread.to_bits());
         assert_eq!(a.seeds, vec![NodeId(0)]);
     }
 }

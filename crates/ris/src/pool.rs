@@ -8,8 +8,12 @@
 //! [`SketchPool`] ([`crate::pipeline::RisPipeline::generate_pool`], stages
 //! 1–3), then run the selection stage as many times as there are queries
 //! ([`crate::pipeline::RisPipeline::run_on_pool`], stage 4 only) with
-//! per-query `k`, selector, and budget — each query costs an index build
-//! plus a greedy sweep instead of millions of reverse BFS walks.
+//! per-query `k`, selector, and budget — each query costs a greedy sweep
+//! over the pool's resident coverage index instead of millions of reverse
+//! BFS walks. A budget is a sketch count: budgeted selects and estimates
+//! read the first `sets` sketches in place
+//! ([`crate::pipeline::RisPipeline::run_on_prefix`],
+//! [`SketchPool::estimate_spread_prefix`]).
 //!
 //! A pool is immutable after construction and hands its [`RrStore`] around
 //! behind an [`Arc`], so any number of concurrent readers (query worker
@@ -25,11 +29,12 @@
 //! θ is a function of `(n, design_k, ε, KPT*)` — Equation (3). Queries at
 //! `k ≤ design_k` over an uncapped pool keep the `(1 − 1/e − ε)` guarantee
 //! (their λ requirement is no larger); queries at larger `k`, with a
-//! [`SketchPool::prefix`] budget, or over a capped pool are best-effort
+//! sketch budget below the pool size, or over a capped pool are best-effort
 //! estimates, exactly like a capped [`crate::tim::TimResult`].
 
 use crate::rr::RrStore;
 use crate::select::CoverageIndex;
+use crate::simd;
 use comic_graph::delta::EdgeDelta;
 use comic_graph::NodeId;
 use std::sync::Arc;
@@ -38,8 +43,8 @@ use std::sync::Arc;
 /// their generation. Built by
 /// [`crate::pipeline::RisPipeline::generate_pool`] (or [`SketchPool::new`]
 /// for pre-sampled stores); consumed by
-/// [`crate::pipeline::RisPipeline::run_on_pool`] and
-/// [`SketchPool::estimate_spread`].
+/// [`crate::pipeline::RisPipeline::run_on_prefix`] and
+/// [`SketchPool::estimate_spread_prefix`], whole or up to a sketch count.
 #[derive(Clone, Debug)]
 pub struct SketchPool {
     store: Arc<RrStore>,
@@ -213,10 +218,13 @@ impl SketchPool {
         self
     }
 
-    /// A pool over only the first `sets` sketches — the per-query *budget*
-    /// knob: coarser, proportionally faster answers from the same samples.
-    /// O(members copied); the original pool is untouched. The truncated
-    /// pool is marked [`SketchPool::capped`].
+    /// A copy of the pool holding only its first `sets` sketches, marked
+    /// [`SketchPool::capped`] and carrying no index. O(members copied); the
+    /// original pool is untouched. Budgeted queries do not use it: they
+    /// read the resident index in place
+    /// ([`crate::pipeline::RisPipeline::run_on_prefix`],
+    /// [`SketchPool::estimate_spread_prefix`]). It stays as the oracle
+    /// those in-place answers are tested against.
     pub fn prefix(&self, sets: usize) -> SketchPool {
         if sets >= self.len() {
             return self.clone();
@@ -231,21 +239,55 @@ impl SketchPool {
         }
     }
 
-    /// RIS spread estimate for an explicit seed set: `n · (fraction of
-    /// sketches hit)`. This is the unbiased estimator of the sampler's
-    /// objective by the activation-equivalence property — a spread *query*
-    /// answered from pooled sketches with zero sampling.
-    ///
-    /// Seeds outside the graph are ignored (callers validate; see
-    /// `comic-serve`'s typed errors).
+    /// RIS spread estimate for an explicit seed set over every sketch: the
+    /// full-cut case of [`SketchPool::estimate_spread_prefix`].
     pub fn estimate_spread(&self, seeds: &[NodeId]) -> f64 {
-        let mut mark = vec![false; self.n];
-        for &s in seeds {
-            if s.index() < self.n {
-                mark[s.index()] = true;
-            }
+        self.estimate_spread_prefix(seeds, self.len())
+    }
+
+    /// RIS spread estimate for an explicit seed set over the first `sets`
+    /// sketches (all of them when `sets ≥ len`): `n · (fraction of
+    /// consulted sketches hit)`. This is the unbiased estimator of the
+    /// sampler's objective by the activation-equivalence property — a
+    /// spread *query* answered from pooled sketches with zero sampling.
+    ///
+    /// With a resident index it counts the distinct set ids below the cut
+    /// in the seeds' runs, O(Σ|run|), with no store scan and no copy;
+    /// without one it scans the consulted sketches. Either way the result
+    /// has the same bits as `self.prefix(sets).estimate_spread(seeds)`.
+    /// Duplicate seeds count once, and seeds outside the graph are ignored
+    /// (callers validate; see `comic-serve`'s typed errors).
+    pub fn estimate_spread_prefix(&self, seeds: &[NodeId], sets: usize) -> f64 {
+        let sets = sets.min(self.len());
+        if sets == 0 {
+            return 0.0;
         }
-        self.n as f64 * self.store.coverage_fraction(&mark)
+        let seeds = seeds.iter().copied().filter(|s| s.index() < self.n);
+        let covered = match &self.index {
+            Some(index) => {
+                let mut hit = vec![0u64; simd::words_for(sets)];
+                let mut covered = 0u64;
+                for s in seeds {
+                    for &id in index.sets_below(s, sets) {
+                        if !simd::test_bit(&hit, id as usize) {
+                            simd::set_bit(&mut hit, id as usize);
+                            covered += 1;
+                        }
+                    }
+                }
+                covered
+            }
+            None => {
+                let mut mark = vec![false; self.n];
+                for s in seeds {
+                    mark[s.index()] = true;
+                }
+                (0..sets)
+                    .filter(|&i| self.store.set(i).iter().any(|v| mark[v.index()]))
+                    .count() as u64
+            }
+        };
+        self.n as f64 * (covered as f64 / sets as f64)
     }
 }
 

@@ -20,6 +20,14 @@
 //!   a single-threaded CELF lazy-greedy over a max-heap of stale marginal
 //!   counts, an exact per-node gain array and a covered-set bitset.
 //!
+//! Both selectors take a **set cut** ([`SeedSelector::select_prefix`]): a
+//! selection over the first `sets` sets reads the full index in place,
+//! each node's ascending run cut with a binary search
+//! ([`CoverageIndex::sets_below`], no search when the cut spans the
+//! index), and counts and sweeps only ids below the cut. A budgeted query
+//! therefore copies no sketches and builds no index, and answers exactly
+//! what a selection over an index built for that prefix alone would.
+//!
 //! # Determinism contract
 //!
 //! Selection is **bit-for-bit deterministic and independent of thread
@@ -368,9 +376,34 @@ impl CoverageIndex {
         &self.sets[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
     }
 
-    /// Number of sets containing `v` (the node's initial marginal gain).
-    pub fn count(&self, v: NodeId) -> u32 {
-        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as u32
+    /// Ids of the sets containing `v` among the first `sets` sets,
+    /// ascending: the node's run cut with a binary search, or the whole
+    /// run, with no search, when the cut spans the index.
+    pub fn sets_below(&self, v: NodeId, sets: usize) -> &[u32] {
+        let run = self.sets_containing(v);
+        if sets >= self.num_sets {
+            run
+        } else {
+            &run[..run.partition_point(|&s| (s as usize) < sets)]
+        }
+    }
+
+    /// Every node's number of sets among the first `sets` sets, in node
+    /// order: CELF's initial gains. The arrays are dereferenced once, and
+    /// a cut that spans the index is read off the offsets with no search.
+    pub(crate) fn counts_below(&self, sets: usize) -> Vec<u32> {
+        let ids: &[u32] = &self.sets;
+        self.offsets
+            .windows(2)
+            .map(|w| {
+                let run = &ids[w[0] as usize..w[1] as usize];
+                if sets >= self.num_sets {
+                    run.len() as u32
+                } else {
+                    run.partition_point(|&s| (s as usize) < sets) as u32
+                }
+            })
+            .collect()
     }
 
     /// Total membership entries (= `store.total_members()`).
@@ -469,16 +502,30 @@ fn partition_nodes(offsets: &[u64], parts: usize) -> Vec<usize> {
 /// A max-coverage seed-selection strategy over a prebuilt [`CoverageIndex`].
 ///
 /// Implementations must obey the module-level determinism contract: for the
-/// same `(index, store, k)` every selector returns the identical
+/// same `(index, store, k, sets)` every selector returns the identical
 /// [`CoverageResult`], with ties broken by smallest node id, in every SIMD
 /// mode.
 pub trait SeedSelector {
     /// Human-readable strategy name (used in bench reports).
     fn name(&self) -> &'static str;
 
-    /// Pick up to `k` seeds maximizing covered RR-sets (a selector with a
-    /// SIMD kernel runs it on the ambient [`simd::active`] mode).
-    fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult;
+    /// Pick up to `k` seeds maximizing covered RR-sets among the first
+    /// `sets` sets of `store` (every set when `sets` reaches the index's
+    /// set count), reading the index in place: the answer equals a
+    /// selection over an index built for that prefix alone. A selector
+    /// with a SIMD kernel runs it on the ambient [`simd::active`] mode.
+    fn select_prefix(
+        &self,
+        index: &CoverageIndex,
+        store: &RrStore,
+        k: usize,
+        sets: usize,
+    ) -> CoverageResult;
+
+    /// [`SeedSelector::select_prefix`] over every indexed set.
+    fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult {
+        self.select_prefix(index, store, k, index.num_sets())
+    }
 }
 
 /// The exhaustive-rescan greedy: every round recounts each candidate's
@@ -493,17 +540,17 @@ pub trait SeedSelector {
 pub struct NaiveGreedy;
 
 impl NaiveGreedy {
-    /// [`SeedSelector::select`] with an explicit SIMD mode (benches and
-    /// the SIMD ≡ scalar property tests pin both paths through this).
+    /// [`SeedSelector::select_prefix`] with an explicit SIMD mode (benches
+    /// and the SIMD ≡ scalar property tests pin both paths through this).
     pub fn select_with(
         &self,
         index: &CoverageIndex,
-        store: &RrStore,
         k: usize,
+        sets: usize,
         mode: SimdMode,
     ) -> CoverageResult {
         let n = index.num_nodes();
-        let mut covered_bits = vec![0u64; simd::words_for(store.len())];
+        let mut covered_bits = vec![0u64; simd::words_for(sets.min(index.num_sets()))];
         let mut picked = vec![false; n];
         let mut seeds = Vec::with_capacity(k.min(n));
         let mut marginals = Vec::with_capacity(k.min(n));
@@ -516,7 +563,7 @@ impl NaiveGreedy {
                 }
                 let gain = simd::count_uncovered(
                     mode,
-                    index.sets_containing(NodeId(v as u32)),
+                    index.sets_below(NodeId(v as u32), sets),
                     &covered_bits,
                 );
                 // Strict `>` over ascending ids = smallest id wins ties.
@@ -529,7 +576,7 @@ impl NaiveGreedy {
             seeds.push(NodeId(v as u32));
             marginals.push(gain);
             covered += gain;
-            for &s in index.sets_containing(NodeId(v as u32)) {
+            for &s in index.sets_below(NodeId(v as u32), sets) {
                 simd::set_bit(&mut covered_bits, s as usize);
             }
         }
@@ -546,8 +593,14 @@ impl SeedSelector for NaiveGreedy {
         "naive-greedy"
     }
 
-    fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult {
-        self.select_with(index, store, k, simd::active())
+    fn select_prefix(
+        &self,
+        index: &CoverageIndex,
+        _store: &RrStore,
+        k: usize,
+        sets: usize,
+    ) -> CoverageResult {
+        self.select_with(index, k, sets, simd::active())
     }
 }
 
@@ -559,7 +612,9 @@ impl SeedSelector for NaiveGreedy {
 /// Live gains are exact integers in a per-node array, kept current by the
 /// *coverage-invalidation sweep* after each pick: every set the pick newly
 /// covers is marked in the covered-set bitset, and the live gain of each of
-/// its members drops by one.
+/// its members drops by one. Under a set cut only ids below it are counted
+/// and swept, and every member of a swept set holds it in its cut run, so
+/// no gain underflows.
 #[derive(Clone, Copy, Debug)]
 pub struct CelfGreedy;
 
@@ -568,10 +623,16 @@ impl SeedSelector for CelfGreedy {
         "celf"
     }
 
-    fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult {
+    fn select_prefix(
+        &self,
+        index: &CoverageIndex,
+        store: &RrStore,
+        k: usize,
+        sets: usize,
+    ) -> CoverageResult {
         let n = index.num_nodes();
-        let mut gain: Vec<u32> = (0..n).map(|v| index.count(NodeId(v as u32))).collect();
-        let mut covered_bits = vec![0u64; simd::words_for(store.len())];
+        let mut gain = index.counts_below(sets);
+        let mut covered_bits = vec![0u64; simd::words_for(sets.min(index.num_sets()))];
 
         // Max-heap on (cached gain, Reverse(node id)): among equal cached
         // gains the smallest id pops first, matching NaiveGreedy's rule.
@@ -598,7 +659,7 @@ impl SeedSelector for CelfGreedy {
             seeds.push(NodeId(v));
             marginals.push(current as u64);
             covered += current as u64;
-            for &s in index.sets_containing(NodeId(v)) {
+            for &s in index.sets_below(NodeId(v), sets) {
                 if !simd::test_bit(&covered_bits, s as usize) {
                     simd::set_bit(&mut covered_bits, s as usize);
                     for &w in store.set(s as usize) {
@@ -647,9 +708,10 @@ impl SelectorKind {
         }
     }
 
-    /// Run the chosen selector on the ambient [`simd::active`] kernels.
-    /// `_threads` is unused: both selectors run on the calling thread, and
-    /// only index builds ([`CoverageIndex::build`]) take a thread count.
+    /// Run the chosen selector over every indexed set, on the ambient
+    /// [`simd::active`] kernels. `_threads` is unused: both selectors run
+    /// on the calling thread, and only index builds
+    /// ([`CoverageIndex::build`]) take a thread count.
     pub fn select(
         self,
         index: &CoverageIndex,
@@ -657,9 +719,21 @@ impl SelectorKind {
         k: usize,
         _threads: usize,
     ) -> CoverageResult {
+        self.select_prefix(index, store, k, index.num_sets())
+    }
+
+    /// Run the chosen selector over the first `sets` indexed sets
+    /// ([`SeedSelector::select_prefix`]).
+    pub fn select_prefix(
+        self,
+        index: &CoverageIndex,
+        store: &RrStore,
+        k: usize,
+        sets: usize,
+    ) -> CoverageResult {
         match self {
-            SelectorKind::NaiveGreedy => NaiveGreedy.select(index, store, k),
-            SelectorKind::Celf => CelfGreedy.select(index, store, k),
+            SelectorKind::NaiveGreedy => NaiveGreedy.select_prefix(index, store, k, sets),
+            SelectorKind::Celf => CelfGreedy.select_prefix(index, store, k, sets),
         }
     }
 }
@@ -745,7 +819,19 @@ mod tests {
                 .map(|i| i as u32)
                 .collect();
             assert_eq!(index.sets_containing(NodeId(v)), &expect[..], "node {v}");
-            assert_eq!(index.count(NodeId(v)) as usize, expect.len());
+            for cut in [0usize, 1, 7, 150, 299, 300, 400] {
+                let below: Vec<u32> = expect
+                    .iter()
+                    .copied()
+                    .filter(|&s| (s as usize) < cut)
+                    .collect();
+                assert_eq!(
+                    index.sets_below(NodeId(v), cut),
+                    &below[..],
+                    "node {v} cut {cut}"
+                );
+                assert_eq!(index.counts_below(cut)[v as usize] as usize, below.len());
+            }
         }
     }
 
@@ -851,7 +937,7 @@ mod tests {
     fn assert_celf_matches_naive(index: &CoverageIndex, store: &RrStore, k: usize, what: &str) {
         let celf = CelfGreedy.select(index, store, k);
         for mode in modes() {
-            let naive = NaiveGreedy.select_with(index, store, k, mode);
+            let naive = NaiveGreedy.select_with(index, k, store.len(), mode);
             assert_eq!(naive, celf, "{what} {mode:?}");
         }
     }
@@ -1047,7 +1133,7 @@ mod tests {
         let b = SelectorKind::Celf.select(&index, &store, 1, 1);
         assert_eq!(a, b);
         for mode in modes() {
-            assert_eq!(NaiveGreedy.select_with(&index, &store, 1, mode), a);
+            assert_eq!(NaiveGreedy.select_with(&index, 1, store.len(), mode), a);
         }
     }
 

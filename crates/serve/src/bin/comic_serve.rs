@@ -24,8 +24,10 @@ OPTIONS:
   --gen-threads <n>              pool-generation and refit workers;
                                  latency-only knob, spills reload at any
                                  count (default: 2)
-  --threads <n>                  coverage-index build workers for budgeted
-                                 selects; latency-only knob (default: 2)
+  --threads <n>                  accepted for compatibility; sizes no served
+                                 work (selects and estimates read the
+                                 resident index on the query thread)
+                                 (default: 2)
   --design-k <n>                 k the pools' theta derivation targets
                                  (default: 50)
   --max-rr <n|none>              sketch cap per pool (default: 200000)

@@ -13,18 +13,21 @@
 //!   ([`comic_ris::parallel`]) — where the pool seed is derived from the
 //!   service seed, the pool key, and the refresh generation, so
 //!   [`ServeConfig::gen_threads`] is purely a latency knob;
-//! - seed *selection* over a fixed store runs on the query's own thread
-//!   and the coverage-index build is thread-count invariant
-//!   ([`comic_ris::select`]), so [`ServeConfig::threads`] — the workers of
-//!   a budgeted select's index build — is purely a latency knob too;
+//! - seed *selection* and spread estimates read the pool's resident
+//!   coverage index on the query's own thread ([`comic_ris::select`]), so
+//!   no served answer depends on a thread count ([`ServeConfig::threads`]
+//!   sizes no served work);
 //! - responses carry no wall-clock fields. Timing lives only in the
 //!   `stats` op ([`Response::Stats`]), which is exempt from the contract.
 //!
-//! The warm path never samples: a `select` is an index build plus a greedy
-//! sweep over resident sketches ([`comic_ris::RisPipeline::run_on_pool`]),
-//! an `estimate` a coverage count ([`SketchPool::estimate_spread`]). The
-//! [`ComicService::pool_builds`] counter makes "no regeneration" observable:
-//! it moves only on startup warming and explicit/background refresh.
+//! The warm path never samples and never copies: a `select` is a greedy
+//! sweep over the resident index
+//! ([`comic_ris::RisPipeline::run_on_prefix`]), an `estimate` a count of
+//! the distinct sets in the seeds' index runs
+//! ([`SketchPool::estimate_spread_prefix`]), both cut at the query's
+//! sketch budget in place. The [`ComicService::pool_builds`] counter makes
+//! "no regeneration" observable: it moves only on startup warming and
+//! explicit/background refresh.
 
 use crate::faults::{FaultInjector, FaultPlan, FaultSite};
 use crate::protocol::{
@@ -52,8 +55,8 @@ use std::time::{Duration, Instant};
 
 /// Static configuration of a service instance. Everything that affects
 /// response *bytes* is here (dataset, seed, design `k`, sketch cap, pool
-/// set); [`ServeConfig::gen_threads`] and [`ServeConfig::threads`] affect
-/// latency only.
+/// set); [`ServeConfig::gen_threads`] affects latency only, and
+/// [`ServeConfig::threads`] affects nothing served.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Dataset argument ([`comic_bench::datasets::load`] syntax: a registry
@@ -65,10 +68,10 @@ pub struct ServeConfig {
     /// are the same for every thread count, so this is a pure latency knob
     /// (a spill written at one count reloads at any other).
     pub gen_threads: usize,
-    /// Worker threads for the standalone coverage-index build of a
-    /// budgeted (prefix) select. Selection itself runs on the query's
-    /// thread over the pool's resident index, and the build is
-    /// thread-invariant, so this is a pure latency knob.
+    /// Sizes no served work: every select and estimate runs on the
+    /// query's own thread and reads the pool's resident coverage index in
+    /// place, budgeted or not. Still parsed from `--threads` so existing
+    /// command lines keep working.
     pub threads: usize,
     /// The `k` pool θ derivation targets (queries with `k` ≤ this keep the
     /// approximation guarantee; see [`comic_ris::pool`]).
@@ -301,6 +304,21 @@ struct Routed {
     deadline_limited: bool,
     /// Effective sketch budget (user budget ∧ deadline fit).
     budget: Option<u64>,
+}
+
+impl Routed {
+    /// Sketches the answer consults: the budget, clamped to the pool.
+    /// Budgets are prefixes, so budgeted answers stay deterministic.
+    fn consulted(&self) -> usize {
+        let len = self.pool.len();
+        self.budget.map_or(len, |b| b.min(len as u64) as usize)
+    }
+
+    /// Whether the answer is capped: the pool is, or the budget drops
+    /// sketches.
+    fn capped(&self) -> bool {
+        self.pool.capped() || self.consulted() < self.pool.len()
+    }
 }
 
 /// `degraded` flag + reason string for a routed answer.
@@ -1226,14 +1244,12 @@ impl ComicService {
             Err(resp) => return resp,
         };
         routed.counter.fetch_add(1, Ordering::SeqCst);
-        let effective = apply_budget(&routed.pool, routed.budget);
+        let consulted = routed.consulted();
         let selector = selector.unwrap_or(SelectorKind::Celf);
-        let tc = TimConfig::new(k)
-            .selector(selector)
-            .threads(self.cfg.threads);
-        // Warm path: selection only, zero sampling (the pipeline consumes
-        // the resident pool).
-        let r = match RisPipeline::new(tc).run_on_pool(&effective) {
+        let tc = TimConfig::new(k).selector(selector);
+        // Warm path: selection only, zero sampling and no copy (the
+        // pipeline reads the resident pool's index up to the budget).
+        let r = match RisPipeline::new(tc).run_on_prefix(&routed.pool, consulted) {
             Ok(r) => r,
             Err(e) => {
                 return Response::Error {
@@ -1246,13 +1262,13 @@ impl ComicService {
             return resp;
         }
         let mut meta = meta_of(&routed.key, &routed.pool);
-        meta.capped = effective.capped();
+        meta.capped = routed.capped();
         let (degraded, degrade_reason) = degrade_info(routed.stale, routed.deadline_limited);
         Response::Selected {
             pool: meta,
             k: k as u64,
             selector,
-            consulted: effective.len() as u64,
+            consulted: consulted as u64,
             seeds: r.seeds.iter().map(|s| s.0).collect(),
             covered: r.covered,
             est_spread: r.est_spread,
@@ -1281,19 +1297,19 @@ impl ComicService {
                 message: format!("seed {bad} out of range for a {n}-node graph"),
             };
         }
-        let effective = apply_budget(&routed.pool, routed.budget);
+        let consulted = routed.consulted();
         let nodes: Vec<NodeId> = seeds.iter().map(|&s| NodeId(s)).collect();
-        let est = effective.estimate_spread(&nodes);
+        let est = routed.pool.estimate_spread_prefix(&nodes, consulted);
         if let Some(resp) = self.deadline_blown(ctx) {
             return resp;
         }
         let mut meta = meta_of(&routed.key, &routed.pool);
-        meta.capped = effective.capped();
+        meta.capped = routed.capped();
         let (degraded, degrade_reason) = degrade_info(routed.stale, routed.deadline_limited);
         Response::Estimated {
             pool: meta,
             seeds: seeds.len() as u64,
-            consulted: effective.len() as u64,
+            consulted: consulted as u64,
             est_spread: est,
             warm: true,
             degraded,
@@ -1362,15 +1378,6 @@ fn meta_of(key: &PoolKey, pool: &SketchPool) -> PoolMeta {
         design_k: pool.design_k() as u64,
         epsilon: pool.epsilon(),
         capped: pool.capped(),
-    }
-}
-
-/// A per-query sketch budget: consult only the first `budget` sketches
-/// (prefixes are deterministic, so budgeted answers are too).
-fn apply_budget(pool: &SketchPool, budget: Option<u64>) -> SketchPool {
-    match budget {
-        Some(b) if (b as usize) < pool.len() => pool.prefix(b as usize),
-        _ => pool.clone(),
     }
 }
 

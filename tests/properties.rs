@@ -212,16 +212,108 @@ proptest! {
         );
         // Selection: scalar NaiveGreedy is the oracle; naive in every
         // available mode, and CELF, must agree exactly.
-        let oracle = NaiveGreedy.select_with(&index, &store, k, SimdMode::Scalar);
+        let oracle = NaiveGreedy.select_with(&index, k, store.len(), SimdMode::Scalar);
         let mut modes = vec![SimdMode::Scalar];
         if simd::detect() == SimdMode::Avx2 {
             modes.push(SimdMode::Avx2);
         }
         for &mode in &modes {
-            let nv = NaiveGreedy.select_with(&index, &store, k, mode);
+            let nv = NaiveGreedy.select_with(&index, k, store.len(), mode);
             prop_assert_eq!(&nv, &oracle, "naive mode {:?}", mode);
         }
         prop_assert_eq!(&CelfGreedy.select(&index, &store, k), &oracle);
+    }
+
+    /// Budgeted stage 4 and estimates read the resident index in place,
+    /// and answer exactly what the copied prefix pool answers. Random
+    /// stores (empty sets and a hub node included), cuts {1, random,
+    /// len−1, len, len+7}, k up to n+2, both selectors: `run_on_prefix`
+    /// equals `run_on_pool(&pool.prefix(cut))` in every field
+    /// (`est_spread` by bits, errors by message), CELF equals naive over
+    /// the cut in every SIMD mode, and the cut estimate has the bits of
+    /// the prefix pool's estimate — with and without a resident index,
+    /// for duplicate, out-of-range and empty seed lists.
+    #[test]
+    fn in_place_prefix_answers_match_the_copied_prefix(
+        raw_sets in proptest::collection::vec(
+            proptest::collection::vec(0u32..16, 0..6), 1..60),
+        hub_every in 1usize..6,
+        cut_pick in 0usize..10_000,
+        k in 1usize..19,
+        est_seeds in proptest::collection::vec(0u32..20, 0..6),
+    ) {
+        use comic::ris::select::{
+            CelfGreedy, CoverageIndex, NaiveGreedy, SeedSelector, SelectorKind,
+        };
+        use comic::ris::simd::{self, SimdMode};
+        use comic::ris::{RisPipeline, SketchPool, TimConfig};
+        use std::sync::Arc;
+        let n = 16usize;
+        let mut store = comic::ris::RrStore::new();
+        for (i, raw) in raw_sets.iter().enumerate() {
+            let mut members: Vec<NodeId> = raw.iter().copied().map(NodeId).collect();
+            // A hub (node 0) in every `hub_every`-th set.
+            if i % hub_every == 0 {
+                members.push(NodeId(0));
+            }
+            members.sort_unstable();
+            members.dedup();
+            store.push_with_width(&members, 0);
+        }
+        let len = store.len();
+        let index = Arc::new(CoverageIndex::build(&store, n, 1));
+        let bare = SketchPool::new(Arc::new(store), n, 5, 3, 0.5, 2.0, false);
+        let pool = bare.clone().with_index(Arc::clone(&index));
+        let store = pool.store();
+        let mut modes = vec![SimdMode::Scalar];
+        if simd::detect() == SimdMode::Avx2 {
+            modes.push(SimdMode::Avx2);
+        }
+        let seeds: Vec<NodeId> = est_seeds.iter().copied().map(NodeId).collect();
+        let cuts = [1, 1 + cut_pick % len, len - 1, len, len + 7];
+        for cut in cuts {
+            let copied = pool.prefix(cut);
+            for selector in [SelectorKind::Celf, SelectorKind::NaiveGreedy] {
+                let pipe = RisPipeline::new(TimConfig::new(k).selector(selector));
+                let oracle = pipe.run_on_pool(&copied).map_err(|e| e.to_string());
+                for p in [&pool, &bare] {
+                    let got = pipe.run_on_prefix(p, cut).map_err(|e| e.to_string());
+                    match (&got, &oracle) {
+                        (Ok(a), Ok(b)) => {
+                            prop_assert_eq!(&a.seeds, &b.seeds, "cut {} {:?}", cut, selector);
+                            prop_assert_eq!(a.theta, b.theta);
+                            prop_assert_eq!(a.kpt.to_bits(), b.kpt.to_bits());
+                            prop_assert_eq!(a.covered, b.covered);
+                            prop_assert_eq!(a.est_spread.to_bits(), b.est_spread.to_bits());
+                            prop_assert_eq!(a.capped, b.capped);
+                        }
+                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                        _ => prop_assert!(false, "cut {}: {:?} vs {:?}", cut, got, oracle),
+                    }
+                }
+            }
+            // The selectors themselves: CELF over the cut equals naive
+            // over the cut in every mode, and both equal a selection over
+            // an index built for the copied prefix alone.
+            let celf = CelfGreedy.select_prefix(&index, store, k, cut);
+            for &mode in &modes {
+                prop_assert_eq!(
+                    &NaiveGreedy.select_with(&index, k, cut, mode),
+                    &celf,
+                    "cut {} mode {:?}", cut, mode
+                );
+            }
+            let cut_index = CoverageIndex::build(copied.store(), n, 1);
+            prop_assert_eq!(&CelfGreedy.select(&cut_index, copied.store(), k), &celf);
+            // Estimates: in place, index-less, and through the copy agree
+            // bit for bit, for the drawn seeds, their doubling and none.
+            let doubled: Vec<NodeId> = seeds.iter().chain(&seeds).copied().collect();
+            for list in [&seeds[..], &doubled[..], &[]] {
+                let want = copied.estimate_spread(list).to_bits();
+                prop_assert_eq!(pool.estimate_spread_prefix(list, cut).to_bits(), want);
+                prop_assert_eq!(bare.estimate_spread_prefix(list, cut).to_bits(), want);
+            }
+        }
     }
 
     /// Graph serialization round-trips exactly.

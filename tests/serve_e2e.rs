@@ -29,8 +29,9 @@ use comic_serve::service::{ComicService, ServeConfig};
 
 /// Service config over fixture-small: two pools (the classic-IC baseline
 /// and RR-SIM under the one-way preset), small sketch caps so the whole
-/// suite stays fast. `threads` is the query-time knob under test;
-/// `gen_threads` is pinned so only that knob varies.
+/// suite stays fast. `threads` is the knob under test (it sizes no
+/// served work, so answers must not move with it); `gen_threads` is
+/// pinned so only that knob varies.
 fn small_cfg(threads: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new("fixture-small");
     cfg.design_k = 10;
@@ -167,34 +168,67 @@ fn budgeted_queries_match_a_cold_run_over_the_prefix() {
     let svc = ComicService::start(small_cfg(2)).expect("service");
     let key = PoolKey::new(SamplerKind::RrSim, "one-way", EpsTier::Coarse).unwrap();
     let pool = svc.pool(&key).unwrap();
-    let budget = pool.len() / 3;
-    let cold = RisPipeline::new(TimConfig::new(4))
-        .run_on_pool(&pool.prefix(budget))
-        .unwrap();
-    match svc.handle(&Request::Select {
-        pool: key,
-        k: 4,
-        selector: Some(SelectorKind::Celf),
-        budget: Some(budget as u64),
-        deadline_ms: None,
-    }) {
-        Response::Selected {
-            seeds,
-            consulted,
-            pool: meta,
-            ..
-        } => {
-            let cold_seeds: Vec<u32> = cold.seeds.iter().map(|s| s.0).collect();
-            assert_eq!(seeds, cold_seeds);
-            assert_eq!(consulted, budget as u64);
-            assert!(meta.capped, "a budgeted answer must be marked capped");
-            assert_eq!(
-                meta.sketches,
-                pool.len() as u64,
-                "meta reports the full pool"
-            );
+    for budget in [1, pool.len() / 3, pool.len() - 1] {
+        let copied = pool.prefix(budget);
+        let cold = RisPipeline::new(TimConfig::new(4))
+            .run_on_pool(&copied)
+            .unwrap();
+        let cold_seeds: Vec<u32> = cold.seeds.iter().map(|s| s.0).collect();
+        match svc.handle(&Request::Select {
+            pool: key.clone(),
+            k: 4,
+            selector: Some(SelectorKind::Celf),
+            budget: Some(budget as u64),
+            deadline_ms: None,
+        }) {
+            Response::Selected {
+                seeds,
+                covered,
+                est_spread,
+                consulted,
+                pool: meta,
+                ..
+            } => {
+                assert_eq!(seeds, cold_seeds, "budget {budget}");
+                assert_eq!(covered, cold.covered);
+                assert_eq!(est_spread.to_bits(), cold.est_spread.to_bits());
+                assert_eq!(consulted, budget as u64);
+                assert!(meta.capped, "a budgeted answer must be marked capped");
+                assert_eq!(
+                    meta.sketches,
+                    pool.len() as u64,
+                    "meta reports the full pool"
+                );
+            }
+            other => panic!("expected Selected, got {other:?}"),
         }
-        other => panic!("expected Selected, got {other:?}"),
+        // A budgeted estimate of those seeds, one listed twice, counts the
+        // same prefix the copied pool does.
+        let mut listed = cold_seeds.clone();
+        listed.push(cold_seeds[0]);
+        let nodes: Vec<_> = listed.iter().map(|&s| comic_graph::NodeId(s)).collect();
+        match svc.handle(&Request::Estimate {
+            pool: key.clone(),
+            seeds: listed,
+            budget: Some(budget as u64),
+            deadline_ms: None,
+        }) {
+            Response::Estimated {
+                est_spread,
+                consulted,
+                pool: meta,
+                ..
+            } => {
+                assert_eq!(
+                    est_spread.to_bits(),
+                    copied.estimate_spread(&nodes).to_bits(),
+                    "budget {budget}"
+                );
+                assert_eq!(consulted, budget as u64);
+                assert!(meta.capped);
+            }
+            other => panic!("expected Estimated, got {other:?}"),
+        }
     }
 }
 
