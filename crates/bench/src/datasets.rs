@@ -26,7 +26,7 @@
 
 use comic_core::Gap;
 use comic_graph::gen::{chung_lu, ChungLuConfig};
-use comic_graph::io::{graph_digest, read_binary_for_source, read_edge_list_report, source_digest};
+use comic_graph::io::{graph_digest, read_edge_list_report, source_digest};
 use comic_graph::prob::ProbModel;
 use comic_graph::scc::largest_scc;
 use comic_graph::stats::{stats_with_merged, GraphStats};
@@ -35,7 +35,6 @@ use comic_graph::{DiGraph, GraphError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -438,7 +437,7 @@ pub fn data_root() -> PathBuf {
 /// byte length — a different model, seed, or re-downloaded file of another
 /// size resolves to a different cache file, so one can never be mistaken
 /// for the other. Same-length replacements are caught by the **source
-/// content digest** embedded in the `COMICGRB` v3 header, which the loader
+/// content digest** recorded in the cache's meta words, which the loader
 /// verifies on every cache hit — no mtime heuristics, so even a `cp -p`
 /// replacement (same length, deliberately preserved older timestamp) is
 /// detected and the cache rebuilt.
@@ -703,11 +702,11 @@ fn load_path(
     load_file(&name, path, choice, 0xADC0C, gap, cache)
 }
 
-/// Best-effort v4 cache write: the cache is a pure optimization, so a
+/// Best-effort cache write: the cache is a pure optimization, so a
 /// failed write (read-only directory, full disk) must not fail the load
 /// itself. Atomic-enough: write a sibling temp file, then rename over.
 /// Returns whether the cache landed.
-fn write_cache_v4(graph: &DiGraph, src_digest: u64, cache_file: &Path) -> bool {
+fn write_cache(graph: &DiGraph, src_digest: u64, cache_file: &Path) -> bool {
     let tmp = cache_file.with_extension("cache.tmp");
     let write = store::write_store_file(graph, src_digest, &tmp)
         .and_then(|()| std::fs::rename(&tmp, cache_file).map_err(GraphError::Io));
@@ -733,39 +732,19 @@ fn load_file(
 ) -> Result<LoadedDataset, DatasetError> {
     let cache_file = cache_path_for(source, &choice.file_tag(), prob_seed);
     // Hash the source text up front: the digest keys both the cache-hit
-    // staleness check (v3 headers embed it) and the provenance recorded on
+    // staleness check (the store records it) and the provenance recorded on
     // a rebuild. Hashing is a single sequential read — far cheaper than
     // parsing, and the price of making staleness a *content* property
     // instead of an mtime guess.
     let src_bytes = std::fs::read(source).map_err(GraphError::Io)?;
     let src_digest = source_digest(&src_bytes);
     if cache == CacheMode::Use {
-        // A stale or corrupt cache (bad magic, old version, digest
-        // mismatch, short file, or a source content change — including the
-        // same-length `cp -p` replacement the old mtime check missed) is
-        // not fatal — fall through and rebuild it from the source text.
-        // The zero-copy v4 store is tried first; a v3 cache still loads
-        // (typed `UnsupportedVersion` from the v4 reader routes it to the
-        // legacy path) and is transparently rewritten as v4 so the next
-        // load maps it.
+        // A stale or corrupt cache (bad magic, another format version,
+        // digest mismatch, short file, or a source content change,
+        // including the same-length `cp -p` replacement the old mtime
+        // check missed) is not fatal — fall through and rebuild it from
+        // the source text.
         if let Ok(graph) = store::read_store_file(&cache_file, Some(src_digest)) {
-            let digest = graph_digest(&graph);
-            return Ok(LoadedDataset {
-                name: name.to_string(),
-                source: source.to_path_buf(),
-                cache: cache_file,
-                graph: Arc::new(graph),
-                gap,
-                digest,
-                from_cache: true,
-                duplicates_merged: None,
-            });
-        }
-        if let Ok(graph) = File::open(&cache_file)
-            .map_err(GraphError::Io)
-            .and_then(|f| read_binary_for_source(f, src_digest))
-        {
-            write_cache_v4(&graph, src_digest, &cache_file);
             let digest = graph_digest(&graph);
             return Ok(LoadedDataset {
                 name: name.to_string(),
@@ -783,7 +762,7 @@ fn load_file(
     let rep = read_edge_list_report(&src_bytes[..])?;
     let graph = choice.resolve(&rep.graph).apply(&rep.graph, prob_seed);
     let digest = graph_digest(&graph);
-    if cache != CacheMode::Off && write_cache_v4(&graph, src_digest, &cache_file) {
+    if cache != CacheMode::Off && write_cache(&graph, src_digest, &cache_file) {
         remove_superseded_caches(source, &choice.file_tag(), prob_seed, &cache_file);
     }
     Ok(LoadedDataset {
@@ -1014,7 +993,7 @@ mod tests {
         assert_eq!(std::fs::read(&healed.cache).unwrap(), cache_bytes);
     }
 
-    /// The ROADMAP's one undetected staleness case, closed by the v3
+    /// The ROADMAP's one undetected staleness case, closed by the recorded
     /// source digest: replace the source with a same-length file whose
     /// mtime is deliberately kept older than the cache (`cp -p`). The old
     /// mtime heuristic served the stale cache; the content hash rebuilds.
@@ -1055,73 +1034,62 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v3_cache_upgrades_to_v4_in_place() {
-        let path = temp_dataset("v3-upgrade", "0 1 0.5\n1 2 0.5\n2 0 0.5\n");
+    fn cache_with_an_older_version_field_is_rebuilt_from_text() {
+        let path = temp_dataset("old-version", "0 1 0.5\n1 2 0.5\n2 0 0.5\n");
         let arg = path.to_str().unwrap();
         let cold = load_with(arg, CacheMode::Use).unwrap();
         assert!(!cold.from_cache);
+        let fresh = std::fs::read(&cold.cache).unwrap();
 
-        // Swap the fresh v4 cache for a legacy v3 file of the same graph.
-        let src_digest = source_digest(&std::fs::read(&path).unwrap());
-        let f = File::create(&cold.cache).unwrap();
-        comic_graph::io::write_binary_with_source(&cold.graph, src_digest, f).unwrap();
-        let v3_bytes = std::fs::read(&cold.cache).unwrap();
-        assert_eq!(u32::from_le_bytes(v3_bytes[8..12].try_into().unwrap()), 3);
+        // Patch the version field to 3, the retired edge-record layout.
+        let mut old = fresh.clone();
+        old[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&cold.cache, &old).unwrap();
+        assert!(matches!(
+            store::read_store_file(&cold.cache, None),
+            Err(GraphError::UnsupportedVersion { found: 3, .. })
+        ));
 
-        // The v3 cache still counts as a hit, and the load transparently
-        // rewrites it as v4 so the next one takes the zero-copy path.
+        // It takes the ordinary stale path: rebuilt from the text and
+        // rewritten as the current store, which the next load maps.
+        let rebuilt = load_with(arg, CacheMode::Use).unwrap();
+        assert!(!rebuilt.from_cache, "an old-version cache must not serve");
+        assert_eq!(rebuilt.digest, cold.digest);
+        assert_eq!(std::fs::read(&cold.cache).unwrap(), fresh);
         let warm = load_with(arg, CacheMode::Use).unwrap();
-        assert!(warm.from_cache, "v3 cache must still serve the load");
+        assert!(warm.from_cache);
         assert_eq!(warm.digest, cold.digest);
-        let upgraded = std::fs::read(&cold.cache).unwrap();
-        assert_eq!(&upgraded[0..8], store::STORE_MAGIC);
-        assert_eq!(
-            u32::from_le_bytes(upgraded[8..12].try_into().unwrap()),
-            store::STORE_FORMAT_VERSION
-        );
-        let warm2 = load_with(arg, CacheMode::Use).unwrap();
-        assert!(warm2.from_cache);
-        assert_eq!(warm2.digest, cold.digest);
     }
 
     /// The acceptance gate for the zero-copy store: on BOTH committed
-    /// fixtures, the v3 deserializing load and the v4 zero-copy load
-    /// produce digest-identical graphs, in both store modes (mmap and
-    /// safe bulk-read — the `COMIC_MMAP=on|off` axis, pinned explicitly
-    /// here since the env override is process-wide).
+    /// fixtures, a store load reproduces the parsed graph's digest in both
+    /// store modes (mmap and safe bulk-read — the `COMIC_MMAP=on|off`
+    /// axis, pinned explicitly here since the env override is
+    /// process-wide).
     #[test]
-    fn v3_and_v4_load_paths_agree_on_committed_fixtures() {
+    fn store_loads_reproduce_the_committed_fixtures() {
         use comic_graph::store::StoreMode;
+        let dir = std::env::temp_dir().join(format!(
+            "comic-datasets-test-{}-fixtures",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
         for name in ["fixture-small", "fixture-medium"] {
             let loaded = load_with(name, CacheMode::Off).unwrap();
-            let src = loaded.digest;
-            let dir = std::env::temp_dir()
-                .join(format!("comic-datasets-test-{}-v3v4", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-
-            let v3_path = dir.join(format!("{name}.v3.bin"));
-            let f = File::create(&v3_path).unwrap();
-            comic_graph::io::write_binary_with_source(&loaded.graph, src, f).unwrap();
-            let from_v3 = read_binary_for_source(File::open(&v3_path).unwrap(), src).unwrap();
-            assert_eq!(
-                graph_digest(&loaded.graph),
-                graph_digest(&from_v3),
-                "{name}"
-            );
-
-            let v4_path = dir.join(format!("{name}.v4.grb"));
-            store::write_store_file(&loaded.graph, src, &v4_path).unwrap();
+            let src = source_digest(&std::fs::read(&loaded.source).unwrap());
+            let path = dir.join(format!("{name}.grb"));
+            store::write_store_file(&loaded.graph, src, &path).unwrap();
             for mode in [StoreMode::Mmap, StoreMode::Read] {
-                let from_v4 = store::read_store_file_with(&v4_path, Some(src), mode).unwrap();
+                let from_store = store::read_store_file_with(&path, Some(src), mode).unwrap();
                 assert_eq!(
-                    graph_digest(&from_v3),
-                    graph_digest(&from_v4),
+                    graph_digest(&from_store),
+                    loaded.digest,
                     "{name} mode {}",
                     mode.name()
                 );
             }
-            let _ = std::fs::remove_dir_all(&dir);
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -362,7 +362,7 @@ mod tests {
         let pool = RisPipeline::new(cfg)
             .generate_pool(factory)
             .expect("pool over the test graph");
-        let index = pool.coverage_index().expect("pools carry a fused index");
+        let index = pool.coverage_index();
         (
             store_words(pool.store()),
             (**index).clone(),

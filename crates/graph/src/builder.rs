@@ -52,19 +52,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Adopt a pre-collected edge list for a node count that has already
-    /// been verified. The binary-cache reader uses this to keep the
-    /// untrusted header `n` away from the builder until the file digest
-    /// has checked out — the edges move in, nothing is copied.
-    pub(crate) fn with_edges(n: usize, edges: Vec<Edge>) -> Self {
-        GraphBuilder {
-            n,
-            edges,
-            policy: DuplicatePolicy::default(),
-            dropped_self_loops: 0,
-        }
-    }
-
     /// Set the duplicate-edge policy (default [`DuplicatePolicy::KeepFirst`]).
     pub fn duplicate_policy(mut self, policy: DuplicatePolicy) -> Self {
         self.policy = policy;

@@ -2,7 +2,7 @@
 //!
 //! A dynamic graph is represented as an immutable base [`DiGraph`] plus an
 //! ordered log of [`EdgeDelta`] records (add / remove / reweight). The log
-//! rides the same segment container as the v3/v4 caches — magic, version,
+//! rides the same segment container as the v4 graph store — magic, version,
 //! meta words, header digest, content digest — so any single-bit flip or
 //! truncation is rejected with a typed [`GraphError`], never applied.
 //!
@@ -25,7 +25,7 @@ use crate::store::{write_segment, SectionData, SegmentFile, MAX_PLAUSIBLE_EDGES}
 /// Magic bytes identifying an edge-delta log.
 pub const DELTA_MAGIC: &[u8; 8] = b"COMICDLT";
 
-/// Newest delta-log format version this build reads and writes.
+/// The delta-log format version this build reads and writes (the only one).
 pub const DELTA_FORMAT_VERSION: u32 = 1;
 
 /// Meta words: `[base_graph_digest, record_count]`.

@@ -39,7 +39,7 @@ pub enum GraphError {
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Newest version this build supports.
+        /// The one version of this format that this build reads.
         supported: u32,
     },
     /// A binary payload's content digest did not match its header — the
@@ -91,7 +91,7 @@ impl fmt::Display for GraphError {
             GraphError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "unsupported binary format version {found} (this build reads <= {supported})"
+                    "unsupported binary format version {found} (this build reads only version {supported})"
                 )
             }
             GraphError::DigestMismatch { expected, found } => {
@@ -150,10 +150,13 @@ mod tests {
         };
         assert!(e.to_string().contains("line 3"));
         let e = GraphError::UnsupportedVersion {
-            found: 9,
-            supported: 2,
+            found: 2,
+            supported: 3,
         };
-        assert!(e.to_string().contains("9"));
+        assert_eq!(
+            e.to_string(),
+            "unsupported binary format version 2 (this build reads only version 3)"
+        );
         let e = GraphError::DigestMismatch {
             expected: 1,
             found: 2,

@@ -1,8 +1,9 @@
-//! Graph serialization: whitespace-separated text edge lists (including
-//! SNAP-style files) and a versioned, digest-validated binary cache format.
+//! Graph text I/O and content digests: whitespace-separated text edge
+//! lists (including SNAP-style files), plus the source and graph digests
+//! that the binary store ([`crate::store`]) and pool spills record.
 
 use crate::builder::GraphBuilder;
-use crate::csr::{DiGraph, Edge, NodeId};
+use crate::csr::DiGraph;
 use crate::error::GraphError;
 use crate::stats::{stats_with_merged, GraphStats};
 use std::hash::Hasher;
@@ -149,24 +150,15 @@ pub fn read_edge_list_report<R: Read>(r: R) -> Result<IngestReport, GraphError> 
     })
 }
 
-/// Magic prefix of the binary cache format.
-pub const BINARY_MAGIC: &[u8; 8] = b"COMICGRB";
-/// Newest binary format version this build writes and reads.
-///
-/// v3 added the source content digest to the header (closing the
-/// `cp -p` staleness hole — a same-length, older-mtime source replacement
-/// is caught by content, not metadata); v2 caches are rejected as
-/// [`GraphError::UnsupportedVersion`] and transparently rebuilt by the
-/// dataset loader.
-pub const BINARY_FORMAT_VERSION: u32 = 3;
-
-/// The sentinel meaning "no source file digest was recorded" (plain
-/// [`write_binary`] calls, where the graph is its own provenance).
-/// Staleness checking is skipped for such files.
+/// The sentinel meaning "no source file digest was recorded": a store
+/// written by [`crate::store::write_store`] for a graph that is its own
+/// provenance (generated, or built in memory). Staleness checking is
+/// skipped for such files.
 pub const NO_SOURCE_DIGEST: u64 = 0;
 
-/// Fx content digest of raw source bytes, as embedded in the v3 header:
-/// length-prefixed so that truncation plus zero-padding cannot collide.
+/// Fx content digest of raw source bytes, as recorded in the graph store's
+/// meta words ([`crate::store`]): length-prefixed so that truncation plus
+/// zero-padding cannot collide.
 pub fn source_digest(bytes: &[u8]) -> u64 {
     let mut h = crate::fasthash::FxHasher::default();
     h.write_u64(bytes.len() as u64);
@@ -175,9 +167,9 @@ pub fn source_digest(bytes: &[u8]) -> u64 {
 }
 
 /// Content digest of a graph: an Fx-hash fold over the node count and the
-/// canonical edge list (source, target, probability bits). Stored in the
-/// binary header so a cache file self-validates on load, and usable by
-/// callers to check that two load paths produced the same graph.
+/// canonical edge list (source, target, probability bits). Pool spills
+/// record it as the graph their sketches were sampled over, and callers
+/// use it to check that two load paths produced the same graph.
 pub fn graph_digest(g: &DiGraph) -> u64 {
     let mut h = crate::fasthash::FxHasher::default();
     h.write_u64(g.num_nodes() as u64);
@@ -188,172 +180,6 @@ pub fn graph_digest(g: &DiGraph) -> u64 {
         h.write_u64(e.p.to_bits());
     }
     h.finish()
-}
-
-/// Write `g` in the versioned binary cache format (see
-/// [`write_binary_with_source`]) with no source provenance recorded.
-pub fn write_binary<W: Write>(g: &DiGraph, w: W) -> Result<(), GraphError> {
-    write_binary_with_source(g, NO_SOURCE_DIGEST, w)
-}
-
-/// Write `g` in the v3 binary cache format: 8-byte magic, `u32` format
-/// version, `u64` node and edge counts, the `u64` [`source_digest`] of the
-/// text file this graph was built from ([`NO_SOURCE_DIGEST`] when there is
-/// none), a `u64` header digest covering the counts, the source digest and
-/// every record, then `m` `(u32, u32, f64)` little-endian records in
-/// canonical order. Every byte of the file after the magic is covered by a
-/// validated quantity, so arbitrary corruption is always detected.
-pub fn write_binary_with_source<W: Write>(
-    g: &DiGraph,
-    src_digest: u64,
-    w: W,
-) -> Result<(), GraphError> {
-    let mut out = BufWriter::new(w);
-    out.write_all(BINARY_MAGIC)?;
-    out.write_all(&BINARY_FORMAT_VERSION.to_le_bytes())?;
-    out.write_all(&(g.num_nodes() as u64).to_le_bytes())?;
-    out.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    out.write_all(&src_digest.to_le_bytes())?;
-    out.write_all(&file_digest(g, src_digest).to_le_bytes())?;
-    for (_, e) in g.edges() {
-        out.write_all(&e.source.0.to_le_bytes())?;
-        out.write_all(&e.target.0.to_le_bytes())?;
-        out.write_all(&e.p.to_le_bytes())?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
-/// The validated header digest of the v3 format: [`graph_digest`]'s fold
-/// with the source digest mixed in after the counts, so a flipped bit in
-/// the recorded provenance is caught exactly like one in the payload.
-fn file_digest(g: &DiGraph, src_digest: u64) -> u64 {
-    let mut h = crate::fasthash::FxHasher::default();
-    h.write_u64(g.num_nodes() as u64);
-    h.write_u64(g.num_edges() as u64);
-    h.write_u64(src_digest);
-    for (_, e) in g.edges() {
-        h.write_u32(e.source.0);
-        h.write_u32(e.target.0);
-        h.write_u64(e.p.to_bits());
-    }
-    h.finish()
-}
-
-/// Read a graph written by [`write_binary`] /
-/// [`write_binary_with_source`], validating the magic, the format version,
-/// and the content digest — but **not** source freshness. Corruption
-/// anywhere in the file — header or payload — yields a typed
-/// [`GraphError`], never a panic: [`GraphError::Corrupt`] for a foreign
-/// magic, [`GraphError::UnsupportedVersion`] for another format version,
-/// [`GraphError::DigestMismatch`] for header or payload damage.
-pub fn read_binary<R: Read>(r: R) -> Result<DiGraph, GraphError> {
-    read_binary_impl(r, None)
-}
-
-/// Like [`read_binary`], but additionally require that the cache was built
-/// from a source whose [`source_digest`] equals `expected_source`: the
-/// loader-facing staleness gate. A mismatch is the typed
-/// [`GraphError::StaleSource`] — the file is intact, just built from
-/// different content (the `cp -p` case the mtime heuristic could never
-/// see). Caches written without provenance ([`NO_SOURCE_DIGEST`]) skip the
-/// check.
-pub fn read_binary_for_source<R: Read>(r: R, expected_source: u64) -> Result<DiGraph, GraphError> {
-    read_binary_impl(r, Some(expected_source))
-}
-
-fn read_binary_impl<R: Read>(r: R, expected_source: Option<u64>) -> Result<DiGraph, GraphError> {
-    let mut reader = BufReader::new(r);
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(GraphError::Corrupt("bad magic".into()));
-    }
-    let mut buf4 = [0u8; 4];
-    reader.read_exact(&mut buf4)?;
-    let version = u32::from_le_bytes(buf4);
-    if version != BINARY_FORMAT_VERSION {
-        return Err(GraphError::UnsupportedVersion {
-            found: version,
-            supported: BINARY_FORMAT_VERSION,
-        });
-    }
-    let mut buf8 = [0u8; 8];
-    reader.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
-    if n as u64 > (1 << 40) {
-        return Err(GraphError::Corrupt(format!("implausible node count {n}")));
-    }
-    reader.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8) as usize;
-    if m > (1 << 40) {
-        return Err(GraphError::Corrupt(format!("implausible edge count {m}")));
-    }
-    reader.read_exact(&mut buf8)?;
-    let recorded_source = u64::from_le_bytes(buf8);
-    reader.read_exact(&mut buf8)?;
-    let declared_digest = u64::from_le_bytes(buf8);
-    // Digest-as-we-read, mirroring the writer's fold over the canonical
-    // records, and verify BEFORE building: corruption of the node count
-    // must surface as a typed mismatch, not as an attempt to allocate a
-    // 2^60-slot CSR. The untrusted header feeds NOTHING until then — `n`
-    // is held back from the builder until the digest check passes, the
-    // edge capacity is a clamped hint, and every other allocation is
-    // bounded by the actual bytes present (a truncated file fails
-    // `read_exact` long before a lying `m` can reserve anything).
-    let mut h = crate::fasthash::FxHasher::default();
-    h.write_u64(n as u64);
-    h.write_u64(m as u64);
-    h.write_u64(recorded_source);
-    // An EOF inside the record area is corruption (a lying `m` or a
-    // truncated file), not an environment I/O failure — report it typed.
-    fn rec_err(e: std::io::Error, i: usize, m: usize) -> GraphError {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            GraphError::Corrupt(format!("file truncated at edge record {i} of {m}"))
-        } else {
-            GraphError::Io(e)
-        }
-    }
-    let mut edges: Vec<Edge> = Vec::with_capacity(m.min(1 << 20));
-    for i in 0..m {
-        reader.read_exact(&mut buf4).map_err(|e| rec_err(e, i, m))?;
-        let u = u32::from_le_bytes(buf4);
-        reader.read_exact(&mut buf4).map_err(|e| rec_err(e, i, m))?;
-        let v = u32::from_le_bytes(buf4);
-        reader.read_exact(&mut buf8).map_err(|e| rec_err(e, i, m))?;
-        let p = f64::from_le_bytes(buf8);
-        h.write_u32(u);
-        h.write_u32(v);
-        h.write_u64(p.to_bits());
-        // Self-loops can only appear in crafted files (the writer never
-        // emits them); drop them exactly like `GraphBuilder::add_edge`.
-        if u != v {
-            edges.push(Edge {
-                source: NodeId(u),
-                target: NodeId(v),
-                p,
-            });
-        }
-    }
-    let found = h.finish();
-    if found != declared_digest {
-        return Err(GraphError::DigestMismatch {
-            expected: declared_digest,
-            found,
-        });
-    }
-    // Staleness only after integrity: a corrupt file is "corrupt", not
-    // "stale", even when the recorded source digest happens to differ.
-    if let Some(expected) = expected_source {
-        if recorded_source != NO_SOURCE_DIGEST && recorded_source != expected {
-            return Err(GraphError::StaleSource {
-                expected,
-                found: recorded_source,
-            });
-        }
-    }
-    // Only here is `n` digest-verified and safe to commit to a CSR build.
-    GraphBuilder::with_edges(n, edges).build()
 }
 
 #[cfg(test)]
@@ -481,182 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let g = crate::prob::ProbModel::trivalency()
-            .apply(&gen::gnm(30, 90, &mut rng).unwrap(), &mut rng);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(&buf[..]).unwrap();
-        assert_graph_eq(&g, &g2);
-        assert_eq!(graph_digest(&g), graph_digest(&g2));
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let g = gen::path(3, 0.5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[..8].copy_from_slice(b"NOTMAGIC");
-        assert!(matches!(read_binary(&buf[..]), Err(GraphError::Corrupt(_))));
-    }
-
-    #[test]
-    fn binary_rejects_future_version() {
-        let g = gen::path(3, 0.5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[8..12].copy_from_slice(&99u32.to_le_bytes());
-        match read_binary(&buf[..]) {
-            Err(GraphError::UnsupportedVersion { found: 99, .. }) => {}
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_rejects_flipped_digest_byte() {
-        let g = gen::path(4, 0.5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[28] ^= 0x01; // inside the recorded source digest (bytes 28..36)
-        match read_binary(&buf[..]) {
-            Err(GraphError::DigestMismatch { .. }) => {}
-            other => panic!("expected DigestMismatch, got {other:?}"),
-        }
-        // And inside the validated header digest itself (bytes 36..44).
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[40] ^= 0x10;
-        assert!(matches!(
-            read_binary(&buf[..]),
-            Err(GraphError::DigestMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn v2_era_caches_are_rejected_as_unsupported() {
-        // A v2 header (no source digest) must not parse as v3: the version
-        // gate fires before any payload is touched, and the dataset loader
-        // rebuilds such caches from source.
-        let g = gen::path(3, 0.5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
-        match read_binary(&buf[..]) {
-            Err(GraphError::UnsupportedVersion {
-                found: 2,
-                supported: BINARY_FORMAT_VERSION,
-            }) => {}
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stale_source_is_a_typed_error_and_fresh_sources_pass() {
-        let g = gen::path(4, 0.5);
-        let src_v1 = b"0 1 0.5\n1 2 0.5\n2 3 0.5\n";
-        let d1 = source_digest(src_v1);
-        let mut buf = Vec::new();
-        write_binary_with_source(&g, d1, &mut buf).unwrap();
-        // Same source content: passes, and the plain reader doesn't care.
-        assert!(read_binary_for_source(&buf[..], d1).is_ok());
-        assert!(read_binary(&buf[..]).is_ok());
-        // A same-length, different-content replacement (the cp -p case).
-        let src_v2 = b"0 1 0.5\n1 2 0.9\n2 3 0.5\n";
-        assert_eq!(src_v1.len(), src_v2.len());
-        let d2 = source_digest(src_v2);
-        assert_ne!(d1, d2);
-        match read_binary_for_source(&buf[..], d2) {
-            Err(GraphError::StaleSource { expected, found }) => {
-                assert_eq!(expected, d2);
-                assert_eq!(found, d1);
-            }
-            other => panic!("expected StaleSource, got {other:?}"),
-        }
-        // Provenance-free caches skip the check entirely.
-        let mut anon = Vec::new();
-        write_binary(&g, &mut anon).unwrap();
-        assert!(read_binary_for_source(&anon[..], d2).is_ok());
-    }
-
-    #[test]
     fn source_digest_is_length_prefixed() {
         assert_ne!(source_digest(b"ab"), source_digest(b"ab\0"));
         assert_ne!(source_digest(b""), source_digest(b"\0"));
         assert_eq!(source_digest(b"xyz"), source_digest(b"xyz"));
-    }
-
-    #[test]
-    fn binary_rejects_corrupt_node_count_without_allocating() {
-        // Bytes 12..20 hold the u64 node count; a high-bit flip used to
-        // drive a ~2^63-slot CSR allocation (capacity overflow panic). The
-        // implausibility guard now fires before the digest is even checked,
-        // so the error is a typed `Corrupt`, never an OOM abort.
-        let g = gen::path(4, 0.5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[19] ^= 0x80;
-        match read_binary(&buf[..]) {
-            Err(GraphError::Corrupt(msg)) => {
-                assert!(msg.contains("implausible node count"), "msg: {msg}");
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_rejects_huge_node_count_even_with_consistent_digest() {
-        // A crafted file can claim an absurd `n` *and* carry a self-
-        // consistent digest over those bytes; the guard must still refuse
-        // before any n-sized structure is built. Re-encode a valid file
-        // with a huge n and a freshly recomputed digest.
-        let g = gen::path(4, 0.5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let huge: u64 = 1 << 50;
-        buf[12..20].copy_from_slice(&huge.to_le_bytes());
-        // Recompute the file digest exactly the way the writer folds it
-        // (counts, source digest, then the per-edge fields), so the file
-        // is internally consistent and only the guard can reject it.
-        use std::hash::Hasher;
-        let m = u64::from_le_bytes(buf[20..28].try_into().unwrap());
-        let src = u64::from_le_bytes(buf[28..36].try_into().unwrap());
-        let mut h = crate::fasthash::FxHasher::default();
-        h.write_u64(huge);
-        h.write_u64(m);
-        h.write_u64(src);
-        for rec in buf[44..].chunks_exact(16) {
-            h.write_u32(u32::from_le_bytes(rec[0..4].try_into().unwrap()));
-            h.write_u32(u32::from_le_bytes(rec[4..8].try_into().unwrap()));
-            h.write_u64(u64::from_le_bytes(rec[8..16].try_into().unwrap()));
-        }
-        let d = h.finish();
-        buf[36..44].copy_from_slice(&d.to_le_bytes());
-        match read_binary(&buf[..]) {
-            Err(GraphError::Corrupt(msg)) => {
-                assert!(msg.contains("implausible node count"), "msg: {msg}");
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_rejects_flipped_payload_byte() {
-        let g = gen::path(4, 0.7);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let last = buf.len() - 1; // high mantissa byte of the final probability
-        buf[last] ^= 0x04;
-        assert!(read_binary(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn binary_truncated_payload_errors() {
-        let g = gen::path(3, 0.5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_binary(&buf[..]).is_err());
     }
 
     #[test]
@@ -666,9 +320,6 @@ mod tests {
         write_edge_list(&g, &mut buf).unwrap();
         let g2 = read_edge_list(&buf[..]).unwrap();
         assert_eq!(g2.num_nodes(), 0);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(&buf[..]).unwrap();
-        assert_eq!(g2.num_nodes(), 0);
+        assert_eq!(graph_digest(&g), graph_digest(&g2));
     }
 }

@@ -1,13 +1,13 @@
-//! Zero-copy segment store — the `COMICGRB` **v4** on-disk layout.
+//! Zero-copy segment store — the `COMICGRB` **v4** on-disk layout, the one
+//! binary form of a graph.
 //!
-//! The v3 cache (see [`crate::io`]) serializes one 16-byte record per edge
-//! and re-deserializes through [`crate::builder::GraphBuilder`] on every
-//! load: parse, re-sort, re-validate, rebuild both CSR directions. This
-//! module replaces that with a layout whose on-disk bytes **are** the
-//! in-memory CSR: fixed-width little-endian sections (offset arrays, id
-//! arrays, probability bits), a section table in the header, and a content
-//! digest in the footer, so a load is open → map (or bulk-read) → verify →
-//! reinterpret, with zero per-edge work.
+//! The on-disk bytes **are** the in-memory CSR: fixed-width little-endian
+//! sections (offset arrays, id arrays, probability bits), a section table
+//! in the header, and a content digest in the footer, so a load is open →
+//! map (or bulk-read) → verify → reinterpret, with zero per-edge work. A
+//! file of any other version (the retired v3 edge-record cache shared the
+//! magic) is a typed [`GraphError::UnsupportedVersion`]; the dataset loader
+//! treats it like any other stale cache and rebuilds it from source text.
 //!
 //! # Segment layout
 //!
@@ -65,9 +65,9 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-/// Magic prefix of a v4 graph store file (same as the v3 cache — the
-/// version field distinguishes them, so a v3 reader sees a typed
-/// `UnsupportedVersion` and vice versa).
+/// Magic prefix of a graph store file. The version field follows it, so a
+/// file written under another version is a typed `UnsupportedVersion`,
+/// never a misparse.
 pub const STORE_MAGIC: &[u8; 8] = b"COMICGRB";
 
 /// Format version written and required by this module's graph store.
@@ -87,8 +87,8 @@ const MAX_SECTIONS: usize = 64;
 /// id space is a lie regardless of digests).
 pub const MAX_PLAUSIBLE_NODES: u64 = u32::MAX as u64;
 
-/// Implausibility cap on edge counts (offsets are `u32`; also mirrors the
-/// v3 reader's `1 << 40` cap).
+/// Implausibility cap on edge counts (CSR offsets are `u32`, so no store
+/// can address more edges than this).
 pub const MAX_PLAUSIBLE_EDGES: u64 = u32::MAX as u64;
 
 // ---------------------------------------------------------------------------
@@ -839,7 +839,7 @@ impl SegmentFile {
     }
 
     /// Parse and verify a segment already in memory (always the safe owned
-    /// representation — tests and the v3→v4 upgrade path use this).
+    /// representation — the `*_bytes` readers and tests use this).
     pub fn from_bytes(
         bytes: Vec<u8>,
         magic: &[u8; 8],
@@ -1076,9 +1076,9 @@ fn graph_from_segment(
             seg.num_sections()
         )));
     }
-    // Integrity is proven; staleness ranks above structure, matching the v3
-    // reader: a digest-valid cache of *different* source text is stale, not
-    // corrupt. Files written without provenance skip the check.
+    // Integrity is proven; staleness ranks above structure: a digest-valid
+    // cache of *different* source text is stale, not corrupt. Files written
+    // without provenance skip the check.
     if let Some(expected) = expected_source {
         if recorded_source != crate::io::NO_SOURCE_DIGEST && recorded_source != expected {
             return Err(GraphError::StaleSource {
@@ -1274,20 +1274,21 @@ mod tests {
             }) => {}
             other => panic!("expected StaleSource, got {other:?}"),
         }
+        // Provenance-free stores skip the check entirely.
+        assert!(read_store_bytes(store_bytes(&g, NO_SOURCE_DIGEST), Some(222)).is_ok());
     }
 
     #[test]
-    fn v3_cache_is_rejected_with_typed_version_error() {
-        // A v3 file shares the magic and version-field offset, so the v4
-        // reader reports the version it found (the transparent-upgrade path
-        // in comic_bench keys off exactly this).
-        let g = sample_graph();
-        let mut v3 = Vec::new();
-        crate::io::write_binary(&g, &mut v3).unwrap();
-        match read_store_bytes(v3, None) {
+    fn older_version_field_is_rejected_with_typed_version_error() {
+        // A cache whose version field reads 3 (the retired edge-record
+        // layout) is refused before any other header field is trusted; the
+        // dataset loader rebuilds such caches from source text.
+        let mut b = store_bytes(&sample_graph(), NO_SOURCE_DIGEST);
+        b[8..12].copy_from_slice(&3u32.to_le_bytes());
+        match read_store_bytes(b, None) {
             Err(GraphError::UnsupportedVersion {
                 found: 3,
-                supported: 4,
+                supported: STORE_FORMAT_VERSION,
             }) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
@@ -1298,7 +1299,8 @@ mod tests {
         // The acceptance fuzz: all 352 single-bit flips over the first 44
         // bytes (magic, version, n, m, source digest, section count, part
         // of the header digest) must yield typed errors — never a panic,
-        // never a giant allocation.
+        // never a giant allocation. None reads as staleness: the header
+        // digest covers the recorded source digest.
         let g = sample_graph();
         let bytes = store_bytes(&g, 777);
         for byte in 0..44 {
@@ -1309,8 +1311,7 @@ mod tests {
                     Err(
                         GraphError::Corrupt(_)
                         | GraphError::UnsupportedVersion { .. }
-                        | GraphError::DigestMismatch { .. }
-                        | GraphError::StaleSource { .. },
+                        | GraphError::DigestMismatch { .. },
                     ) => {}
                     Ok(_) => panic!("flip {byte}.{bit} accepted"),
                     Err(other) => panic!("flip {byte}.{bit}: unexpected {other:?}"),

@@ -14,11 +14,12 @@
 //! 3. **generation** of θ RR-sets over per-thread sampler instances, with
 //!    the coverage-index build **fused into the shard merge**
 //!    ([`crate::parallel::ShardedGenerator::generate_indexed`]) — the pool
-//!    comes out carrying a resident [`CoverageIndex`] for free;
-//! 4. **selection** — the pool's resident index (or a standalone
-//!    [`CoverageIndex::build`] when there is none) feeding the configured
-//!    [`SelectorKind`], read in place up to a sketch count when a query
-//!    consults only a prefix of the pool ([`RisPipeline::run_on_prefix`]).
+//!    comes out carrying a resident [`crate::select::CoverageIndex`] for
+//!    free;
+//! 4. **selection** — the pool's resident index feeding the configured
+//!    [`crate::select::SelectorKind`], read in place up to a sketch count
+//!    when a query consults only a prefix of the pool
+//!    ([`RisPipeline::run_on_prefix`]).
 //!
 //! Every RR-set draws from a stream keyed on the configured seed and its
 //! index in the batch, so the output — pool bytes, KPT*, θ and the
@@ -31,7 +32,7 @@ use crate::kpt::kpt_star_with_dims;
 use crate::parallel::ShardedGenerator;
 use crate::pool::SketchPool;
 use crate::sampler::RrSampler;
-use crate::select::{CoverageIndex, CoverageResult};
+use crate::select::CoverageResult;
 use crate::tim::{theta, TimConfig, TimResult};
 use comic_graph::fasthash::splitmix64;
 use std::sync::Arc;
@@ -171,14 +172,13 @@ impl RisPipeline {
         // falls back to full rebuilds for them.
         Ok(SketchPool::new(
             Arc::new(store),
-            n,
+            Arc::new(index),
             cfg.seed,
             cfg.k,
             cfg.epsilon,
             kpt.kpt,
             capped,
         )
-        .with_index(Arc::new(index))
         .with_touch_tracked(touch_capable))
     }
 
@@ -194,9 +194,7 @@ impl RisPipeline {
     /// at `sets` ([`crate::select::SeedSelector::select_prefix`]), with
     /// **no RR-set regeneration, no store copy and no index build** — the
     /// warm path a resident query service answers every select from,
-    /// budgeted or not. A pool without an index (one wrapped by
-    /// [`SketchPool::new`]) gets a standalone [`CoverageIndex::build`]
-    /// sized by this config's `threads`, itself thread-count invariant.
+    /// budgeted or not.
     ///
     /// Honors this config's `k` and `selector`; KPT* comes from the pool.
     /// The result's θ is the number of sketches consulted, and it is
@@ -211,15 +209,9 @@ impl RisPipeline {
         let cfg = &self.cfg;
         cfg.validate(pool.num_nodes())?;
         let sets = sets.min(pool.len());
-        let built;
-        let index = match pool.coverage_index() {
-            Some(index) => index.as_ref(),
-            None => {
-                built = CoverageIndex::build(pool.store(), pool.num_nodes(), cfg.threads);
-                &built
-            }
-        };
-        let cov = cfg.selector.select_prefix(index, pool.store(), cfg.k, sets);
+        let cov = cfg
+            .selector
+            .select_prefix(pool.coverage_index(), pool.store(), cfg.k, sets);
         Ok(wrap(
             pool.num_nodes(),
             pool.kpt(),
@@ -273,14 +265,13 @@ where
     let (store, index) = gen.regenerate_marked(store, marks, avg, pool.num_nodes());
     SketchPool::new(
         Arc::new(store),
-        pool.num_nodes(),
+        Arc::new(index),
         pool.seed(),
         pool.design_k(),
         pool.epsilon(),
         pool.kpt(),
         pool.capped(),
     )
-    .with_index(Arc::new(index))
     .with_touch_tracked(pool.touch_tracked())
     .with_generation(pool.generation())
 }
@@ -302,7 +293,7 @@ fn wrap(n: usize, kpt: f64, theta_n: u64, capped: bool, cov: CoverageResult) -> 
 mod tests {
     use super::*;
     use crate::ic_sampler::IcRrSampler;
-    use crate::select::SelectorKind;
+    use crate::select::{CoverageIndex, SelectorKind};
     use comic_graph::{gen, NodeId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -447,32 +438,21 @@ mod tests {
         let g = test_graph();
         let pipe = RisPipeline::new(TimConfig::new(5).seed(13).max_rr_sets(15_000).threads(2));
         let pool = pipe.generate_pool(|| IcRrSampler::new(&g)).unwrap();
-        let index = pool.coverage_index().expect("fused builds attach one");
-        // The resident index is exactly the standalone build.
-        assert_eq!(
-            **index,
-            CoverageIndex::build(pool.store(), pool.num_nodes(), 1)
-        );
-        // Selection over the resident index equals a from-scratch stage 4
-        // over an index-less pool with the same store and provenance.
-        let bare = SketchPool::new(
-            pool.store_arc(),
-            pool.num_nodes(),
-            pool.seed(),
-            pool.design_k(),
-            pool.epsilon(),
-            pool.kpt(),
-            pool.capped(),
-        );
-        assert!(bare.coverage_index().is_none());
+        // The resident index is exactly the standalone build, so stage 4
+        // over it is a from-scratch selection over the store.
+        let standalone = CoverageIndex::build(pool.store(), pool.num_nodes(), 1);
+        assert_eq!(**pool.coverage_index(), standalone);
         let warm = pipe.run_on_pool(&pool).unwrap();
-        let cold = pipe.run_on_pool(&bare).unwrap();
+        let cold = pipe
+            .config()
+            .selector
+            .select(&standalone, pool.store(), pipe.config().k, 1);
         assert_eq!(warm.seeds, cold.seeds);
         assert_eq!(warm.covered, cold.covered);
-        assert_eq!(warm.est_spread, cold.est_spread);
-        // Budgeted queries drop the index and still answer correctly.
+        // A prefix copy carries an index over its own sets and answers as
+        // a capped pool.
         let cut = pool.prefix(pool.len() / 2);
-        assert!(cut.coverage_index().is_none());
+        assert_eq!(cut.coverage_index().num_sets(), cut.len());
         assert!(pipe.run_on_pool(&cut).unwrap().capped);
     }
 
@@ -514,17 +494,18 @@ mod tests {
             ShardedGenerator::new(|| IcRrSampler::new(&g2), theta_stream_seed(pool.seed()), 1)
                 .generate_indexed(pool.len() as u64, 1, pool.num_nodes());
         assert_eq!(refreshed.store(), &scratch.0);
-        assert_eq!(**refreshed.coverage_index().unwrap(), scratch.1);
+        assert_eq!(**refreshed.coverage_index(), scratch.1);
     }
 
     #[test]
-    fn bare_pool_stage_4_is_reusable_and_thread_independent() {
+    fn wrapped_store_stage_4_is_reusable_and_thread_independent() {
         let g = gen::star(50, 1.0);
         let store = ShardedGenerator::new(|| IcRrSampler::new(&g), 3, 2).generate(2_000, 2);
-        let bare = SketchPool::new(Arc::new(store), 50, 3, 1, 0.5, 1.0, false);
+        let index = CoverageIndex::build(&store, 50, 2);
+        let pool = SketchPool::new(Arc::new(store), Arc::new(index), 3, 1, 0.5, 1.0, false);
         let run = |threads: usize| {
             RisPipeline::new(TimConfig::new(1).threads(threads))
-                .run_on_pool(&bare)
+                .run_on_pool(&pool)
                 .unwrap()
         };
         let (a, b) = (run(1), run(4));

@@ -39,8 +39,8 @@ use comic_graph::delta::EdgeDelta;
 use comic_graph::NodeId;
 use std::sync::Arc;
 
-/// An immutable pool of pre-generated RR-sketches plus the provenance of
-/// their generation. Built by
+/// An immutable pool of pre-generated RR-sketches, their node→set
+/// coverage index, and the provenance of their generation. Built by
 /// [`crate::pipeline::RisPipeline::generate_pool`] (or [`SketchPool::new`]
 /// for pre-sampled stores); consumed by
 /// [`crate::pipeline::RisPipeline::run_on_prefix`] and
@@ -48,9 +48,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct SketchPool {
     store: Arc<RrStore>,
-    index: Option<Arc<CoverageIndex>>,
+    index: Arc<CoverageIndex>,
     touch_tracked: bool,
-    n: usize,
     seed: u64,
     design_k: usize,
     epsilon: f64,
@@ -60,25 +59,32 @@ pub struct SketchPool {
 }
 
 impl SketchPool {
-    /// Wrap a pre-sampled store. `n` is the node count of the graph the
-    /// sets were sampled over; `seed` documents the generation seed;
-    /// `design_k`/`epsilon` the θ derivation; `kpt` the KPT* estimate
-    /// (pass 1.0 for stores not produced by the pipeline); `capped` whether
-    /// θ was clamped below Equation (3)'s bound.
+    /// Wrap a pre-sampled store and its resident [`CoverageIndex`] — the
+    /// fused artifact of
+    /// [`crate::parallel::ShardedGenerator::generate_indexed`], or a
+    /// standalone [`CoverageIndex::build`] — so every selection and
+    /// estimate reads the index in place. The index must describe exactly
+    /// this store (checked against its set/entry counts), and its node
+    /// count is the node count of the graph the sets were sampled over.
+    /// `seed` documents the generation seed; `design_k`/`epsilon` the θ
+    /// derivation; `kpt` the KPT* estimate (pass 1.0 for stores not
+    /// produced by the pipeline); `capped` whether θ was clamped below
+    /// Equation (3)'s bound.
     pub fn new(
         store: Arc<RrStore>,
-        n: usize,
+        index: Arc<CoverageIndex>,
         seed: u64,
         design_k: usize,
         epsilon: f64,
         kpt: f64,
         capped: bool,
     ) -> SketchPool {
+        assert_eq!(index.num_sets(), store.len(), "index/store mismatch");
+        assert_eq!(index.total_entries(), store.total_members());
         SketchPool {
             store,
-            index: None,
+            index,
             touch_tracked: false,
-            n,
             seed,
             design_k,
             epsilon,
@@ -88,26 +94,9 @@ impl SketchPool {
         }
     }
 
-    /// Attach a resident [`CoverageIndex`] over the pool's full store —
-    /// the fused artifact of
-    /// [`crate::parallel::ShardedGenerator::generate_indexed`], kept
-    /// alongside the sketches so warm selection queries
-    /// ([`crate::pipeline::RisPipeline::run_on_pool`]) skip the per-query
-    /// index build entirely. The index must describe exactly this store
-    /// (checked against its set/entry counts).
-    pub fn with_index(mut self, index: Arc<CoverageIndex>) -> SketchPool {
-        assert_eq!(index.num_sets(), self.store.len(), "index/store mismatch");
-        assert_eq!(index.total_entries(), self.store.total_members());
-        assert_eq!(index.num_nodes(), self.n);
-        self.index = Some(index);
-        self
-    }
-
-    /// The resident coverage index, when the pool carries one (fused
-    /// builds do; [`SketchPool::prefix`] pools never do — the index spans
-    /// the full set range and cannot describe a truncation).
-    pub fn coverage_index(&self) -> Option<&Arc<CoverageIndex>> {
-        self.index.as_ref()
+    /// The resident coverage index over the pool's full store.
+    pub fn coverage_index(&self) -> &Arc<CoverageIndex> {
+        &self.index
     }
 
     /// Record whether the sampler's members are its touch set
@@ -130,25 +119,25 @@ impl SketchPool {
     /// delta's **target** node (the node whose in-adjacency run changed),
     /// read off the resident coverage index.
     ///
-    /// Returns `None` unless the pool is touch-tracked and carries its
-    /// index — the caller must fall back to a full rebuild. Delta targets
-    /// outside the pool's node universe are ignored (the compaction step
-    /// rejects them with typed errors before any invalidation runs).
+    /// Returns `None` for a touch-opaque pool — the caller must fall back
+    /// to a full rebuild. Delta targets outside the pool's node universe
+    /// are ignored (the compaction step rejects them with typed errors
+    /// before any invalidation runs).
     pub fn invalidate(&self, deltas: &[EdgeDelta]) -> Option<Vec<bool>> {
         if !self.touch_tracked {
             return None;
         }
-        let index = self.index.as_ref()?;
+        let n = self.num_nodes();
         let mut targets: Vec<NodeId> = deltas
             .iter()
             .map(EdgeDelta::target)
-            .filter(|v| v.index() < self.n)
+            .filter(|v| v.index() < n)
             .collect();
         targets.sort_unstable();
         targets.dedup();
         let mut marks = vec![false; self.len()];
         for v in targets {
-            for &s in index.sets_containing(v) {
+            for &s in self.index.sets_containing(v) {
                 marks[s as usize] = true;
             }
         }
@@ -177,7 +166,7 @@ impl SketchPool {
 
     /// Node count of the graph the sketches were sampled over.
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.index.num_nodes()
     }
 
     /// The RNG seed the generation streams were derived from — with the
@@ -219,9 +208,10 @@ impl SketchPool {
     }
 
     /// A copy of the pool holding only its first `sets` sketches, marked
-    /// [`SketchPool::capped`] and carrying no index. O(members copied); the
-    /// original pool is untouched. Budgeted queries do not use it: they
-    /// read the resident index in place
+    /// [`SketchPool::capped`], with a standalone [`CoverageIndex::build`]
+    /// over the copy (the resident index spans the full set range).
+    /// O(members copied); the original pool is untouched. Budgeted queries
+    /// do not use it: they read the resident index in place
     /// ([`crate::pipeline::RisPipeline::run_on_prefix`],
     /// [`SketchPool::estimate_spread_prefix`]). It stays as the oracle
     /// those in-place answers are tested against.
@@ -229,11 +219,11 @@ impl SketchPool {
         if sets >= self.len() {
             return self.clone();
         }
+        let store = self.store.prefix(sets);
+        let index = CoverageIndex::build(&store, self.num_nodes(), 1);
         SketchPool {
-            store: Arc::new(self.store.prefix(sets)),
-            // The resident index (if any) spans the full set range; a
-            // truncated pool must not inherit it.
-            index: None,
+            store: Arc::new(store),
+            index: Arc::new(index),
             capped: true,
             ..self.clone()
         }
@@ -251,43 +241,28 @@ impl SketchPool {
     /// sampler's objective by the activation-equivalence property — a
     /// spread *query* answered from pooled sketches with zero sampling.
     ///
-    /// With a resident index it counts the distinct set ids below the cut
-    /// in the seeds' runs, O(Σ|run|), with no store scan and no copy;
-    /// without one it scans the consulted sketches. Either way the result
-    /// has the same bits as `self.prefix(sets).estimate_spread(seeds)`.
-    /// Duplicate seeds count once, and seeds outside the graph are ignored
-    /// (callers validate; see `comic-serve`'s typed errors).
+    /// It counts the distinct set ids below the cut in the seeds' index
+    /// runs, O(Σ|run|), with no store scan and no copy; the result has the
+    /// same bits as `self.prefix(sets).estimate_spread(seeds)`. Duplicate
+    /// seeds count once, and seeds outside the graph are ignored (callers
+    /// validate; see `comic-serve`'s typed errors).
     pub fn estimate_spread_prefix(&self, seeds: &[NodeId], sets: usize) -> f64 {
         let sets = sets.min(self.len());
         if sets == 0 {
             return 0.0;
         }
-        let seeds = seeds.iter().copied().filter(|s| s.index() < self.n);
-        let covered = match &self.index {
-            Some(index) => {
-                let mut hit = vec![0u64; simd::words_for(sets)];
-                let mut covered = 0u64;
-                for s in seeds {
-                    for &id in index.sets_below(s, sets) {
-                        if !simd::test_bit(&hit, id as usize) {
-                            simd::set_bit(&mut hit, id as usize);
-                            covered += 1;
-                        }
-                    }
+        let n = self.num_nodes();
+        let mut hit = vec![0u64; simd::words_for(sets)];
+        let mut covered = 0u64;
+        for s in seeds.iter().copied().filter(|s| s.index() < n) {
+            for &id in self.index.sets_below(s, sets) {
+                if !simd::test_bit(&hit, id as usize) {
+                    simd::set_bit(&mut hit, id as usize);
+                    covered += 1;
                 }
-                covered
             }
-            None => {
-                let mut mark = vec![false; self.n];
-                for s in seeds {
-                    mark[s.index()] = true;
-                }
-                (0..sets)
-                    .filter(|&i| self.store.set(i).iter().any(|v| mark[v.index()]))
-                    .count() as u64
-            }
-        };
-        self.n as f64 * (covered as f64 / sets as f64)
+        }
+        n as f64 * (covered as f64 / sets as f64)
     }
 }
 
@@ -301,7 +276,8 @@ mod tests {
     fn pool_over_star() -> SketchPool {
         let g = gen::star(40, 1.0);
         let store = ShardedGenerator::new(|| IcRrSampler::new(&g), 9, 2).generate(1_000, 2);
-        SketchPool::new(Arc::new(store), 40, 9, 5, 0.5, 1.0, false)
+        let index = CoverageIndex::build(&store, 40, 1);
+        SketchPool::new(Arc::new(store), Arc::new(index), 9, 5, 0.5, 1.0, false)
     }
 
     #[test]
@@ -361,30 +337,31 @@ mod tests {
     }
 
     #[test]
-    fn resident_index_is_attached_shared_and_dropped_on_prefix() {
+    fn resident_index_is_shared_and_rebuilt_for_prefix_copies() {
         let pool = pool_over_star();
-        assert!(pool.coverage_index().is_none(), "bare pools carry none");
-        let index = Arc::new(CoverageIndex::build(pool.store(), pool.num_nodes(), 1));
-        let pool = pool.with_index(Arc::clone(&index));
-        let held = pool.coverage_index().expect("attached");
-        assert!(Arc::ptr_eq(held, &index), "shared, not copied");
+        let index = Arc::clone(pool.coverage_index());
         // Clones share the same resident index.
         let cloned = pool.clone();
+        assert!(Arc::ptr_eq(cloned.coverage_index(), &index));
+        // A budget prefix cannot keep an index over the full set range: it
+        // carries a standalone build over its own copy.
+        let cut = pool.prefix(10);
+        assert_eq!(
+            **cut.coverage_index(),
+            CoverageIndex::build(cut.store(), pool.num_nodes(), 1)
+        );
+        assert_eq!(cut.coverage_index().num_sets(), 10);
+        // ...but an identity prefix (no truncation) keeps the shared one.
         assert!(Arc::ptr_eq(
-            cloned.coverage_index().expect("cloned"),
+            pool.prefix(pool.len()).coverage_index(),
             &index
         ));
-        // A budget prefix cannot keep an index over the full set range.
-        assert!(pool.prefix(10).coverage_index().is_none());
-        // ...but an identity prefix (no truncation) keeps it.
-        assert!(pool.prefix(pool.len()).coverage_index().is_some());
     }
 
     fn touch_tracked_pool(g: &comic_graph::DiGraph) -> SketchPool {
         let (store, index) =
             ShardedGenerator::new(|| IcRrSampler::new(g), 9, 3).generate_indexed(800, 2, 40);
-        SketchPool::new(Arc::new(store), 40, 9, 5, 0.5, 1.0, false)
-            .with_index(Arc::new(index))
+        SketchPool::new(Arc::new(store), Arc::new(index), 9, 5, 0.5, 1.0, false)
             .with_touch_tracked(true)
     }
 
@@ -420,34 +397,30 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_is_none_without_touch_tracking_or_an_index() {
+    fn invalidate_is_none_only_without_touch_tracking() {
         let g = gen::star(40, 0.6);
         let deltas = [EdgeDelta::Remove {
             source: NodeId(1),
             target: NodeId(0),
         }];
         let pool = touch_tracked_pool(&g);
-        assert!(pool.invalidate(&deltas).is_some());
+        let marks = pool.invalidate(&deltas).expect("touch-tracked pool marks");
         // Touch-opaque: the sampler's members do not bound what it read.
         assert!(pool
             .clone()
             .with_touch_tracked(false)
             .invalidate(&deltas)
             .is_none());
-        // No resident index: budget prefixes and bare pools.
-        assert!(pool.prefix(10).invalidate(&deltas).is_none());
-        assert!(pool_over_star()
-            .with_touch_tracked(true)
-            .invalidate(&deltas)
-            .is_none());
+        // A prefix copy marks from its own index: the full pool's marks,
+        // cut at the prefix.
+        assert_eq!(pool.prefix(10).invalidate(&deltas).unwrap(), marks[..10]);
     }
 
     #[test]
     #[should_panic(expected = "index/store mismatch")]
-    fn with_index_rejects_a_foreign_index() {
+    fn new_rejects_a_foreign_index() {
         let pool = pool_over_star();
-        let other = RrStore::new();
-        let index = Arc::new(CoverageIndex::build(&other, pool.num_nodes(), 1));
-        let _ = pool.with_index(index);
+        let index = Arc::new(CoverageIndex::build(&RrStore::new(), pool.num_nodes(), 1));
+        let _ = SketchPool::new(pool.store_arc(), index, 9, 5, 0.5, 1.0, false);
     }
 }

@@ -2,8 +2,8 @@
 //! [`SketchPool`]s.
 //!
 //! A resident pool is expensive: millions of reverse BFS walks, merged
-//! shards, and (for fused builds) a coverage index. All of that is pure
-//! derived data — a function of the graph and the generation provenance
+//! shards, and a coverage index. All of that is pure derived data — a
+//! function of the graph and the generation provenance
 //! `(seed, design_k, ε)` — so a service restart that re-pays
 //! generation is wasted work. This module spills a pool to a
 //! `COMICRRS` segment file using the exact machinery of
@@ -28,14 +28,15 @@
 //! | 0 | set offsets         | `(sets+1)×u64`    |
 //! | 1 | flat members        | `members×u32`     |
 //! | 2 | per-set widths      | `sets×u64`        |
-//! | 3 | index offsets       | `(n+1)×u64`       | (only for indexed pools)
-//! | 4 | index set ids       | `members×u32`     | (only for indexed pools)
+//! | 3 | index offsets       | `(n+1)×u64`       |
+//! | 4 | index set ids       | `members×u32`     |
 //!
-//! Pools carrying a resident [`CoverageIndex`] spill it too, so a warm
-//! reload skips both regeneration *and* the index build. v1 and v2 files
+//! Every pool carries its resident [`CoverageIndex`] and spills it, so a
+//! warm reload skips both regeneration *and* the index build. A file with
+//! any other section count is [`GraphError::Corrupt`]; v1 and v2 files
 //! (which recorded the generation thread count, and v2 per-shard touch
-//! blooms) are rejected with [`GraphError::UnsupportedVersion`] — the
-//! serving layer observes that as a `spill_reject` and rebuilds.
+//! blooms) are rejected with [`GraphError::UnsupportedVersion`]. The
+//! serving layer observes either as a `spill_reject` and rebuilds.
 //!
 //! # Untrusted-header contract
 //!
@@ -44,7 +45,7 @@
 //! any section is touched; this module then structurally validates the two
 //! CSRs (offset monotonicity, id ranges, index/store agreement) so a
 //! crafted digest-consistent file yields a typed [`GraphError`], never a
-//! panic inside [`SketchPool::with_index`]'s assertions. A spill whose
+//! panic inside [`SketchPool::new`]'s assertions. A spill whose
 //! recorded graph digest differs from the caller's expectation is
 //! [`GraphError::StaleSource`] — the pool describes some *other* graph and
 //! must be regenerated, exactly like a stale binary cache.
@@ -70,6 +71,9 @@ pub const POOL_FORMAT_VERSION: u32 = 3;
 /// capped, generation, touched]`.
 const POOL_META_LEN: usize = 9;
 
+/// Section count of a pool spill (see the module docs for the order).
+const POOL_SECTIONS: usize = 5;
+
 fn corrupt(msg: impl Into<String>) -> GraphError {
     GraphError::Corrupt(msg.into())
 }
@@ -91,15 +95,14 @@ pub fn write_pool<W: Write>(pool: &SketchPool, graph_digest: u64, w: W) -> Resul
         pool.generation(),
         u64::from(pool.touch_tracked()),
     ];
-    let mut sections = vec![
+    let index = pool.coverage_index();
+    let sections = [
         SectionData::U64(store.offsets_raw()),
         SectionData::Nodes(store.nodes_raw()),
         SectionData::U64(store.widths_raw()),
+        SectionData::U64(index.offsets_raw()),
+        SectionData::U32(index.sets_raw()),
     ];
-    if let Some(index) = pool.coverage_index() {
-        sections.push(SectionData::U64(index.offsets_raw()));
-        sections.push(SectionData::U32(index.sets_raw()));
-    }
     let mut w = BufWriter::new(w);
     write_segment(&mut w, POOL_MAGIC, POOL_FORMAT_VERSION, &meta, &sections)
         .and_then(|()| w.flush())
@@ -120,8 +123,8 @@ pub fn write_pool_file(
 /// Reload a spilled pool under the process-wide
 /// [`comic_graph::store::active`] mode, verifying integrity, graph
 /// provenance, and CSR structure. The reloaded pool is byte-identical to
-/// the one spilled: same sets, widths, provenance, generation, and (when
-/// spilled with one) resident coverage index.
+/// the one spilled: same sets, widths, provenance, generation, and
+/// resident coverage index.
 pub fn read_pool_file(path: &Path, expected_graph: u64) -> Result<SketchPool, GraphError> {
     let seg = SegmentFile::open(path, POOL_MAGIC, POOL_FORMAT_VERSION, POOL_META_LEN)?;
     pool_from_segment(seg, expected_graph)
@@ -169,15 +172,12 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
         });
     }
 
-    let indexed = match seg.num_sections() {
-        3 => false,
-        5 => true,
-        nsec => {
-            return Err(corrupt(format!(
-                "pool spill needs 3 or 5 sections, found {nsec}"
-            )))
-        }
-    };
+    if seg.num_sections() != POOL_SECTIONS {
+        return Err(corrupt(format!(
+            "pool spill needs {POOL_SECTIONS} sections, found {}",
+            seg.num_sections()
+        )));
+    }
 
     let offset_elems = seg.section_elems::<u64>(0)?;
     let sets = offset_elems
@@ -196,48 +196,48 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
         )));
     }
 
-    let index = if indexed {
-        let entries = seg.section_elems::<u32>(4)?;
-        if entries as u64 != members as u64 {
-            return Err(corrupt(format!(
-                "index entries ({entries}) disagree with member count ({members})"
-            )));
-        }
-        let idx_offsets: Section<u64> = seg.section(3, n + 1)?;
-        let idx_sets: Section<u32> = seg.section(4, entries)?;
-        validate_csr(&idx_offsets, entries as u64, "index offsets")?;
-        // Per-node runs must hold ascending in-range set ids — the
-        // selectors' binary merges and bitset builds rely on both.
-        for v in 0..n {
-            let run = &idx_sets[idx_offsets[v] as usize..idx_offsets[v + 1] as usize];
-            for w in run.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(corrupt(format!(
-                        "index run for node {v} is not strictly ascending"
-                    )));
-                }
-            }
-            if let Some(&last) = run.last() {
-                if last as usize >= sets {
-                    return Err(corrupt(format!(
-                        "index set id {last} out of range ({sets} sets)"
-                    )));
-                }
+    let entries = seg.section_elems::<u32>(4)?;
+    if entries != members {
+        return Err(corrupt(format!(
+            "index entries ({entries}) disagree with member count ({members})"
+        )));
+    }
+    let idx_offsets: Section<u64> = seg.section(3, n + 1)?;
+    let idx_sets: Section<u32> = seg.section(4, entries)?;
+    validate_csr(&idx_offsets, entries as u64, "index offsets")?;
+    // Per-node runs must hold ascending in-range set ids — the selectors'
+    // binary merges and bitset builds rely on both.
+    for v in 0..n {
+        let run = &idx_sets[idx_offsets[v] as usize..idx_offsets[v + 1] as usize];
+        for w in run.windows(2) {
+            if w[0] >= w[1] {
+                return Err(corrupt(format!(
+                    "index run for node {v} is not strictly ascending"
+                )));
             }
         }
-        Some(CoverageIndex::from_parts(n, sets, idx_offsets, idx_sets))
-    } else {
-        None
-    };
+        if let Some(&last) = run.last() {
+            if last as usize >= sets {
+                return Err(corrupt(format!(
+                    "index set id {last} out of range ({sets} sets)"
+                )));
+            }
+        }
+    }
+    let index = CoverageIndex::from_parts(n, sets, idx_offsets, idx_sets);
 
     let store = RrStore::from_raw_parts(offsets, nodes, widths);
-    let mut pool = SketchPool::new(Arc::new(store), n, *seed, design_k, epsilon, kpt, capped)
-        .with_touch_tracked(touched)
-        .with_generation(*generation);
-    if let Some(index) = index {
-        pool = pool.with_index(Arc::new(index));
-    }
-    Ok(pool)
+    Ok(SketchPool::new(
+        Arc::new(store),
+        Arc::new(index),
+        *seed,
+        design_k,
+        epsilon,
+        kpt,
+        capped,
+    )
+    .with_touch_tracked(touched)
+    .with_generation(*generation))
 }
 
 /// A 0/1 meta word as a bool.
@@ -290,19 +290,28 @@ mod tests {
         ))
     }
 
-    fn sample_pool(g: &DiGraph, indexed: bool) -> SketchPool {
+    fn sample_pool(g: &DiGraph) -> SketchPool {
         let (store, index) = ShardedGenerator::new(|| IcRrSampler::new(g), 7, 2).generate_indexed(
             500,
             2,
             g.num_nodes(),
         );
-        let pool = SketchPool::new(Arc::new(store), g.num_nodes(), 7, 5, 0.4, 1.25, false)
-            .with_generation(3);
-        if indexed {
-            pool.with_index(Arc::new(index))
-        } else {
-            pool
-        }
+        SketchPool::new(Arc::new(store), Arc::new(index), 7, 5, 0.4, 1.25, false).with_generation(3)
+    }
+
+    /// Meta words of a spill of `pool` over a graph with digest `d`.
+    fn meta_of(pool: &SketchPool, d: u64) -> Vec<u64> {
+        vec![
+            d,
+            pool.num_nodes() as u64,
+            pool.seed(),
+            pool.design_k() as u64,
+            pool.epsilon().to_bits(),
+            pool.kpt().to_bits(),
+            u64::from(pool.capped()),
+            pool.generation(),
+            u64::from(pool.touch_tracked()),
+        ]
     }
 
     fn assert_pools_equal(a: &SketchPool, b: &SketchPool) {
@@ -315,42 +324,57 @@ mod tests {
         assert_eq!(a.kpt(), b.kpt());
         assert_eq!(a.capped(), b.capped());
         assert_eq!(a.generation(), b.generation());
-        match (a.coverage_index(), b.coverage_index()) {
-            (Some(x), Some(y)) => assert_eq!(**x, **y),
-            (None, None) => {}
-            other => panic!("index presence mismatch: {:?}", other.0.is_some()),
-        }
+        assert_eq!(**a.coverage_index(), **b.coverage_index());
     }
 
     #[test]
-    fn indexed_pool_round_trips_through_bytes() {
+    fn pool_round_trips_through_bytes() {
         let g = gen::star(30, 0.8);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, true);
+        let pool = sample_pool(&g);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         let back = read_pool_bytes(bytes, d).unwrap();
         assert_pools_equal(&pool, &back);
-        assert!(back.coverage_index().is_some());
     }
 
     #[test]
-    fn bare_pool_round_trips_without_an_index() {
+    fn three_section_spill_is_rejected_as_corrupt() {
+        // The layout once written for pools without an index: the store's
+        // three sections under the current version and meta. Every pool
+        // carries its index, so the reader refuses it typed and the
+        // serving layer counts a spill reject and rebuilds.
         let g = gen::path(12, 0.9);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, false);
+        let pool = sample_pool(&g);
+        let store = pool.store();
+        let sections = [
+            SectionData::U64(store.offsets_raw()),
+            SectionData::Nodes(store.nodes_raw()),
+            SectionData::U64(store.widths_raw()),
+        ];
         let mut bytes = Vec::new();
-        write_pool(&pool, d, &mut bytes).unwrap();
-        let back = read_pool_bytes(bytes, d).unwrap();
-        assert_pools_equal(&pool, &back);
-        assert!(back.coverage_index().is_none());
+        write_segment(
+            &mut bytes,
+            POOL_MAGIC,
+            POOL_FORMAT_VERSION,
+            &meta_of(&pool, d),
+            &sections,
+        )
+        .unwrap();
+        match read_pool_bytes(bytes, d) {
+            Err(GraphError::Corrupt(msg)) => {
+                assert!(msg.contains("needs 5 sections, found 3"), "msg: {msg}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
     fn file_round_trip_is_identical_and_mapped_where_supported() {
         let g = gen::star(25, 0.7);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, true);
+        let pool = sample_pool(&g);
         let path = tmp_path("file");
         write_pool_file(&pool, d, &path).unwrap();
         let back = read_pool_file(&path, d).unwrap();
@@ -371,7 +395,7 @@ mod tests {
     fn touch_tracked_pool_round_trips_and_stays_refreshable() {
         let g = gen::star(24, 0.7);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, true).with_touch_tracked(true);
+        let pool = sample_pool(&g).with_touch_tracked(true);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         let back = read_pool_bytes(bytes, d).unwrap();
@@ -394,7 +418,7 @@ mod tests {
         // reject.
         let g = gen::path(6, 0.5);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, false);
+        let pool = sample_pool(&g);
         let store = pool.store();
         let v1_meta = vec![
             d,
@@ -431,7 +455,7 @@ mod tests {
     fn stale_graph_digest_is_typed() {
         let g = gen::path(8, 0.5);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, false);
+        let pool = sample_pool(&g);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         match read_pool_bytes(bytes, d ^ 1) {
@@ -447,7 +471,7 @@ mod tests {
     fn every_header_bit_flip_is_typed() {
         let g = gen::path(6, 0.6);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, true);
+        let pool = sample_pool(&g);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         // Prefix = magic(8) + version(4) + meta(72) + count(4) + digest(8).
@@ -468,7 +492,7 @@ mod tests {
     fn truncations_are_typed() {
         let g = gen::path(5, 0.5);
         let d = graph_digest(&g);
-        let pool = sample_pool(&g, false);
+        let pool = sample_pool(&g);
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         for cut in [0, 7, 50, bytes.len() - 1] {
@@ -482,14 +506,33 @@ mod tests {
     #[test]
     fn crafted_out_of_range_member_is_typed_not_a_panic() {
         // Rebuild a valid spill whose member array points past n, with the
-        // digests recomputed so only structural validation can catch it.
+        // digests recomputed so only structural validation can catch it:
+        // a pool over 100 nodes whose meta claims n = 4.
         let g = gen::path(4, 0.5);
         let d = graph_digest(&g);
         let mut store = RrStore::new();
         store.push_with_width(&[NodeId(99)], 1); // 99 >= n = 4
-        let pool = SketchPool::new(Arc::new(store), 4, 1, 2, 0.5, 1.0, false);
+        let index = CoverageIndex::build(&store, 100, 1);
+        let pool = SketchPool::new(Arc::new(store), Arc::new(index), 1, 2, 0.5, 1.0, false);
+        let mut meta = meta_of(&pool, d);
+        meta[1] = 4;
+        let (store, index) = (pool.store(), pool.coverage_index());
+        let sections = [
+            SectionData::U64(store.offsets_raw()),
+            SectionData::Nodes(store.nodes_raw()),
+            SectionData::U64(store.widths_raw()),
+            SectionData::U64(index.offsets_raw()),
+            SectionData::U32(index.sets_raw()),
+        ];
         let mut bytes = Vec::new();
-        write_pool(&pool, d, &mut bytes).unwrap();
+        write_segment(
+            &mut bytes,
+            POOL_MAGIC,
+            POOL_FORMAT_VERSION,
+            &meta,
+            &sections,
+        )
+        .unwrap();
         match read_pool_bytes(bytes, d) {
             Err(GraphError::Corrupt(msg)) => {
                 assert!(msg.contains("out of range"), "msg: {msg}");

@@ -1450,10 +1450,7 @@ mod tests {
         assert_eq!(reloaded.store(), original.store());
         assert_eq!(reloaded.seed(), original.seed());
         assert_eq!(reloaded.generation(), original.generation());
-        assert_eq!(
-            reloaded.coverage_index().is_some(),
-            original.coverage_index().is_some()
-        );
+        assert_eq!(reloaded.coverage_index(), original.coverage_index());
         // And the reloaded pools actually answer queries.
         let sel = second.handle(&Request::Select {
             pool: key,
@@ -1692,10 +1689,7 @@ mod tests {
         );
         let other = svc2.pool(&key).unwrap();
         assert_eq!(after.store(), other.store());
-        assert_eq!(
-            **after.coverage_index().unwrap(),
-            **other.coverage_index().unwrap()
-        );
+        assert_eq!(after.coverage_index(), other.coverage_index());
 
         // And the refitted pool still answers queries.
         let sel = svc.handle(&Request::Select {

@@ -77,8 +77,8 @@ fn scratch_refresh(pool: &SketchPool, g2: &DiGraph) -> SketchPool {
 fn assert_pools_equal(a: &SketchPool, b: &SketchPool) {
     assert_eq!(a.store(), b.store(), "store mismatch");
     assert_eq!(
-        a.coverage_index().unwrap(),
-        b.coverage_index().unwrap(),
+        a.coverage_index(),
+        b.coverage_index(),
         "coverage index mismatch"
     );
     assert_eq!(a.touch_tracked(), b.touch_tracked());
@@ -161,7 +161,7 @@ proptest! {
         }
         // The refreshed index buries v too: it lists v only under its own
         // bare-root sets.
-        let index = refreshed.coverage_index().unwrap();
+        let index = refreshed.coverage_index();
         for &set in index.sets_containing(v) {
             prop_assert_eq!(refreshed.store().set(set as usize), &[v][..]);
         }

@@ -231,8 +231,8 @@ proptest! {
     /// equals `run_on_pool(&pool.prefix(cut))` in every field
     /// (`est_spread` by bits, errors by message), CELF equals naive over
     /// the cut in every SIMD mode, and the cut estimate has the bits of
-    /// the prefix pool's estimate — with and without a resident index,
-    /// for duplicate, out-of-range and empty seed lists.
+    /// the prefix pool's estimate and of a brute-force scan of the copied
+    /// sets, for duplicate, out-of-range and empty seed lists.
     #[test]
     fn in_place_prefix_answers_match_the_copied_prefix(
         raw_sets in proptest::collection::vec(
@@ -262,8 +262,7 @@ proptest! {
         }
         let len = store.len();
         let index = Arc::new(CoverageIndex::build(&store, n, 1));
-        let bare = SketchPool::new(Arc::new(store), n, 5, 3, 0.5, 2.0, false);
-        let pool = bare.clone().with_index(Arc::clone(&index));
+        let pool = SketchPool::new(Arc::new(store), Arc::clone(&index), 5, 3, 0.5, 2.0, false);
         let store = pool.store();
         let mut modes = vec![SimdMode::Scalar];
         if simd::detect() == SimdMode::Avx2 {
@@ -276,20 +275,18 @@ proptest! {
             for selector in [SelectorKind::Celf, SelectorKind::NaiveGreedy] {
                 let pipe = RisPipeline::new(TimConfig::new(k).selector(selector));
                 let oracle = pipe.run_on_pool(&copied).map_err(|e| e.to_string());
-                for p in [&pool, &bare] {
-                    let got = pipe.run_on_prefix(p, cut).map_err(|e| e.to_string());
-                    match (&got, &oracle) {
-                        (Ok(a), Ok(b)) => {
-                            prop_assert_eq!(&a.seeds, &b.seeds, "cut {} {:?}", cut, selector);
-                            prop_assert_eq!(a.theta, b.theta);
-                            prop_assert_eq!(a.kpt.to_bits(), b.kpt.to_bits());
-                            prop_assert_eq!(a.covered, b.covered);
-                            prop_assert_eq!(a.est_spread.to_bits(), b.est_spread.to_bits());
-                            prop_assert_eq!(a.capped, b.capped);
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                        _ => prop_assert!(false, "cut {}: {:?} vs {:?}", cut, got, oracle),
+                let got = pipe.run_on_prefix(&pool, cut).map_err(|e| e.to_string());
+                match (&got, &oracle) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert_eq!(&a.seeds, &b.seeds, "cut {} {:?}", cut, selector);
+                        prop_assert_eq!(a.theta, b.theta);
+                        prop_assert_eq!(a.kpt.to_bits(), b.kpt.to_bits());
+                        prop_assert_eq!(a.covered, b.covered);
+                        prop_assert_eq!(a.est_spread.to_bits(), b.est_spread.to_bits());
+                        prop_assert_eq!(a.capped, b.capped);
                     }
+                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                    _ => prop_assert!(false, "cut {}: {:?} vs {:?}", cut, got, oracle),
                 }
             }
             // The selectors themselves: CELF over the cut equals naive
@@ -303,15 +300,25 @@ proptest! {
                     "cut {} mode {:?}", cut, mode
                 );
             }
-            let cut_index = CoverageIndex::build(copied.store(), n, 1);
-            prop_assert_eq!(&CelfGreedy.select(&cut_index, copied.store(), k), &celf);
-            // Estimates: in place, index-less, and through the copy agree
-            // bit for bit, for the drawn seeds, their doubling and none.
+            let cut_index = copied.coverage_index();
+            prop_assert_eq!(&**cut_index, &CoverageIndex::build(copied.store(), n, 1));
+            prop_assert_eq!(&CelfGreedy.select(cut_index, copied.store(), k), &celf);
+            // Estimates: in place, through the copy, and by a brute-force
+            // scan of the copied sets agree bit for bit, for the drawn
+            // seeds, their doubling and none (an empty cut estimates 0).
             let doubled: Vec<NodeId> = seeds.iter().chain(&seeds).copied().collect();
             for list in [&seeds[..], &doubled[..], &[]] {
-                let want = copied.estimate_spread(list).to_bits();
+                let sets = copied.len();
+                let hit = (0..sets)
+                    .filter(|&i| copied.store().set(i).iter().any(|v| list.contains(v)))
+                    .count();
+                let want = if sets == 0 {
+                    0.0f64.to_bits()
+                } else {
+                    (n as f64 * (hit as f64 / sets as f64)).to_bits()
+                };
+                prop_assert_eq!(copied.estimate_spread(list).to_bits(), want);
                 prop_assert_eq!(pool.estimate_spread_prefix(list, cut).to_bits(), want);
-                prop_assert_eq!(bare.estimate_spread_prefix(list, cut).to_bits(), want);
             }
         }
     }
@@ -328,8 +335,8 @@ proptest! {
         prop_assert_eq!(e1, e2);
 
         let mut bin = Vec::new();
-        comic_graph::io::write_binary(&g, &mut bin).unwrap();
-        let g3 = comic_graph::io::read_binary(&bin[..]).unwrap();
+        comic_graph::store::write_store(&g, comic_graph::io::NO_SOURCE_DIGEST, &mut bin).unwrap();
+        let g3 = comic_graph::store::read_store_bytes(bin, None).unwrap();
         prop_assert_eq!(g.num_edges(), g3.num_edges());
     }
 
@@ -390,95 +397,49 @@ fn rr_sim_empty_b_matches_ic_rr_distribution_under_full_gaps() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The binary cache format round-trips arbitrary graphs bit-exactly:
-    /// the reloaded graph reproduces the content digest AND re-serializes
-    /// to the very same bytes.
-    #[test]
-    fn binary_cache_roundtrips_bit_exactly(g in arb_graph()) {
-        use comic::graph::io::{graph_digest, read_binary, write_binary};
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).expect("serialize");
-        let g2 = read_binary(&buf[..]).expect("deserialize");
-        prop_assert_eq!(g.num_nodes(), g2.num_nodes());
-        prop_assert_eq!(g.num_edges(), g2.num_edges());
-        prop_assert_eq!(graph_digest(&g), graph_digest(&g2));
-        let mut buf2 = Vec::new();
-        write_binary(&g2, &mut buf2).expect("re-serialize");
-        prop_assert_eq!(buf, buf2);
-    }
-
-    /// Any single-bit corruption of a cache file — magic, version, counts,
-    /// digest, or payload — is rejected with a typed `GraphError`, never a
-    /// panic and never a silently-wrong graph (the header digest covers the
-    /// node count, the edge count, and every record).
-    #[test]
-    fn corrupted_binary_cache_is_rejected(
-        g in arb_graph(),
-        pos_frac in 0.0f64..1.0,
-        bit in 0u32..8,
-    ) {
-        use comic::graph::io::{read_binary, write_binary};
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).expect("serialize");
-        let pos = ((pos_frac * buf.len() as f64) as usize).min(buf.len() - 1);
-        buf[pos] ^= 1u8 << bit;
-        prop_assert!(
-            read_binary(&buf[..]).is_err(),
-            "flipping bit {} of byte {} went unnoticed", bit, pos
-        );
-    }
-
-    /// The v3 source-provenance header: a cache written for one source
-    /// digest round-trips for that digest, is a typed `StaleSource` error
-    /// for any other (the `cp -p` replacement case), and single-bit
-    /// corruption of the recorded digest itself is caught as corruption,
-    /// never misread as staleness.
+    /// The store's source provenance: a cache written for one source
+    /// digest loads for that digest, is a typed `StaleSource` error
+    /// carrying both digests for any other (the `cp -p` replacement case),
+    /// and single-bit corruption of the recorded digest itself is caught
+    /// as corruption, never misread as staleness.
     #[test]
     fn stale_source_caches_are_rejected_typed(
         g in arb_graph(),
         src_words in proptest::collection::vec(0u32..=255, 1..200),
         flip_bit in 0u32..8,
+        flip_byte in 28usize..36,
     ) {
-        use comic::graph::io::{
-            read_binary_for_source, source_digest, write_binary_with_source,
-        };
+        use comic::graph::io::source_digest;
+        use comic::graph::store::{read_store_bytes, write_store};
         use comic::graph::GraphError;
         let src: Vec<u8> = src_words.iter().map(|&w| w as u8).collect();
         let d = source_digest(&src);
         let mut buf = Vec::new();
-        write_binary_with_source(&g, d, &mut buf).expect("serialize");
-        prop_assert!(read_binary_for_source(&buf[..], d).is_ok());
+        write_store(&g, d, &mut buf).expect("serialize");
+        prop_assert!(read_store_bytes(buf.clone(), Some(d)).is_ok());
         // A modified source (flip one bit of one byte) must be stale.
         let mut other = src.clone();
         other[0] ^= 1u8 << flip_bit;
         let d2 = source_digest(&other);
         prop_assert_ne!(d, d2);
-        match read_binary_for_source(&buf[..], d2) {
+        match read_store_bytes(buf.clone(), Some(d2)) {
             Err(GraphError::StaleSource { expected, found }) => {
                 prop_assert_eq!(expected, d2);
                 prop_assert_eq!(found, d);
             }
             other => prop_assert!(false, "expected StaleSource, got {:?}", other),
         }
-        // Corrupting the *recorded* source digest (header bytes 28..36) is
-        // integrity damage, not staleness.
-        let mut corrupt = buf.clone();
-        corrupt[28] ^= 1u8 << flip_bit;
-        prop_assert!(matches!(
-            read_binary_for_source(&corrupt[..], d),
-            Err(GraphError::DigestMismatch { .. })
-        ));
-    }
-
-    /// Truncating a cache anywhere strictly inside the file is an error.
-    #[test]
-    fn truncated_binary_cache_is_rejected(g in arb_graph(), cut_frac in 0.0f64..1.0) {
-        use comic::graph::io::{read_binary, write_binary};
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).expect("serialize");
-        let cut = ((cut_frac * buf.len() as f64) as usize).min(buf.len() - 1);
-        buf.truncate(cut);
-        prop_assert!(read_binary(&buf[..]).is_err(), "truncation at {} accepted", cut);
+        // Corrupting the *recorded* source digest (header bytes 28..36)
+        // is integrity damage, not staleness — for the recorded source and
+        // for any other.
+        let mut corrupt = buf;
+        corrupt[flip_byte] ^= 1u8 << flip_bit;
+        for expected in [d, d2] {
+            match read_store_bytes(corrupt.clone(), Some(expected)) {
+                Err(GraphError::DigestMismatch { .. }) => {}
+                other => prop_assert!(false, "expected DigestMismatch, got {:?}", other),
+            }
+        }
     }
 
     /// Text ingestion merges duplicate edges last-wins and reports exactly
