@@ -4,16 +4,14 @@
 //!
 //! The `selector_comparison` section measures the extracted selection
 //! engine end-to-end on the scalability dataset: [`CoverageIndex::build`]
-//! at 1 / 4 / all-cores threads, the **fused**
-//! [`CoverageIndex::from_fragments`] merge that replaces it when the index
-//! rides along with generation, then [`NaiveGreedy`] (on the active SIMD
+//! at 1 / 4 / all-cores threads, then [`NaiveGreedy`] (on the active SIMD
 //! kernel) vs [`CelfGreedy`] at `k = 50`. It also **asserts** the
-//! determinism contract — parallel and fused index builds byte-identical
-//! to sequential ones, CELF seed sets byte-identical to the naive
-//! oracle's — so the quick-mode CI smoke run, repeated with
-//! `COMIC_SIMD=off`, fails if a selector ever diverges. Set
-//! `COMIC_BENCH_JSON=<path>` to write the numbers as a JSON snapshot
-//! (committed as `BENCH_seed_selection.json` at the repo root).
+//! determinism contract — parallel index builds byte-identical to the
+//! one-thread build, CELF seed sets byte-identical to the naive oracle's —
+//! so the quick-mode CI smoke run, repeated with `COMIC_SIMD=off`, fails
+//! if a selector ever diverges. Set `COMIC_BENCH_JSON=<path>` to write the
+//! numbers as a JSON snapshot (committed as `BENCH_seed_selection.json` at
+//! the repo root).
 
 use comic_algos::greedy::celf;
 use comic_bench::datasets::{bench_source, Dataset};
@@ -24,7 +22,7 @@ use comic_ris::kpt::kpt_star_with;
 use comic_ris::parallel::resolve_threads;
 use comic_ris::rr::RrStore;
 use comic_ris::sampler::RrSampler;
-use comic_ris::select::{CelfGreedy, CoverageFragment, CoverageIndex, NaiveGreedy, SeedSelector};
+use comic_ris::select::{CelfGreedy, CoverageIndex, NaiveGreedy, SeedSelector};
 use comic_ris::simd;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
@@ -137,47 +135,6 @@ fn bench_selector_comparison(c: &mut Criterion) {
         });
     }
 
-    // Fused builds: in production the fragments are maintained *during*
-    // generation (their histogram updates ride inside sampling and the
-    // per-shard seal runs on the workers), so the timed portion here is
-    // exactly what replaces the standalone build at merge time —
-    // `CoverageIndex::from_fragments`. Fragment construction is untimed.
-    let shard_fragments = || -> Vec<CoverageFragment> {
-        let parts = 4usize;
-        let per = store.len() / parts;
-        let extra = store.len() % parts;
-        let mut fragments = Vec::with_capacity(parts);
-        let mut at = 0usize;
-        for t in 0..parts {
-            let share = per + usize::from(t < extra);
-            let mut shard = RrStore::with_capacity(share, 4);
-            for i in at..at + share {
-                shard.push_with_width(store.set(i), store.width(i));
-            }
-            at += share;
-            fragments.push(CoverageFragment::over_store(&shard, n));
-        }
-        fragments
-    };
-    // Mirror the standalone rows (1 / 4 / all cores) so the fused-vs-
-    // standalone comparison reads off the snapshot directly.
-    let mut fused_threads = vec![1usize, 4, max_threads];
-    fused_threads.sort_unstable();
-    fused_threads.dedup();
-    for threads in fused_threads {
-        let fragments = shard_fragments();
-        let (fused, secs) = timed(|| CoverageIndex::from_fragments(fragments, n, threads));
-        assert_eq!(
-            fused, index,
-            "fused index build diverged from standalone at {threads} threads"
-        );
-        runs.push(Run {
-            label: "index_build_fused".into(),
-            threads,
-            secs,
-        });
-    }
-
     // Selectors: the naive oracle vs CELF; both must agree.
     let (naive, secs) = timed(|| NaiveGreedy.select(&index, &store, k));
     runs.push(Run {
@@ -228,7 +185,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
             ("simd", format!("\"{}\"", simd::active().name())),
             (
                 "note",
-                "\"selectors return byte-identical seed sets (asserted); both run on one thread, and select_naive runs the simd kernel named above; index_build_fused times only the merge-time from_fragments materialization (fragment histograms ride inside generation in production); rows with more threads than host_cores measure oversubscription overhead\"".into(),
+                "\"selectors return byte-identical seed sets (asserted); both run on one thread, and select_naive runs the simd kernel named above; index_build is the one coverage-index builder (pool builds, refits and prefix copies all run it over a finished store) and every thread count gives the same bytes (asserted); rows with more threads than host_cores measure oversubscription overhead\"".into(),
             ),
         ],
         &runs

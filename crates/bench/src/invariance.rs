@@ -181,7 +181,7 @@ mod tests {
     use comic_ris::ic_sampler::IcRrSampler;
     use comic_ris::kpt::kpt_star_with;
     use comic_ris::parallel::ShardedGenerator;
-    use comic_ris::select::{CelfGreedy, CoverageFragment, CoverageIndex, SeedSelector};
+    use comic_ris::select::{CelfGreedy, CoverageIndex, SeedSelector};
     use comic_ris::tim::TimConfig;
     use comic_ris::{RisPipeline, RrSampler, RrStore};
     use rand::rngs::SmallRng;
@@ -349,7 +349,7 @@ mod tests {
     }
 
     /// The bytes of a pool from `RisPipeline::generate_pool` — its store,
-    /// its fused coverage index and its KPT* estimate — at `threads`.
+    /// its resident coverage index and its KPT* estimate — at `threads`.
     fn pool_bytes<S, F>(factory: F, threads: usize) -> (Vec<u64>, CoverageIndex, u64)
     where
         S: RrSampler,
@@ -406,61 +406,17 @@ mod tests {
         assert!(!report.digests.is_empty());
     }
 
-    /// Fused coverage-index builds: at every thread count in the matrix,
-    /// `generate_indexed`'s merge-time index is byte-identical to a
-    /// standalone `CoverageIndex::build` over that run's store — the
-    /// tentpole's fused ≡ standalone contract, and the standalone build is
-    /// itself thread-invariant over a fixed store.
+    /// The coverage-index build over a fixed store is byte-identical at
+    /// every thread count in the matrix.
     #[test]
-    fn fused_index_build_matches_standalone_across_threads() {
+    fn coverage_index_build_is_thread_invariant() {
         let g = test_graph(120, 700, 9);
         let n = g.num_nodes();
         let store = ShardedGenerator::new(|| IcRrSampler::new(&g), 17, 1).generate(3_000, 4);
-        let report = assert_thread_invariance("coverage_index_standalone", |t| {
+        let report = assert_thread_invariance("coverage_index_build", |t| {
             CoverageIndex::build(&store, n, t)
         });
         assert!(report.digests.windows(2).all(|w| w[0].1 == w[1].1));
-        for t in thread_counts() {
-            let gen = ShardedGenerator::new(|| IcRrSampler::new(&g), 17, t);
-            let (s, fused) = gen.generate_indexed(3_000, 4, n);
-            assert_eq!(
-                fused,
-                CoverageIndex::build(&s, n, 1),
-                "fused index diverged from standalone at threads={t}"
-            );
-            assert_eq!(s, gen.generate(3_000, 4), "fused store at threads={t}");
-        }
-    }
-
-    /// Fragment merges: `CoverageIndex::from_fragments` over per-shard
-    /// fragments equals the standalone build over the absorbed store, and
-    /// the merge-time gather is thread-count invariant (via the harness).
-    #[test]
-    fn fragment_merge_gather_is_thread_invariant() {
-        let g = test_graph(90, 500, 10);
-        let n = g.num_nodes();
-        let shards: Vec<_> = (0..3)
-            .map(|i| {
-                ShardedGenerator::new(|| IcRrSampler::new(&g), 30 + i, 1).generate(400 + 100 * i, 4)
-            })
-            .collect();
-        let fragments: Vec<CoverageFragment> = shards
-            .iter()
-            .map(|s| CoverageFragment::over_store(s, n))
-            .collect();
-        let mut merged = comic_ris::RrStore::new();
-        for s in shards {
-            merged.absorb(s);
-        }
-        let standalone = CoverageIndex::build(&merged, n, 1);
-        let report = assert_thread_invariance("from_fragments_gather", |t| {
-            CoverageIndex::from_fragments(fragments.clone(), n, t)
-        });
-        assert!(report.digests.windows(2).all(|w| w[0].1 == w[1].1));
-        assert_eq!(
-            CoverageIndex::from_fragments(fragments.clone(), n, 1),
-            standalone
-        );
     }
 
     /// Seed selection: given a fixed RR-set store, the index build and the

@@ -157,6 +157,8 @@ mod mapping {
     //! `deny(unsafe_code)`; this module and [`super::pod`] are the two
     //! scoped exceptions.
     #![allow(unsafe_code)]
+    use super::Pod;
+    use std::sync::Arc;
 
     /// Whether this target compiles the real mapping (64-bit little-endian
     /// Unix; everywhere else [`MapBuf::map`] returns `Unsupported`).
@@ -248,32 +250,6 @@ mod mapping {
             // bytes, valid until Drop; u8 has no validity invariants.
             unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
         }
-
-        /// Reinterpret `len` elements of `T` starting `byte_off` bytes in.
-        ///
-        /// Bounds and alignment are asserted here; callers guarantee them
-        /// structurally (section offsets are 8-aligned and range-checked
-        /// against the real file length before a view is ever built).
-        pub fn view<T: super::Pod>(&self, byte_off: usize, len: usize) -> &[T] {
-            let size = std::mem::size_of::<T>();
-            let bytes = len.checked_mul(size).expect("section size overflow");
-            assert!(
-                byte_off
-                    .checked_add(bytes)
-                    .is_some_and(|end| end <= self.len),
-                "section view out of bounds"
-            );
-            let p = self.as_slice()[byte_off..].as_ptr();
-            assert_eq!(
-                p as usize % std::mem::align_of::<T>(),
-                0,
-                "section view misaligned"
-            );
-            // SAFETY: in-bounds (asserted), aligned (asserted), and T: Pod
-            // means every bit pattern is a valid T; the borrow is tied to
-            // &self so the mapping outlives the slice.
-            unsafe { std::slice::from_raw_parts(p as *const T, len) }
-        }
     }
 
     impl Drop for MapBuf {
@@ -286,9 +262,74 @@ mod mapping {
             }
         }
     }
+
+    /// `len` elements of `T` inside a shared mapping, range-checked once
+    /// when the view is built. The pointer and length are private to this
+    /// module and only [`MapView::new`] sets them, after its checks, so
+    /// [`MapView::as_slice`] is a plain slice with no per-access check.
+    /// The `Arc` keeps the mapping alive as long as any view into it.
+    pub struct MapView<T> {
+        buf: Arc<MapBuf>,
+        ptr: *const T,
+        len: usize,
+    }
+
+    // SAFETY: `buf` is an `Arc<MapBuf>`, itself Send + Sync (above); `ptr`
+    // points into that PROT_READ mapping, which nothing writes and which
+    // the view's own `buf` keeps mapped, so reading through it from any
+    // thread is fine; `len` is plain data; and `T: Pod` is Send + Sync.
+    unsafe impl<T: Pod> Send for MapView<T> {}
+    unsafe impl<T: Pod> Sync for MapView<T> {}
+
+    impl<T: Pod> MapView<T> {
+        /// View `len` elements of `T` starting `byte_off` bytes into `buf`.
+        ///
+        /// Bounds and alignment are asserted here, once; callers guarantee
+        /// them structurally (section offsets are 8-aligned and
+        /// range-checked against the real file length before a view is
+        /// ever built).
+        pub fn new(buf: Arc<MapBuf>, byte_off: usize, len: usize) -> MapView<T> {
+            let size = std::mem::size_of::<T>();
+            let bytes = len.checked_mul(size).expect("section size overflow");
+            assert!(
+                byte_off
+                    .checked_add(bytes)
+                    .is_some_and(|end| end <= buf.len),
+                "section view out of bounds"
+            );
+            let ptr = buf.as_slice()[byte_off..].as_ptr().cast::<T>();
+            assert_eq!(
+                ptr as usize % std::mem::align_of::<T>(),
+                0,
+                "section view misaligned"
+            );
+            MapView { buf, ptr, len }
+        }
+
+        /// The viewed elements.
+        #[inline]
+        pub fn as_slice(&self) -> &[T] {
+            // SAFETY: in-bounds and aligned (asserted in `new`, the only
+            // constructor, and the fields are private to this module), and
+            // T: Pod means every bit pattern is a valid T; the borrow is
+            // tied to &self, whose `Arc` keeps the mapping alive.
+            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        }
+    }
+
+    impl<T> Clone for MapView<T> {
+        fn clone(&self) -> MapView<T> {
+            MapView {
+                buf: Arc::clone(&self.buf),
+                ptr: self.ptr,
+                len: self.len,
+            }
+        }
+    }
 }
 
 pub(crate) use mapping::MapBuf;
+use mapping::MapView;
 
 // ---------------------------------------------------------------------------
 // Confined unsafe #2: the Pod marker for reinterpretable element types.
@@ -383,21 +424,16 @@ pub struct Section<T: Pod>(Repr<T>);
 
 enum Repr<T: Pod> {
     Owned(Vec<T>),
-    Mapped {
-        buf: Arc<MapBuf>,
-        byte_off: usize,
-        len: usize,
-    },
+    Mapped(MapView<T>),
 }
 
 impl<T: Pod> Section<T> {
-    /// Wrap a zero-copy view. Bounds/alignment are re-asserted on access;
-    /// callers have already validated them against the segment table.
+    /// Wrap a zero-copy view. Bounds and alignment are checked once, here
+    /// (callers have already validated them against the segment table), so
+    /// a bad range fails loudly at construction and access is a plain
+    /// slice.
     fn mapped(buf: Arc<MapBuf>, byte_off: usize, len: usize) -> Section<T> {
-        // Probe once at construction so a bad range fails loudly here, not
-        // on first access.
-        let _ = buf.view::<T>(byte_off, len);
-        Section(Repr::Mapped { buf, byte_off, len })
+        Section(Repr::Mapped(MapView::new(buf, byte_off, len)))
     }
 
     /// The elements as a slice.
@@ -405,24 +441,24 @@ impl<T: Pod> Section<T> {
     pub fn as_slice(&self) -> &[T] {
         match &self.0 {
             Repr::Owned(v) => v,
-            Repr::Mapped { buf, byte_off, len } => buf.view(*byte_off, *len),
+            Repr::Mapped(view) => view.as_slice(),
         }
     }
 
     /// Whether this section is a zero-copy view into a mapped file.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.0, Repr::Mapped { .. })
+        matches!(self.0, Repr::Mapped(_))
     }
 
     /// Mutable access, materializing a mapped view into an owned `Vec`
     /// first (copy-on-write).
     pub fn to_mut(&mut self) -> &mut Vec<T> {
-        if let Repr::Mapped { .. } = self.0 {
+        if let Repr::Mapped(_) = self.0 {
             self.0 = Repr::Owned(self.as_slice().to_vec());
         }
         match &mut self.0 {
             Repr::Owned(v) => v,
-            Repr::Mapped { .. } => unreachable!("materialized above"),
+            Repr::Mapped(_) => unreachable!("materialized above"),
         }
     }
 
@@ -456,11 +492,7 @@ impl<T: Pod> Clone for Section<T> {
     fn clone(&self) -> Section<T> {
         match &self.0 {
             Repr::Owned(v) => Section(Repr::Owned(v.clone())),
-            Repr::Mapped { buf, byte_off, len } => Section(Repr::Mapped {
-                buf: Arc::clone(buf),
-                byte_off: *byte_off,
-                len: *len,
-            }),
+            Repr::Mapped(view) => Section(Repr::Mapped(view.clone())),
         }
     }
 }
@@ -1443,6 +1475,51 @@ mod tests {
         s.to_mut().push(42);
         assert!(!s.is_mapped());
         assert_eq!(&s[..s.len() - 1], &before[..]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn mapped_views_are_range_checked_at_construction() {
+        let g = sample_graph();
+        let path = tmp_path("view");
+        write_store_file(&g, NO_SOURCE_DIGEST, &path).unwrap();
+        if !mmap_supported() {
+            std::fs::remove_file(&path).ok();
+            return;
+        }
+        let seg = SegmentFile::open_with(
+            &path,
+            STORE_MAGIC,
+            STORE_FORMAT_VERSION,
+            GRAPH_META_LEN,
+            StoreMode::Mmap,
+        )
+        .unwrap();
+        let SegBytes::Mapped(buf) = &seg.bytes else {
+            panic!("mmap mode should map the file");
+        };
+        let len = buf.as_slice().len();
+        let words = MapView::<u64>::new(Arc::clone(buf), 0, len / 8);
+        assert_eq!(words.as_slice()[0], u64::from_le_bytes(*STORE_MAGIC));
+        assert!(MapView::<u64>::new(Arc::clone(buf), len, 0)
+            .as_slice()
+            .is_empty());
+        // Past the end, misaligned, and overflowing ranges never become a
+        // view.
+        for (off, n) in [
+            (0, len / 8 + 1),
+            (len, 1),
+            (4, 1),
+            (usize::MAX, 1),
+            (0, usize::MAX),
+        ] {
+            let buf = Arc::clone(buf);
+            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                MapView::<u64>::new(buf, off, n)
+            }));
+            assert!(built.is_err(), "view at {off} of {n} words must panic");
+        }
+        drop(seg);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -29,19 +29,17 @@
 //! Steps 1 and 3 — the wall-clock bottleneck at paper scale — run sharded
 //! across worker threads through one sampling loop,
 //! [`parallel::ShardedGenerator`], where every RR-set draws from an RNG
-//! stream keyed on its index in the batch; step 4's
-//! coverage index is **fused into the generation merge**
-//! ([`parallel::ShardedGenerator::generate_indexed`]): workers emit
-//! per-shard node histograms and pre-bucketed member runs
-//! ([`select::CoverageFragment`]) alongside their RR-sets, so the CSR
-//! index materializes during the shard merge instead of a second pass
-//! over the store. The naive oracle's marginal-gain recount runs on the
-//! runtime-dispatched kernel of [`simd`] (AVX2 with a scalar reference
-//! fallback, overridable via `COMIC_SIMD=off`). [`tim::general_tim_with`]
-//! is the classic entry point. Everything is deterministic for a fixed
-//! seed and identical for every thread count — pool bytes, KPT*, θ and
-//! the selected seeds — and seed *selection* is additionally identical
-//! across selectors and SIMD modes.
+//! stream keyed on its index in the batch. Sampling builds no index: step
+//! 4's coverage index is built once over the finished store by
+//! [`select::CoverageIndex::build`] (parallel over contiguous set ranges)
+//! and stays resident on the [`pool::SketchPool`], so every later
+//! selection reads it in place. The naive oracle's marginal-gain recount
+//! runs on the runtime-dispatched kernel of [`simd`] (AVX2 with a scalar
+//! reference fallback, overridable via `COMIC_SIMD=off`).
+//! [`tim::general_tim_with`] is the classic entry point. Everything is
+//! deterministic for a fixed seed and identical for every thread count —
+//! pool bytes, KPT*, θ and the selected seeds — and seed *selection* is
+//! additionally identical across selectors and SIMD modes.
 
 // `unsafe` is denied crate-wide and allowed back in exactly one place: the
 // AVX2 intrinsics of `simd::avx2`, whose outputs are pinned byte-identical
@@ -68,6 +66,6 @@ pub use pipeline::{PoolStage, RisPipeline};
 pub use pool::SketchPool;
 pub use rr::RrStore;
 pub use sampler::RrSampler;
-pub use select::{CoverageFragment, CoverageIndex, SeedSelector, SelectorKind};
+pub use select::{CoverageIndex, SeedSelector, SelectorKind};
 pub use simd::SimdMode;
 pub use tim::{general_tim_with, TimConfig, TimResult};

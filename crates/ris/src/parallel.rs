@@ -20,14 +20,14 @@
 //! keying lets [`ShardedGenerator::regenerate_marked`] resample any subset
 //! of a store in isolation.
 //!
-//! Every entry point — [`ShardedGenerator::generate`] (KPT* rounds),
-//! [`ShardedGenerator::generate_indexed`] (pool builds) and
-//! [`ShardedGenerator::regenerate_marked`] (delta refits) — runs the one
-//! private sampling loop below.
+//! Both entry points — [`ShardedGenerator::generate`] (KPT* rounds and
+//! pool builds) and [`ShardedGenerator::regenerate_marked`] (delta
+//! refits) — run the one private sampling loop below. Sampling builds no
+//! coverage index: callers index the finished store with
+//! [`crate::select::CoverageIndex::build`].
 
 use crate::rr::{RrStore, MAX_PREALLOC_SETS};
 use crate::sampler::RrSampler;
-use crate::select::{CoverageFragment, CoverageIndex};
 use comic_graph::fasthash::splitmix64;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -84,18 +84,9 @@ where
 
     /// The one sampling loop: positions `0..count` of a batch, split into
     /// one contiguous range per worker, where position `p` samples set
-    /// `index(p)` from its `set_seed` stream. With `fragment_nodes =
-    /// Some(n)` each worker also maintains a sealed [`CoverageFragment`]
-    /// over `0..n`. Returns the sets merged in position order, and the
-    /// fragments in the same order; one worker runs inline on the calling
-    /// thread.
-    fn sample_batch<I>(
-        &self,
-        count: usize,
-        index: I,
-        avg_hint: usize,
-        fragment_nodes: Option<usize>,
-    ) -> (RrStore, Vec<CoverageFragment>)
+    /// `index(p)` from its `set_seed` stream. Returns the sets merged in
+    /// position order; one worker runs inline on the calling thread.
+    fn sample_batch<I>(&self, count: usize, index: I, avg_hint: usize) -> RrStore
     where
         I: Fn(usize) -> u64 + Sync,
     {
@@ -107,25 +98,18 @@ where
             let mut sampler = (self.factory)();
             let mut store =
                 RrStore::with_capacity(share.min(MAX_PREALLOC_SETS as usize), avg_hint.max(1));
-            let mut fragment = fragment_nodes.map(CoverageFragment::new);
             let mut out = Vec::new();
             for p in start..start + share {
                 let mut rng = SmallRng::seed_from_u64(set_seed(self.seed, index(p)));
                 let (_, width) = sampler.sample_random_with_width(&mut rng, &mut out);
                 store.push_with_width(&out, width);
-                if let Some(f) = &mut fragment {
-                    f.note_members(&out);
-                }
             }
-            if let Some(f) = &mut fragment {
-                f.seal(&store);
-            }
-            (store, fragment)
+            store
         };
         // One scoped thread per range, joined in order: running the ranges
         // through `comic_graph::par::run_sharded`'s shared cursor measured
         // ~1 MiB more peak RSS on the paper-solve benchmark (2-core host).
-        let parts: Vec<(RrStore, Option<CoverageFragment>)> = if workers == 1 {
+        let stores: Vec<RrStore> = if workers == 1 {
             vec![work(0)]
         } else {
             std::thread::scope(|scope| {
@@ -141,51 +125,14 @@ where
                     .collect()
             })
         };
-        let (stores, fragments): (Vec<RrStore>, Vec<Option<CoverageFragment>>) =
-            parts.into_iter().unzip();
-        (
-            merge(stores, count, avg_hint),
-            fragments.into_iter().flatten().collect(),
-        )
+        merge(stores, count, avg_hint)
     }
 
     /// Generate sets `0..count` with uniformly random roots, preallocating
     /// for an expected `avg_hint` members per set. Byte-identical for every
     /// thread count (see the module docs).
     pub fn generate(&self, count: u64, avg_hint: usize) -> RrStore {
-        self.sample_batch(batch_len(count), |p| p as u64, avg_hint, None)
-            .0
-    }
-
-    /// [`ShardedGenerator::generate`] with the coverage-index build
-    /// **fused into the shard merge**: each worker maintains a
-    /// [`CoverageFragment`] (per-node membership histogram updated as sets
-    /// are sampled, sealed into a pre-bucketed local CSR at shard end), and
-    /// the merge materializes the global [`CoverageIndex`] via
-    /// [`CoverageIndex::from_fragments`] with no re-scan of the merged
-    /// store — the counting pass a standalone [`CoverageIndex::build`]
-    /// would pay simply never happens.
-    ///
-    /// `n` is the node-universe size the index covers. The returned store
-    /// is byte-identical to [`ShardedGenerator::generate`] with the same
-    /// arguments, and the returned index is byte-identical to
-    /// `CoverageIndex::build(&store, n, threads)` at any thread count
-    /// (asserted in debug builds and pinned by the invariance tests).
-    pub fn generate_indexed(
-        &self,
-        count: u64,
-        avg_hint: usize,
-        n: usize,
-    ) -> (RrStore, CoverageIndex) {
-        let (store, fragments) =
-            self.sample_batch(batch_len(count), |p| p as u64, avg_hint, Some(n));
-        let index = CoverageIndex::from_fragments(fragments, n, self.threads);
-        debug_assert_eq!(
-            index,
-            CoverageIndex::build(&store, n, 1),
-            "fused coverage index diverged from the standalone build"
-        );
-        (store, index)
+        self.sample_batch(batch_len(count), |p| p as u64, avg_hint)
     }
 
     /// Resample exactly the sets flagged in `marks` against this
@@ -195,25 +142,17 @@ where
     /// Set `i` is reseeded from `set_seed(seed, i)` directly, so when
     /// this generator's `seed` is the one `store` was generated with, the
     /// result is **identical to a from-scratch
-    /// [`ShardedGenerator::generate_indexed`] on the new graph** — provided
+    /// [`ShardedGenerator::generate`] on the new graph** — provided
     /// `marks` covers every set whose replay the graph change affects (the
     /// [`crate::pool::SketchPool::invalidate`] contract). Marking every set
     /// is that from-scratch generation.
-    ///
-    /// Returns the spliced store and its rebuilt coverage index.
-    pub fn regenerate_marked(
-        &self,
-        store: &RrStore,
-        marks: &[bool],
-        avg_hint: usize,
-        n: usize,
-    ) -> (RrStore, CoverageIndex) {
+    pub fn regenerate_marked(&self, store: &RrStore, marks: &[bool], avg_hint: usize) -> RrStore {
         assert_eq!(marks.len(), store.len(), "marks must cover the store");
         let marked: Vec<u64> = (0..marks.len())
             .filter(|&i| marks[i])
             .map(|i| i as u64)
             .collect();
-        let (fresh, _) = self.sample_batch(marked.len(), |p| marked[p], avg_hint, None);
+        let fresh = self.sample_batch(marked.len(), |p| marked[p], avg_hint);
         let mut spliced = RrStore::with_capacity(store.len(), avg_hint.max(1));
         let mut next = 0usize;
         for (i, &dirty) in marks.iter().enumerate() {
@@ -224,8 +163,7 @@ where
                 spliced.push_with_width(store.set(i), store.width(i));
             }
         }
-        let index = CoverageIndex::build(&spliced, n, self.threads);
-        (spliced, index)
+        spliced
     }
 }
 
@@ -300,38 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn generate_indexed_matches_generate_plus_standalone_build() {
-        let g = test_graph();
-        let n = g.num_nodes();
-        for threads in [1, 2, 3, 8] {
-            let gen = ShardedGenerator::new(|| IcRrSampler::new(&g), 42, threads);
-            let (store, index) = gen.generate_indexed(997, 4, n);
-            assert_eq!(store, gen.generate(997, 4), "threads {threads}");
-            assert_eq!(
-                index,
-                crate::select::CoverageIndex::build(&store, n, 1),
-                "threads {threads}"
-            );
-        }
-        // Degenerate sizes go through the same fused path.
-        let gen = ShardedGenerator::new(|| IcRrSampler::new(&g), 5, 4);
-        let (store, index) = gen.generate_indexed(0, 4, n);
-        assert!(store.is_empty());
-        assert_eq!(index.num_sets(), 0);
-        let (store, index) = gen.generate_indexed(3, 4, n);
-        assert_eq!(store.len(), 3);
-        assert_eq!(index.num_sets(), 3);
-        assert_eq!(index.total_entries(), store.total_members());
-    }
-
-    #[test]
     fn regenerate_marked_equals_from_scratch_on_the_delta_graph() {
         use comic_graph::delta::EdgeDelta;
         let g = test_graph();
-        let n = g.num_nodes();
         let seed = 77u64;
-        let (store, _index) =
-            ShardedGenerator::new(|| IcRrSampler::new(&g), seed, 3).generate_indexed(600, 4, n);
+        let store = ShardedGenerator::new(|| IcRrSampler::new(&g), seed, 3).generate(600, 4);
 
         // Remove one existing edge and reweight another.
         let mut picks = Vec::new();
@@ -366,20 +277,17 @@ mod tests {
         assert!(marks.iter().any(|&m| m), "fixture must dirty some sets");
         assert!(!marks.iter().all(|&m| m), "fixture must keep some sets");
 
-        let scratch =
-            ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, 2).generate_indexed(600, 4, n);
+        let scratch = ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, 2).generate(600, 4);
         // Regeneration concurrency is a free knob: the spliced output is
         // identical at every worker count and equals the from-scratch run.
         for regen_threads in [1, 2, 8] {
-            let (rstore, rindex) =
-                ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, regen_threads)
-                    .regenerate_marked(&store, &marks, 4, n);
-            assert_eq!(rstore, scratch.0, "regen threads {regen_threads}");
-            assert_eq!(rindex, scratch.1);
+            let rstore = ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, regen_threads)
+                .regenerate_marked(&store, &marks, 4);
+            assert_eq!(rstore, scratch, "regen threads {regen_threads}");
         }
         // Unmarked sets were spliced byte-for-byte.
-        let (rstore, _) = ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, 2)
-            .regenerate_marked(&store, &marks, 4, n);
+        let rstore = ShardedGenerator::new(|| IcRrSampler::new(&g2), seed, 2)
+            .regenerate_marked(&store, &marks, 4);
         for (i, &dirty) in marks.iter().enumerate() {
             if !dirty {
                 assert_eq!(rstore.set(i), store.set(i), "unmarked set {i} changed");

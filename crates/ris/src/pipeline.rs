@@ -11,11 +11,10 @@
 //! 1. **KPT\*** lower-bound estimation, sharded
 //!    ([`crate::kpt::kpt_star_with_dims`]);
 //! 2. **θ** from Equation (3) ([`crate::tim::theta`]), optionally capped;
-//! 3. **generation** of θ RR-sets over per-thread sampler instances, with
-//!    the coverage-index build **fused into the shard merge**
-//!    ([`crate::parallel::ShardedGenerator::generate_indexed`]) — the pool
-//!    comes out carrying a resident [`crate::select::CoverageIndex`] for
-//!    free;
+//! 3. **generation** of θ RR-sets over per-thread sampler instances
+//!    ([`crate::parallel::ShardedGenerator::generate`]), then one
+//!    [`crate::select::CoverageIndex::build`] over the finished store — the
+//!    pool comes out carrying that index resident;
 //! 4. **selection** — the pool's resident index feeding the configured
 //!    [`crate::select::SelectorKind`], read in place up to a sketch count
 //!    when a query consults only a prefix of the pool
@@ -32,7 +31,7 @@ use crate::kpt::kpt_star_with_dims;
 use crate::parallel::ShardedGenerator;
 use crate::pool::SketchPool;
 use crate::sampler::RrSampler;
-use crate::select::CoverageResult;
+use crate::select::{CoverageIndex, CoverageResult};
 use crate::tim::{theta, TimConfig, TimResult};
 use comic_graph::fasthash::splitmix64;
 use std::sync::Arc;
@@ -156,14 +155,14 @@ impl RisPipeline {
         observe(PoolStage::Theta);
         let (theta_n, capped) = cfg.cap_theta(theta(n, cfg.k, cfg.epsilon, cfg.ell, kpt.kpt));
 
-        // Stage 3: sample θ RR-sets across the worker shards, fusing the
-        // coverage-index build into the merge — the pool comes out with a
-        // resident index and later selections never re-scan the store.
+        // Stage 3: sample θ RR-sets across the worker shards, then index
+        // them once — the pool keeps the index resident, so later
+        // selections never re-scan the store.
         observe(PoolStage::Generate);
         let avg = (kpt.total_members / kpt.samples.max(1)).max(1) as usize;
-        let (store, index) =
-            ShardedGenerator::new(&factory, theta_stream_seed(cfg.seed), cfg.threads)
-                .generate_indexed(theta_n, avg, n);
+        let store = ShardedGenerator::new(&factory, theta_stream_seed(cfg.seed), cfg.threads)
+            .generate(theta_n, avg);
+        let index = CoverageIndex::build(&store, n, cfg.threads);
 
         // "Sets containing a changed node are the dirty sets" only holds
         // for samplers whose members are their full visit set; marking a
@@ -261,8 +260,9 @@ where
 {
     let store = pool.store();
     let avg = (store.total_members() as usize / store.len().max(1)).max(1);
-    let gen = ShardedGenerator::new(factory, theta_stream_seed(pool.seed()), threads);
-    let (store, index) = gen.regenerate_marked(store, marks, avg, pool.num_nodes());
+    let store = ShardedGenerator::new(factory, theta_stream_seed(pool.seed()), threads)
+        .regenerate_marked(store, marks, avg);
+    let index = CoverageIndex::build(&store, pool.num_nodes(), threads);
     SketchPool::new(
         Arc::new(store),
         Arc::new(index),
@@ -293,7 +293,7 @@ fn wrap(n: usize, kpt: f64, theta_n: u64, capped: bool, cov: CoverageResult) -> 
 mod tests {
     use super::*;
     use crate::ic_sampler::IcRrSampler;
-    use crate::select::{CoverageIndex, SelectorKind};
+    use crate::select::SelectorKind;
     use comic_graph::{gen, NodeId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -434,12 +434,13 @@ mod tests {
     }
 
     #[test]
-    fn generated_pools_carry_a_resident_fused_index() {
+    fn generated_pools_carry_a_resident_index() {
         let g = test_graph();
         let pipe = RisPipeline::new(TimConfig::new(5).seed(13).max_rr_sets(15_000).threads(2));
         let pool = pipe.generate_pool(|| IcRrSampler::new(&g)).unwrap();
-        // The resident index is exactly the standalone build, so stage 4
-        // over it is a from-scratch selection over the store.
+        // The resident index (built on 2 workers) is exactly a one-worker
+        // build, so stage 4 over it is a from-scratch selection over the
+        // store.
         let standalone = CoverageIndex::build(pool.store(), pool.num_nodes(), 1);
         assert_eq!(**pool.coverage_index(), standalone);
         let warm = pipe.run_on_pool(&pool).unwrap();
@@ -492,9 +493,12 @@ mod tests {
         assert!(refreshed.touch_tracked());
         let scratch =
             ShardedGenerator::new(|| IcRrSampler::new(&g2), theta_stream_seed(pool.seed()), 1)
-                .generate_indexed(pool.len() as u64, 1, pool.num_nodes());
-        assert_eq!(refreshed.store(), &scratch.0);
-        assert_eq!(**refreshed.coverage_index(), scratch.1);
+                .generate(pool.len() as u64, 1);
+        assert_eq!(refreshed.store(), &scratch);
+        assert_eq!(
+            **refreshed.coverage_index(),
+            CoverageIndex::build(&scratch, pool.num_nodes(), 1)
+        );
     }
 
     #[test]

@@ -59,13 +59,12 @@ pub struct SketchPool {
 }
 
 impl SketchPool {
-    /// Wrap a pre-sampled store and its resident [`CoverageIndex`] — the
-    /// fused artifact of
-    /// [`crate::parallel::ShardedGenerator::generate_indexed`], or a
-    /// standalone [`CoverageIndex::build`] — so every selection and
-    /// estimate reads the index in place. The index must describe exactly
-    /// this store (checked against its set/entry counts), and its node
-    /// count is the node count of the graph the sets were sampled over.
+    /// Wrap a pre-sampled store and its resident [`CoverageIndex`] (a
+    /// [`CoverageIndex::build`] over that store, or the index a spill file
+    /// was written with) so every selection and estimate reads the index
+    /// in place. The index must describe exactly this store (checked
+    /// against its set/entry counts), and its node count is the node count
+    /// of the graph the sets were sampled over.
     /// `seed` documents the generation seed; `design_k`/`epsilon` the θ
     /// derivation; `kpt` the KPT* estimate (pass 1.0 for stores not
     /// produced by the pipeline); `capped` whether θ was clamped below
@@ -359,8 +358,8 @@ mod tests {
     }
 
     fn touch_tracked_pool(g: &comic_graph::DiGraph) -> SketchPool {
-        let (store, index) =
-            ShardedGenerator::new(|| IcRrSampler::new(g), 9, 3).generate_indexed(800, 2, 40);
+        let store = ShardedGenerator::new(|| IcRrSampler::new(g), 9, 3).generate(800, 2);
+        let index = CoverageIndex::build(&store, 40, 3);
         SketchPool::new(Arc::new(store), Arc::new(index), 9, 5, 0.5, 1.0, false)
             .with_touch_tracked(true)
     }

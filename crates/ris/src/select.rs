@@ -4,16 +4,13 @@
 //! The subsystem has three halves:
 //!
 //! * [`CoverageIndex`] — an inverted node→RR-set index in CSR layout
-//!   (which sets contain each node, ascending by set id). It can be built
-//!   standalone over a finished store ([`CoverageIndex::build`], parallel
-//!   over contiguous shards with the same `std::thread::scope` +
-//!   deterministic-merge pattern as [`crate::parallel::ShardedGenerator`]),
-//!   or **fused into the generation merge**: workers emit a
-//!   [`CoverageFragment`] — a per-node membership histogram maintained
-//!   *while sampling* plus pre-bucketed member runs sealed at shard end —
-//!   and [`CoverageIndex::from_fragments`] materializes the CSR during the
-//!   shard merge with no re-scan of the merged store. Both paths are
-//!   **byte-identical** by construction and by test.
+//!   (which sets contain each node, ascending by set id), built once over
+//!   a finished store by [`CoverageIndex::build`]: workers count and
+//!   locally index contiguous set ranges, then a node-partitioned gather
+//!   concatenates their runs, with the same `std::thread::scope` +
+//!   deterministic-merge pattern as [`crate::parallel::ShardedGenerator`].
+//!   Pool builds, delta refits and prefix copies all index their store
+//!   through it.
 //! * [`SeedSelector`] — interchangeable max-coverage strategies sharing the
 //!   index: [`NaiveGreedy`], an exhaustive-rescan oracle whose marginal-gain
 //!   recount runs on the [`crate::simd`] gather kernel, and [`CelfGreedy`],
@@ -31,8 +28,8 @@
 //! # Determinism contract
 //!
 //! Selection is **bit-for-bit deterministic and independent of thread
-//! count and SIMD mode**: the index is an exact structure (parallel and
-//! fused builds produce byte-identical arrays), marginal gains are exact
+//! count and SIMD mode**: the index is an exact structure (a build at any
+//! thread count produces byte-identical arrays), marginal gains are exact
 //! integers, and ties are broken by the *smallest node id* among
 //! maximum-gain candidates. Because the marginal coverage objective is
 //! monotone and submodular (a stale cached gain is an upper bound on the
@@ -74,288 +71,45 @@ pub struct CoverageIndex {
     sets: Section<u32>,
 }
 
-/// One generation shard's contribution to a fused [`CoverageIndex`] build.
-///
-/// A worker thread producing RR-sets keeps the per-node membership
-/// **histogram** current as it samples ([`CoverageFragment::note_members`]
-/// after each pushed set — a handful of cache-hot increments, no extra
-/// pass), then [`CoverageFragment::seal`]s the fragment at shard end: one
-/// scatter over the shard's own (still cache-warm) store buckets every
-/// membership into a local CSR whose counting pass was already paid.
-/// [`CoverageIndex::from_fragments`] then merges fragments into the global
-/// index during the shard merge — so the full-store counting re-scan of a
-/// standalone [`CoverageIndex::build`] never happens.
-#[derive(Clone, Debug)]
-pub struct CoverageFragment {
-    counts: Vec<u32>,
-    offsets: Vec<u64>,
-    sets: Vec<u32>,
-    local_sets: usize,
-    sealed: bool,
-}
-
-impl CoverageFragment {
-    /// An empty fragment over node universe `0..n`.
-    pub fn new(n: usize) -> CoverageFragment {
-        CoverageFragment {
-            counts: vec![0u32; n],
-            offsets: Vec::new(),
-            sets: Vec::new(),
-            local_sets: 0,
-            sealed: false,
-        }
-    }
-
-    /// Record one generated RR-set's members in the histogram. Call once
-    /// per set, in the order the sets are pushed into the shard store.
-    pub fn note_members(&mut self, members: &[NodeId]) {
-        debug_assert!(!self.sealed, "note_members on a sealed fragment");
-        for &v in members {
-            self.counts[v.index()] += 1;
-        }
-        self.local_sets += 1;
-    }
-
-    /// Bucket the shard store's memberships into the local CSR. `store`
-    /// must be exactly the sets previously noted, in order. One scatter
-    /// pass — the counting pass already happened inside generation.
-    pub fn seal(&mut self, store: &RrStore) {
-        assert!(!self.sealed, "fragment sealed twice");
-        assert_eq!(
-            store.len(),
-            self.local_sets,
-            "fragment saw {} sets but the shard store holds {}",
-            self.local_sets,
-            store.len()
-        );
-        let n = self.counts.len();
-        let mut offsets = vec![0u64; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + self.counts[v] as u64;
-        }
-        debug_assert_eq!(offsets[n], store.total_members());
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        let mut sets = vec![0u32; offsets[n] as usize];
-        for i in 0..store.len() {
-            for &v in store.set(i) {
-                sets[cursor[v.index()] as usize] = i as u32;
-                cursor[v.index()] += 1;
-            }
-        }
-        self.offsets = offsets;
-        self.sets = sets;
-        self.sealed = true;
-    }
-
-    /// Note-and-seal over a finished store in one call — the convenience
-    /// path tests and benches use to fragment a pre-sampled store the way
-    /// a generation worker would have.
-    pub fn over_store(store: &RrStore, n: usize) -> CoverageFragment {
-        let mut f = CoverageFragment::new(n);
-        for i in 0..store.len() {
-            f.note_members(store.set(i));
-        }
-        f.seal(store);
-        f
-    }
-
-    /// Number of sets this fragment covers.
-    pub fn num_local_sets(&self) -> usize {
-        self.local_sets
-    }
-
-    /// Whether [`CoverageFragment::seal`] has run.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-}
-
 impl CoverageIndex {
     /// Build the index over `store` for node universe `0..n`, fanning the
-    /// scan out over `threads` workers (`0` = one per core).
+    /// scan out over `threads` workers (`0` = one per core) — the one
+    /// index builder: pool builds, delta refits and prefix copies all run
+    /// it over their finished store.
     ///
     /// Each worker counts and locally indexes a contiguous range of sets;
-    /// the final gather copies every node's per-shard runs in shard order,
-    /// so within a node's slice set ids are globally ascending and the
-    /// result is **byte-identical for every thread count** — and identical
-    /// to a fused [`CoverageIndex::from_fragments`] build over any shard
-    /// decomposition of the same store.
+    /// one range is the whole index. With more, a gather copies every
+    /// node's per-range runs in range order, so within a node's slice set
+    /// ids are globally ascending and the result is **byte-identical for
+    /// every thread count**.
     pub fn build(store: &RrStore, n: usize, threads: usize) -> CoverageIndex {
-        let threads = resolve_threads(threads).min(store.len().max(1)).max(1);
-        if threads == 1 {
-            return Self::build_sequential(store, n);
-        }
-
-        // Shard the set range contiguously, like ShardedGenerator.
-        let per = store.len() / threads;
-        let extra = store.len() % threads;
-        let mut ranges = Vec::with_capacity(threads);
-        let mut start = 0usize;
-        for t in 0..threads {
-            let share = per + usize::from(t < extra);
-            ranges.push(start..start + share);
-            start += share;
-        }
-
-        // Each worker builds a local CSR over its set range.
-        let mut locals: Vec<(Vec<u64>, Vec<u32>)> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for range in &ranges {
-                let range = range.clone();
-                handles.push(scope.spawn(move || csr_over_range(store, n, range)));
-            }
-            for h in handles {
-                locals.push(h.join().expect("coverage-index worker panicked"));
-            }
-        });
-
-        // Global offsets = per-node sums of the shard counts.
-        let mut offsets = vec![0u64; n + 1];
-        for v in 0..n {
-            let total: u64 = locals.iter().map(|(o, _)| o[v + 1] - o[v]).sum();
-            offsets[v + 1] = offsets[v] + total;
-        }
-        let mut sets = vec![0u32; offsets[n] as usize];
-
-        // Parallel gather: partition the *node* range so each worker owns a
-        // contiguous (and therefore disjointly borrowable) slice of the
-        // output, balanced by membership mass.
-        let bounds = partition_nodes(&offsets, threads);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u32] = &mut sets;
-            let mut consumed = 0u64;
-            for w in bounds.windows(2) {
-                let (lo, hi) = (w[0], w[1]);
-                let len = (offsets[hi] - offsets[lo]) as usize;
-                let (mine, tail) = rest.split_at_mut(len);
-                rest = tail;
-                debug_assert_eq!(consumed, offsets[lo]);
-                consumed += len as u64;
-                let locals = &locals;
-                scope.spawn(move || {
-                    let mut out = 0usize;
-                    for v in lo..hi {
-                        for (o, s) in locals {
-                            let run = &s[o[v] as usize..o[v + 1] as usize];
-                            mine[out..out + run.len()].copy_from_slice(run);
-                            out += run.len();
-                        }
-                    }
-                    debug_assert_eq!(out, mine.len());
-                });
-            }
-        });
-
+        let workers = resolve_threads(threads).min(store.len()).max(1);
+        let (offsets, sets) = if workers == 1 {
+            csr_over_range(store, n, 0..store.len())
+        } else {
+            // Shard the set range contiguously, like ShardedGenerator, one
+            // scoped thread per range, joined in order: running the ranges
+            // through `comic_graph::par::run_sharded` measured ~1 MiB more
+            // peak RSS here too (paper-solve benchmark, 2-core host).
+            let (per, extra) = (store.len() / workers, store.len() % workers);
+            let locals: Vec<(Vec<u64>, Vec<u32>)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let start = w * per + w.min(extra);
+                        let range = start..start + per + usize::from(w < extra);
+                        scope.spawn(move || csr_over_range(store, n, range))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("coverage-index worker panicked"))
+                    .collect()
+            });
+            gather_runs(&locals, n, workers)
+        };
         CoverageIndex {
             num_nodes: n,
             num_sets: store.len(),
-            offsets: offsets.into(),
-            sets: sets.into(),
-        }
-    }
-
-    fn build_sequential(store: &RrStore, n: usize) -> CoverageIndex {
-        let (offsets, sets) = csr_over_range(store, n, 0..store.len());
-        CoverageIndex {
-            num_nodes: n,
-            num_sets: store.len(),
-            offsets: offsets.into(),
-            sets: sets.into(),
-        }
-    }
-
-    /// Materialize the global index from per-shard fragments during the
-    /// shard merge — the **fused** build path of
-    /// [`crate::parallel::ShardedGenerator::generate_indexed`].
-    ///
-    /// Fragments must be sealed, over the same node universe, and in the
-    /// same order their stores are merged (fragment `i`'s local set `j`
-    /// becomes global id `base_i + j`, where `base_i` counts the sets of
-    /// fragments `0..i`). Histograms were maintained during generation and
-    /// the runs are pre-bucketed, so all that remains is one offsets sum
-    /// plus a node-partitioned (over `threads` workers, `0` = one per
-    /// core) rebasing gather — and a single sealed fragment is *moved*
-    /// into place with no copy at all.
-    ///
-    /// The output is byte-identical to [`CoverageIndex::build`] over the
-    /// merged store, for every fragmentation and every thread count.
-    pub fn from_fragments(
-        mut fragments: Vec<CoverageFragment>,
-        n: usize,
-        threads: usize,
-    ) -> CoverageIndex {
-        for (i, f) in fragments.iter().enumerate() {
-            assert!(f.sealed, "fragment {i} passed to from_fragments unsealed");
-            assert_eq!(f.counts.len(), n, "fragment {i} node universe mismatch");
-        }
-        let num_sets: usize = fragments.iter().map(|f| f.local_sets).sum();
-        if fragments.is_empty() {
-            return CoverageIndex {
-                num_nodes: n,
-                num_sets: 0,
-                offsets: vec![0u64; n + 1].into(),
-                sets: Section::default(),
-            };
-        }
-        if fragments.len() == 1 {
-            // Single shard: the fragment's CSR *is* the index (base 0).
-            let f = fragments.pop().expect("len checked");
-            return CoverageIndex {
-                num_nodes: n,
-                num_sets,
-                offsets: f.offsets.into(),
-                sets: f.sets.into(),
-            };
-        }
-
-        // Set-id base of each fragment = sets merged before it.
-        let mut bases = Vec::with_capacity(fragments.len());
-        let mut acc = 0usize;
-        for f in &fragments {
-            bases.push(acc as u32);
-            acc += f.local_sets;
-        }
-
-        // Global offsets = per-node sums of the fragment histograms.
-        let mut offsets = vec![0u64; n + 1];
-        for v in 0..n {
-            let total: u64 = fragments.iter().map(|f| f.counts[v] as u64).sum();
-            offsets[v + 1] = offsets[v] + total;
-        }
-        let mut sets = vec![0u32; offsets[n] as usize];
-
-        // Node-partitioned rebasing gather, mirroring `build`'s merge.
-        let threads = resolve_threads(threads).min(n.max(1)).max(1);
-        let bounds = partition_nodes(&offsets, threads);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u32] = &mut sets;
-            for w in bounds.windows(2) {
-                let (lo, hi) = (w[0], w[1]);
-                let len = (offsets[hi] - offsets[lo]) as usize;
-                let (mine, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let fragments = &fragments;
-                let bases = &bases;
-                scope.spawn(move || {
-                    let mut out = 0usize;
-                    for v in lo..hi {
-                        for (f, &base) in fragments.iter().zip(bases) {
-                            let run = &f.sets[f.offsets[v] as usize..f.offsets[v + 1] as usize];
-                            for (dst, &local) in mine[out..out + run.len()].iter_mut().zip(run) {
-                                *dst = local + base;
-                            }
-                            out += run.len();
-                        }
-                    }
-                    debug_assert_eq!(out, mine.len());
-                });
-            }
-        });
-
-        CoverageIndex {
-            num_nodes: n,
-            num_sets,
             offsets: offsets.into(),
             sets: sets.into(),
         }
@@ -447,10 +201,7 @@ impl CoverageIndex {
 /// Two-pass CSR build of the inverted node→set index over one contiguous
 /// range of `store`'s sets: count per-node memberships, prefix-sum into
 /// offsets, then scatter set ids in range order (so each node's list comes
-/// out ascending). The sequential build is the full-range instance; the
-/// parallel build runs one per shard. (The fused path never runs the
-/// counting half — [`CoverageFragment`] keeps it current during
-/// generation.)
+/// out ascending). [`CoverageIndex::build`] runs one per worker range.
 fn csr_over_range(
     store: &RrStore,
     n: usize,
@@ -474,6 +225,42 @@ fn csr_over_range(
             cursor[v.index()] += 1;
         }
     }
+    (offsets, sets)
+}
+
+/// Concatenate per-range local CSRs (in range order) into the global one:
+/// offsets are per-node sums of the local counts, and each node's runs are
+/// copied in range order, so its set ids stay ascending. The copy is split
+/// over `parts` workers by [`partition_nodes`], each owning a contiguous
+/// (and therefore disjointly borrowable) slice of the output.
+fn gather_runs(locals: &[(Vec<u64>, Vec<u32>)], n: usize, parts: usize) -> (Vec<u64>, Vec<u32>) {
+    let mut offsets = vec![0u64; n + 1];
+    for v in 0..n {
+        let total: u64 = locals.iter().map(|(o, _)| o[v + 1] - o[v]).sum();
+        offsets[v + 1] = offsets[v] + total;
+    }
+    let mut sets = vec![0u32; offsets[n] as usize];
+    let bounds = partition_nodes(&offsets, parts);
+    std::thread::scope(|scope| {
+        let mut rest: &mut [u32] = &mut sets;
+        for w in bounds.windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            let len = (offsets[hi] - offsets[lo]) as usize;
+            let (mine, tail) = rest.split_at_mut(len);
+            rest = tail;
+            scope.spawn(move || {
+                let mut out = 0usize;
+                for v in lo..hi {
+                    for (o, s) in locals {
+                        let run = &s[o[v] as usize..o[v + 1] as usize];
+                        mine[out..out + run.len()].copy_from_slice(run);
+                        out += run.len();
+                    }
+                }
+                debug_assert_eq!(out, mine.len());
+            });
+        }
+    });
     (offsets, sets)
 }
 
@@ -788,25 +575,6 @@ mod tests {
         store
     }
 
-    /// Split `store` into `parts` contiguous shard stores, the way
-    /// generation workers would own them.
-    fn shard_stores(store: &RrStore, parts: usize) -> Vec<RrStore> {
-        let per = store.len() / parts;
-        let extra = store.len() % parts;
-        let mut shards = Vec::with_capacity(parts);
-        let mut i = 0usize;
-        for t in 0..parts {
-            let share = per + usize::from(t < extra);
-            let mut s = RrStore::new();
-            for j in i..i + share {
-                s.push_with_width(store.set(j), store.width(j));
-            }
-            shards.push(s);
-            i += share;
-        }
-        shards
-    }
-
     #[test]
     fn index_counts_match_bruteforce() {
         let store = random_store(1, 25, 300, 6);
@@ -846,67 +614,43 @@ mod tests {
                 "threads {threads}"
             );
         }
-    }
-
-    #[test]
-    fn fused_fragments_match_standalone_build_for_every_sharding() {
-        let store = random_store(21, 40, 900, 8);
-        let standalone = CoverageIndex::build(&store, 40, 1);
-        for parts in [1, 2, 3, 5, 8] {
-            let frags: Vec<CoverageFragment> = shard_stores(&store, parts)
-                .iter()
-                .map(|s| CoverageFragment::over_store(s, 40))
-                .collect();
-            assert!(frags.iter().all(CoverageFragment::is_sealed));
-            for gather_threads in [1, 4] {
-                let fused = CoverageIndex::from_fragments(frags.clone(), 40, gather_threads);
-                assert_eq!(fused, standalone, "parts {parts} gather {gather_threads}");
+        // Runs of empty sets at the start, in the middle and at the end, so
+        // whole worker ranges hold no members.
+        let mut gappy = RrStore::new();
+        let filled = random_store(22, 12, 60, 5);
+        for i in 0..filled.len() {
+            if i < 20 || (35..45).contains(&i) || i >= 55 {
+                gappy.push_with_width(&[], 0);
+            } else {
+                gappy.push_with_width(filled.set(i), 0);
             }
         }
-    }
-
-    #[test]
-    fn fused_build_handles_empty_shards_and_empty_stores() {
-        // Empty middle shard, empty first shard, all-empty fragments.
-        let store = random_store(22, 12, 60, 5);
-        let standalone = CoverageIndex::build(&store, 12, 1);
-        let shards = shard_stores(&store, 2);
-        let frags = vec![
-            CoverageFragment::over_store(&RrStore::new(), 12),
-            CoverageFragment::over_store(&shards[0], 12),
-            CoverageFragment::over_store(&RrStore::new(), 12),
-            CoverageFragment::over_store(&shards[1], 12),
-        ];
-        assert_eq!(CoverageIndex::from_fragments(frags, 12, 2), standalone);
-        // No fragments at all → a valid empty index.
-        let empty = CoverageIndex::from_fragments(Vec::new(), 12, 4);
-        assert_eq!(empty.num_sets(), 0);
-        assert_eq!(empty.total_entries(), 0);
-        assert_eq!(empty, CoverageIndex::build(&RrStore::new(), 12, 1));
-    }
-
-    #[test]
-    fn fragment_histogram_is_maintained_incrementally() {
-        // note_members during "generation", seal at the end — the worker
-        // protocol — must equal over_store's one-shot path.
-        let store = random_store(23, 15, 120, 6);
-        let mut f = CoverageFragment::new(15);
-        for i in 0..store.len() {
-            f.note_members(store.set(i));
+        let base = CoverageIndex::build(&gappy, 12, 1);
+        assert_eq!(base.num_sets(), 60);
+        assert_eq!(base.total_entries(), gappy.total_members());
+        for threads in [2, 3, 4, 6, 8] {
+            assert_eq!(
+                CoverageIndex::build(&gappy, 12, threads),
+                base,
+                "gappy threads {threads}"
+            );
         }
-        assert_eq!(f.num_local_sets(), 120);
-        assert!(!f.is_sealed());
-        f.seal(&store);
-        let g = CoverageFragment::over_store(&store, 15);
-        assert_eq!(f.counts, g.counts);
-        assert_eq!(f.offsets, g.offsets);
-        assert_eq!(f.sets, g.sets);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsealed")]
-    fn from_fragments_rejects_unsealed_fragments() {
-        let _ = CoverageIndex::from_fragments(vec![CoverageFragment::new(5)], 5, 1);
+        // An empty store, and more threads than sets.
+        let empty = CoverageIndex::build(&RrStore::new(), 12, 1);
+        assert_eq!((empty.num_sets(), empty.total_entries()), (0, 0));
+        assert_eq!(empty.offsets_raw(), &[0u64; 13][..]);
+        for threads in [2, 4] {
+            assert_eq!(CoverageIndex::build(&RrStore::new(), 12, threads), empty);
+        }
+        let tiny = random_store(23, 15, 3, 6);
+        let base = CoverageIndex::build(&tiny, 15, 1);
+        for threads in [4, 8] {
+            assert_eq!(
+                CoverageIndex::build(&tiny, 15, threads),
+                base,
+                "tiny threads {threads}"
+            );
+        }
     }
 
     #[test]

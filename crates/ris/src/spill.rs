@@ -291,11 +291,8 @@ mod tests {
     }
 
     fn sample_pool(g: &DiGraph) -> SketchPool {
-        let (store, index) = ShardedGenerator::new(|| IcRrSampler::new(g), 7, 2).generate_indexed(
-            500,
-            2,
-            g.num_nodes(),
-        );
+        let store = ShardedGenerator::new(|| IcRrSampler::new(g), 7, 2).generate(500, 2);
+        let index = CoverageIndex::build(&store, g.num_nodes(), 2);
         SketchPool::new(Arc::new(store), Arc::new(index), 7, 5, 0.4, 1.25, false).with_generation(3)
     }
 

@@ -177,8 +177,8 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
 
 /// Required schema of a `BENCH_seed_selection.json` snapshot: graph and
 /// workload provenance, the host's core count, the active SIMD mode, the
-/// caveat note, and per-run `{label, threads, secs}` rows for the
-/// standalone and fused index builds and both selectors.
+/// caveat note, and per-run `{label, threads, secs}` rows for the index
+/// build and both selectors.
 fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     for f in ["simd", "note"] {
         if v.get(f).and_then(Json::as_str).is_none() {
@@ -213,12 +213,7 @@ fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
             }
         }
     }
-    for required in [
-        "index_build",
-        "index_build_fused",
-        "select_naive",
-        "select_celf",
-    ] {
+    for required in ["index_build", "select_naive", "select_celf"] {
         if !labels.iter().any(|l| l == required) {
             return Err(format!("required run label {required:?} is absent"));
         }

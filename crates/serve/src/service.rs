@@ -437,7 +437,7 @@ impl ComicService {
             started: Instant::now(),
         };
 
-        // A `.tmp` next to a spill is the debris of a crash between
+        // A `.rrseg.tmp` next to a spill is the debris of a crash between
         // temp-write and rename; nothing ever reads one, so clear them
         // before warming rather than letting them accumulate.
         if let Some(dir) = svc.cfg.pool_dir.as_deref() {
@@ -1349,16 +1349,18 @@ impl ComicService {
     }
 }
 
-/// Delete leftover `*.tmp` files in the pool directory (debris of a crash
-/// between a spill's temp-write and its rename; nothing reads them).
+/// Delete leftover `*.rrseg.tmp` files in the pool directory (debris of a
+/// crash between a spill's temp-write and its rename in
+/// `ComicService::spill_pool`; nothing reads them). Other files, `.tmp` or
+/// not, are not the service's and stay.
 fn sweep_stale_tmp(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|x| x == "tmp") {
-            let _ = std::fs::remove_file(&path);
+        let name = entry.file_name();
+        if name.to_str().is_some_and(|n| n.ends_with(".rrseg.tmp")) {
+            let _ = std::fs::remove_file(entry.path());
         }
     }
 }
@@ -1579,10 +1581,18 @@ mod tests {
         let dir = temp_pool_dir("tmpsweep");
         let stale = dir.join("vanilla-ic-default-coarse.rrseg.tmp");
         std::fs::write(&stale, b"half-written debris").unwrap();
+        // Someone else's temp file in the same directory is not debris.
+        let unrelated = dir.join("notes.tmp");
+        std::fs::write(&unrelated, b"not a spill").unwrap();
         let mut cfg = small_cfg();
         cfg.pool_dir = Some(dir.clone());
         let svc = ComicService::start(cfg).unwrap();
-        assert!(!stale.exists(), "stale .tmp must be swept at startup");
+        assert!(!stale.exists(), "stale .rrseg.tmp must be swept at startup");
+        assert_eq!(
+            std::fs::read(&unrelated).ok().as_deref(),
+            Some(&b"not a spill"[..]),
+            "an unrelated .tmp must survive the sweep"
+        );
         assert_eq!(svc.spill_rejects(), 0, "a swept .tmp is not a reject");
         drop(svc);
         let _ = std::fs::remove_dir_all(&dir);

@@ -160,12 +160,13 @@ proptest! {
         prop_assert_eq!(naive.covered, recount);
     }
 
-    /// SIMD ≡ scalar and fused ≡ standalone on arbitrary stores: every
-    /// kernel mode available on the host returns the identical naive
-    /// selection, CELF matches it, and the fragment-merge index equals the
-    /// standalone build for any contiguous sharding (including empty
-    /// shards). A hub node in `hub_extra` extra sets gives the draws a
-    /// dominant, high-degree node of varying weight.
+    /// SIMD ≡ scalar and sharded ≡ one-range index builds on arbitrary
+    /// stores: every kernel mode available on the host returns the
+    /// identical naive selection, CELF matches it, and the index built on
+    /// `parts` workers (contiguous set ranges, some possibly holding only
+    /// empty sets, and more workers than sets on short stores) equals the
+    /// one-worker build. A hub node in `hub_extra` extra sets gives the
+    /// draws a dominant, high-degree node of varying weight.
     #[test]
     fn simd_and_fused_paths_match_scalar_standalone(
         raw_sets in proptest::collection::vec(
@@ -174,9 +175,7 @@ proptest! {
         parts in 1usize..5,
         k in 1usize..8,
     ) {
-        use comic::ris::select::{
-            CelfGreedy, CoverageFragment, CoverageIndex, NaiveGreedy, SeedSelector,
-        };
+        use comic::ris::select::{CelfGreedy, CoverageIndex, NaiveGreedy, SeedSelector};
         use comic::ris::simd::{self, SimdMode};
         let n = 12usize;
         let mut store = comic::ris::RrStore::new();
@@ -191,25 +190,7 @@ proptest! {
             store.push_with_width(&[NodeId(0)], 0);
         }
         let index = CoverageIndex::build(&store, n, 1);
-        // Fused fragment merge over contiguous shards (some possibly
-        // empty) must reproduce the standalone index bit-for-bit.
-        let per = store.len() / parts;
-        let extra = store.len() % parts;
-        let mut fragments = Vec::new();
-        let mut at = 0usize;
-        for t in 0..parts {
-            let share = per + usize::from(t < extra);
-            let mut shard = comic::ris::RrStore::new();
-            for i in at..at + share {
-                shard.push_with_width(store.set(i), store.width(i));
-            }
-            at += share;
-            fragments.push(CoverageFragment::over_store(&shard, n));
-        }
-        prop_assert_eq!(
-            CoverageIndex::from_fragments(fragments, n, 2),
-            index.clone()
-        );
+        prop_assert_eq!(&CoverageIndex::build(&store, n, parts), &index);
         // Selection: scalar NaiveGreedy is the oracle; naive in every
         // available mode, and CELF, must agree exactly.
         let oracle = NaiveGreedy.select_with(&index, k, store.len(), SimdMode::Scalar);
