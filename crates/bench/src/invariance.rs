@@ -428,7 +428,7 @@ mod tests {
         let n = g.num_nodes();
         assert_thread_invariance("coverage_index+celf", |threads| {
             let index = CoverageIndex::build(&store, n, threads);
-            let sol = CelfGreedy.select(&index, &store, 10);
+            let sol = CelfGreedy.select(&index, 10);
             let mut acc: Vec<u64> = sol.seeds.iter().map(|s| s.0 as u64).collect();
             acc.push(sol.covered);
             acc.extend(sol.marginals.iter().copied());

@@ -33,8 +33,8 @@
 //! 4's coverage index is built once over the finished store by
 //! [`select::CoverageIndex::build`] (parallel over contiguous set ranges)
 //! and stays resident on the [`pool::SketchPool`], so every later
-//! selection reads it in place. The naive oracle's marginal-gain recount
-//! runs on the runtime-dispatched kernel of [`simd`] (AVX2 with a scalar
+//! selection reads it in place. Both selectors' marginal-gain recounts
+//! run on the runtime-dispatched kernel of [`simd`] (AVX2 with a scalar
 //! reference fallback, overridable via `COMIC_SIMD=off`).
 //! [`tim::general_tim_with`] is the classic entry point. Everything is
 //! deterministic for a fixed seed and identical for every thread count —

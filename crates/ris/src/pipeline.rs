@@ -210,7 +210,7 @@ impl RisPipeline {
         let sets = sets.min(pool.len());
         let cov = cfg
             .selector
-            .select_prefix(pool.coverage_index(), pool.store(), cfg.k, sets);
+            .select_prefix(pool.coverage_index(), cfg.k, sets);
         Ok(wrap(
             pool.num_nodes(),
             pool.kpt(),

@@ -8,7 +8,7 @@
 //! [`SketchPool`] ([`crate::pipeline::RisPipeline::generate_pool`], stages
 //! 1–3), then run the selection stage as many times as there are queries
 //! ([`crate::pipeline::RisPipeline::run_on_pool`], stage 4 only) with
-//! per-query `k`, selector, and budget — each query costs a greedy sweep
+//! per-query `k`, selector, and budget — each query costs a greedy pass
 //! over the pool's resident coverage index instead of millions of reverse
 //! BFS walks. A budget is a sketch count: budgeted selects and estimates
 //! read the first `sets` sketches in place

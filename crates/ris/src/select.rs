@@ -12,16 +12,17 @@
 //!   Pool builds, delta refits and prefix copies all index their store
 //!   through it.
 //! * [`SeedSelector`] — interchangeable max-coverage strategies sharing the
-//!   index: [`NaiveGreedy`], an exhaustive-rescan oracle whose marginal-gain
-//!   recount runs on the [`crate::simd`] gather kernel, and [`CelfGreedy`],
-//!   a single-threaded CELF lazy-greedy over a max-heap of stale marginal
-//!   counts, an exact per-node gain array and a covered-set bitset.
+//!   index and reading nothing else: [`NaiveGreedy`], an exhaustive-rescan
+//!   oracle, and [`CelfGreedy`], a single-threaded CELF lazy-greedy over a
+//!   max-heap of upper-bound gains that recounts only the node it pops.
+//!   Both count a node's marginal gain with the [`crate::simd`] gather
+//!   kernel, scanning its run against a covered-set bitset.
 //!
 //! Both selectors take a **set cut** ([`SeedSelector::select_prefix`]): a
 //! selection over the first `sets` sets reads the full index in place,
 //! each node's ascending run cut with a binary search
 //! ([`CoverageIndex::sets_below`], no search when the cut spans the
-//! index), and counts and sweeps only ids below the cut. A budgeted query
+//! index), and counts and covers only ids below the cut. A budgeted query
 //! therefore copies no sketches and builds no index, and answers exactly
 //! what a selection over an index built for that prefix alone would.
 //!
@@ -32,9 +33,10 @@
 //! thread count produces byte-identical arrays), marginal gains are exact
 //! integers, and ties are broken by the *smallest node id* among
 //! maximum-gain candidates. Because the marginal coverage objective is
-//! monotone and submodular (a stale cached gain is an upper bound on the
-//! fresh gain), CELF's lazy-forward rule selects exactly the same argmax
-//! sequence as the exhaustive oracle, so **every selector, over an index
+//! monotone and submodular, every key CELF holds (a node's full run
+//! length, or an earlier recount) is an upper bound on the node's fresh
+//! gain, so its lazy-forward rule selects exactly the same argmax
+//! sequence as the exhaustive oracle, and **every selector, over an index
 //! built at any thread count, in every SIMD mode, returns the identical
 //! seed set** on the same store — the contract the cross-selector tests,
 //! the SIMD ≡ scalar proptests, and the CI bench smoke enforce.
@@ -140,24 +142,6 @@ impl CoverageIndex {
         } else {
             &run[..run.partition_point(|&s| (s as usize) < sets)]
         }
-    }
-
-    /// Every node's number of sets among the first `sets` sets, in node
-    /// order: CELF's initial gains. The arrays are dereferenced once, and
-    /// a cut that spans the index is read off the offsets with no search.
-    pub(crate) fn counts_below(&self, sets: usize) -> Vec<u32> {
-        let ids: &[u32] = &self.sets;
-        self.offsets
-            .windows(2)
-            .map(|w| {
-                let run = &ids[w[0] as usize..w[1] as usize];
-                if sets >= self.num_sets {
-                    run.len() as u32
-                } else {
-                    run.partition_point(|&s| (s as usize) < sets) as u32
-                }
-            })
-            .collect()
     }
 
     /// Total membership entries (= `store.total_members()`).
@@ -289,7 +273,7 @@ fn partition_nodes(offsets: &[u64], parts: usize) -> Vec<usize> {
 /// A max-coverage seed-selection strategy over a prebuilt [`CoverageIndex`].
 ///
 /// Implementations must obey the module-level determinism contract: for the
-/// same `(index, store, k, sets)` every selector returns the identical
+/// same `(index, k, sets)` every selector returns the identical
 /// [`CoverageResult`], with ties broken by smallest node id, in every SIMD
 /// mode.
 pub trait SeedSelector {
@@ -297,21 +281,15 @@ pub trait SeedSelector {
     fn name(&self) -> &'static str;
 
     /// Pick up to `k` seeds maximizing covered RR-sets among the first
-    /// `sets` sets of `store` (every set when `sets` reaches the index's
-    /// set count), reading the index in place: the answer equals a
-    /// selection over an index built for that prefix alone. A selector
-    /// with a SIMD kernel runs it on the ambient [`simd::active`] mode.
-    fn select_prefix(
-        &self,
-        index: &CoverageIndex,
-        store: &RrStore,
-        k: usize,
-        sets: usize,
-    ) -> CoverageResult;
+    /// `sets` indexed sets (every set when `sets` reaches the index's set
+    /// count), reading the index in place: the answer equals a selection
+    /// over an index built for that prefix alone. Selectors run their
+    /// SIMD kernel on the ambient [`simd::active`] mode.
+    fn select_prefix(&self, index: &CoverageIndex, k: usize, sets: usize) -> CoverageResult;
 
     /// [`SeedSelector::select_prefix`] over every indexed set.
-    fn select(&self, index: &CoverageIndex, store: &RrStore, k: usize) -> CoverageResult {
-        self.select_prefix(index, store, k, index.num_sets())
+    fn select(&self, index: &CoverageIndex, k: usize) -> CoverageResult {
+        self.select_prefix(index, k, index.num_sets())
     }
 }
 
@@ -380,28 +358,24 @@ impl SeedSelector for NaiveGreedy {
         "naive-greedy"
     }
 
-    fn select_prefix(
-        &self,
-        index: &CoverageIndex,
-        _store: &RrStore,
-        k: usize,
-        sets: usize,
-    ) -> CoverageResult {
+    fn select_prefix(&self, index: &CoverageIndex, k: usize, sets: usize) -> CoverageResult {
         self.select_with(index, k, sets, simd::active())
     }
 }
 
 /// CELF lazy-greedy max coverage.
 ///
-/// A max-heap caches each candidate's marginal gain; a popped entry whose
-/// cache is stale (gains only shrink under submodularity) is re-pushed with
-/// its live gain, so each round touches only the few heads that changed.
-/// Live gains are exact integers in a per-node array, kept current by the
-/// *coverage-invalidation sweep* after each pick: every set the pick newly
-/// covers is marked in the covered-set bitset, and the live gain of each of
-/// its members drops by one. Under a set cut only ids below it are counted
-/// and swept, and every member of a swept set holds it in its cut run, so
-/// no gain underflows.
+/// A max-heap holds one key per unpicked node, an upper bound on its
+/// marginal gain: first its full-index run length (a bound under any
+/// cut), later its last recount (gains only shrink under submodularity).
+/// Each pop recounts the node's run below the cut against the covered-set
+/// bitset with [`simd::count_uncovered`], the oracle's kernel. A recount
+/// equal to the key makes the node the smallest-id argmax, since every
+/// other key bounds its node's gain and equal keys pop smallest id first,
+/// so it is picked and its run's bits are set; otherwise the node goes
+/// back with the recount. Its only state is the heap and the bitset, so a
+/// pick costs its own run and a round recounts only the few heads whose
+/// keys went stale.
 #[derive(Clone, Copy, Debug)]
 pub struct CelfGreedy;
 
@@ -410,23 +384,17 @@ impl SeedSelector for CelfGreedy {
         "celf"
     }
 
-    fn select_prefix(
-        &self,
-        index: &CoverageIndex,
-        store: &RrStore,
-        k: usize,
-        sets: usize,
-    ) -> CoverageResult {
+    fn select_prefix(&self, index: &CoverageIndex, k: usize, sets: usize) -> CoverageResult {
         let n = index.num_nodes();
-        let mut gain = index.counts_below(sets);
+        let mode = simd::active();
         let mut covered_bits = vec![0u64; simd::words_for(sets.min(index.num_sets()))];
 
-        // Max-heap on (cached gain, Reverse(node id)): among equal cached
-        // gains the smallest id pops first, matching NaiveGreedy's rule.
-        // Each node holds exactly one entry until it is picked, so a popped
-        // node is never already a seed.
+        // Max-heap on (key, Reverse(node id)): among equal keys the
+        // smallest id pops first, matching NaiveGreedy's rule. Each node
+        // holds exactly one entry until it is picked, so a popped node is
+        // never already a seed.
         let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..n as u32)
-            .map(|v| (gain[v as usize], Reverse(v)))
+            .map(|v| (index.sets_containing(NodeId(v)).len() as u32, Reverse(v)))
             .collect();
 
         let mut seeds = Vec::with_capacity(k.min(n));
@@ -434,27 +402,23 @@ impl SeedSelector for CelfGreedy {
         let mut covered = 0u64;
 
         while seeds.len() < k {
-            let Some((cached, Reverse(v))) = heap.pop() else {
+            let Some((key, Reverse(v))) = heap.pop() else {
                 break;
             };
-            let current = gain[v as usize];
-            if cached > current {
-                heap.push((current, Reverse(v)));
+            let run = index.sets_below(NodeId(v), sets);
+            let fresh = simd::count_uncovered(mode, run, &covered_bits) as u32;
+            debug_assert!(fresh <= key);
+            if fresh < key {
+                heap.push((fresh, Reverse(v)));
                 continue;
             }
             // Fresh maximum (smallest id among ties): pick it.
             seeds.push(NodeId(v));
-            marginals.push(current as u64);
-            covered += current as u64;
-            for &s in index.sets_below(NodeId(v), sets) {
-                if !simd::test_bit(&covered_bits, s as usize) {
-                    simd::set_bit(&mut covered_bits, s as usize);
-                    for &w in store.set(s as usize) {
-                        gain[w.index()] -= 1;
-                    }
-                }
+            marginals.push(fresh as u64);
+            covered += fresh as u64;
+            for &s in run {
+                simd::set_bit(&mut covered_bits, s as usize);
             }
-            debug_assert_eq!(gain[v as usize], 0);
         }
 
         CoverageResult {
@@ -496,31 +460,26 @@ impl SelectorKind {
     }
 
     /// Run the chosen selector over every indexed set, on the ambient
-    /// [`simd::active`] kernels. `_threads` is unused: both selectors run
-    /// on the calling thread, and only index builds
-    /// ([`CoverageIndex::build`]) take a thread count.
+    /// [`simd::active`] kernels. `_store` and `_threads` are unused and
+    /// stay only for existing callers (the benchmark harness): the
+    /// selectors read the index alone and run on the calling thread, and
+    /// only index builds ([`CoverageIndex::build`]) take a thread count.
     pub fn select(
         self,
         index: &CoverageIndex,
-        store: &RrStore,
+        _store: &RrStore,
         k: usize,
         _threads: usize,
     ) -> CoverageResult {
-        self.select_prefix(index, store, k, index.num_sets())
+        self.select_prefix(index, k, index.num_sets())
     }
 
     /// Run the chosen selector over the first `sets` indexed sets
     /// ([`SeedSelector::select_prefix`]).
-    pub fn select_prefix(
-        self,
-        index: &CoverageIndex,
-        store: &RrStore,
-        k: usize,
-        sets: usize,
-    ) -> CoverageResult {
+    pub fn select_prefix(self, index: &CoverageIndex, k: usize, sets: usize) -> CoverageResult {
         match self {
-            SelectorKind::NaiveGreedy => NaiveGreedy.select_prefix(index, store, k, sets),
-            SelectorKind::Celf => CelfGreedy.select_prefix(index, store, k, sets),
+            SelectorKind::NaiveGreedy => NaiveGreedy.select_prefix(index, k, sets),
+            SelectorKind::Celf => CelfGreedy.select_prefix(index, k, sets),
         }
     }
 }
@@ -598,7 +557,6 @@ mod tests {
                     &below[..],
                     "node {v} cut {cut}"
                 );
-                assert_eq!(index.counts_below(cut)[v as usize] as usize, below.len());
             }
         }
     }
@@ -659,10 +617,10 @@ mod tests {
         let index = CoverageIndex::build(&store, 0, 4);
         assert_eq!(index.num_nodes(), 0);
         assert_eq!(index.total_entries(), 0);
-        let r = CelfGreedy.select(&index, &store, 3);
+        let r = CelfGreedy.select(&index, 3);
         assert!(r.seeds.is_empty());
         assert_eq!(r.covered, 0);
-        let r = NaiveGreedy.select(&index, &store, 3);
+        let r = NaiveGreedy.select(&index, 3);
         assert!(r.seeds.is_empty());
     }
 
@@ -671,18 +629,23 @@ mod tests {
         // Nodes 1 and 2 tie on gain; both selectors must take node 1.
         let (store, n) = store_from(&[&[1, 3], &[2, 3], &[1], &[2]]);
         let index = CoverageIndex::build(&store, n, 1);
-        let naive = NaiveGreedy.select(&index, &store, 2);
-        let celf = CelfGreedy.select(&index, &store, 2);
+        let naive = NaiveGreedy.select(&index, 2);
+        let celf = CelfGreedy.select(&index, 2);
         assert_eq!(naive, celf);
         assert_eq!(naive.seeds[0], NodeId(1), "smallest id wins the tie");
     }
 
-    /// CELF against the naive oracle in every SIMD mode the host offers.
-    fn assert_celf_matches_naive(index: &CoverageIndex, store: &RrStore, k: usize, what: &str) {
-        let celf = CelfGreedy.select(index, store, k);
-        for mode in modes() {
-            let naive = NaiveGreedy.select_with(index, k, store.len(), mode);
-            assert_eq!(naive, celf, "{what} {mode:?}");
+    /// CELF against the naive oracle in every SIMD mode the host offers,
+    /// over every set and at cuts {0, 1, len/2, len−1}: CELF's seeded
+    /// keys are full-index run lengths, upper bounds under any cut.
+    fn assert_celf_matches_naive(index: &CoverageIndex, k: usize, what: &str) {
+        let len = index.num_sets();
+        for cut in [0, 1, len / 2, len.saturating_sub(1), len] {
+            let celf = CelfGreedy.select_prefix(index, k, cut);
+            for mode in modes() {
+                let naive = NaiveGreedy.select_with(index, k, cut, mode);
+                assert_eq!(naive, celf, "{what} cut {cut} {mode:?}");
+            }
         }
     }
 
@@ -691,7 +654,7 @@ mod tests {
         for trial in 0..10 {
             let store = random_store(100 + trial, 30, 400, 5);
             let index = CoverageIndex::build(&store, 30, 2);
-            assert_celf_matches_naive(&index, &store, 6, &format!("trial {trial}"));
+            assert_celf_matches_naive(&index, 6, &format!("trial {trial}"));
         }
     }
 
@@ -721,17 +684,40 @@ mod tests {
             }
         }
         let index = CoverageIndex::build(&store, 23, 1);
-        assert_celf_matches_naive(&index, &store, 8, "hub store");
+        assert_celf_matches_naive(&index, 8, "hub store");
     }
 
     #[test]
-    fn marginals_match_per_set_recounts_after_invalidation() {
-        // After each pick the invalidation sweep must leave gains equal to
-        // a from-scratch recount: the reported marginal of pick i equals
-        // the number of sets containing seed i and none of seeds 0..i.
+    fn celf_matches_naive_when_the_leader_lies_beyond_the_cut() {
+        // Node 0 is in every set of the second half and in none of the
+        // first, so it leads the full index (and CELF's seeded heap) while
+        // holding no set below len/2; filler nodes 1..=12 fill both halves.
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut store = RrStore::new();
+        let half = 200usize;
+        for i in 0..2 * half {
+            let mut members = vec![NodeId(1 + rng.random_range(0..12u32))];
+            if i >= half {
+                members.push(NodeId(0));
+            }
+            store.push_with_width(&members, 0);
+        }
+        let index = CoverageIndex::build(&store, 13, 1);
+        let leader = (0..13u32)
+            .max_by_key(|&v| (index.sets_containing(NodeId(v)).len(), Reverse(v)))
+            .unwrap();
+        assert_eq!(leader, 0);
+        assert!(index.sets_below(NodeId(0), half).is_empty());
+        assert_celf_matches_naive(&index, 4, "leader beyond the cut");
+    }
+
+    #[test]
+    fn marginals_match_per_set_recounts() {
+        // The reported marginal of pick i equals the number of sets
+        // containing seed i and none of seeds 0..i.
         let store = random_store(7, 20, 250, 5);
         let index = CoverageIndex::build(&store, 20, 1);
-        let r = CelfGreedy.select(&index, &store, 8);
+        let r = CelfGreedy.select(&index, 8);
         for (i, (&seed, &marginal)) in r.seeds.iter().zip(&r.marginals).enumerate() {
             let recount = (0..store.len())
                 .filter(|&s| {
@@ -747,8 +733,9 @@ mod tests {
 
     #[test]
     fn celf_matches_naive_on_a_dense_store() {
-        // Big dense sets: the top node sits in roughly 800 sets of 200
-        // members, so one pick's sweep touches ~160k members.
+        // Big dense sets: every node sits in roughly 800 of the 1,200 sets
+        // of 200 members, so each recount scans a long run and after the
+        // first pick nearly every popped key is stale.
         let mut rng = SmallRng::seed_from_u64(9);
         let mut store = RrStore::new();
         let n = 300u32;
@@ -768,7 +755,7 @@ mod tests {
             store.push_with_width(&members, 0);
         }
         let index = CoverageIndex::build(&store, n as usize, 4);
-        assert_celf_matches_naive(&index, &store, 10, "dense store");
+        assert_celf_matches_naive(&index, 10, "dense store");
     }
 
     /// Both selectors through the config-level [`SelectorKind::select`]

@@ -1,8 +1,10 @@
-//! Runtime-dispatched SIMD kernel for the naive-greedy oracle's hot loop.
+//! Runtime-dispatched SIMD kernel for both selectors' marginal-gain count.
 //!
 //! [`crate::select::NaiveGreedy`] recounts every candidate's marginal gain
-//! each round by scanning the node's set-id list against the covered-set
-//! bitset. That scan is [`count_uncovered`], with two implementations:
+//! each round, and [`crate::select::CelfGreedy`] recounts each node it
+//! pops from its heap, by scanning the node's set-id list against the
+//! covered-set bitset. That scan is [`count_uncovered`], with two
+//! implementations:
 //!
 //! * [`scalar`] — portable safe Rust, the **reference implementation**.
 //!   Every other path is defined as "byte-identical output to scalar".
@@ -16,9 +18,9 @@
 //!
 //! [`active`] resolves the mode once per process: the `COMIC_SIMD`
 //! environment variable wins (`off` / `scalar` / `0` force the scalar
-//! reference — CI's forced-scalar leg pins exactly this; `avx2` requests
-//! the vector path), otherwise [`detect`] probes the CPU with
-//! `is_x86_feature_detected!("avx2")`. A requested-but-unsupported mode
+//! reference for both selectors — CI's forced-scalar leg pins exactly
+//! this; `avx2` requests the vector path), otherwise [`detect`] probes
+//! the CPU with `is_x86_feature_detected!("avx2")`. A requested-but-unsupported mode
 //! falls back to scalar rather than failing: the knob selects among
 //! *correct* implementations, so the worst case is speed, never output.
 //!

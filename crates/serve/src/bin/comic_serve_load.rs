@@ -176,16 +176,17 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
 }
 
 /// Required schema of a `BENCH_seed_selection.json` snapshot: graph and
-/// workload provenance, the host's core count, the active SIMD mode, the
-/// caveat note, and per-run `{label, threads, secs}` rows for the index
-/// build and both selectors.
+/// workload provenance, the host's core count, the calls per row
+/// (`reps`, each row their median), the active SIMD mode, the caveat
+/// note, and per-run `{label, threads, secs}` rows for the index build and
+/// both selectors.
 fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     for f in ["simd", "note"] {
         if v.get(f).and_then(Json::as_str).is_none() {
             return Err(format!("missing string field {f:?}"));
         }
     }
-    for f in ["host_cores", "rr_sets", "k", "total_members"] {
+    for f in ["host_cores", "rr_sets", "k", "reps", "total_members"] {
         if v.get(f).and_then(Json::as_f64).is_none() {
             return Err(format!("missing numeric field {f:?}"));
         }

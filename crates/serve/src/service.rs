@@ -21,7 +21,7 @@
 //!   `stats` op ([`Response::Stats`]), which is exempt from the contract.
 //!
 //! The warm path never samples and never copies: a `select` is a greedy
-//! sweep over the resident index
+//! pass over the resident index
 //! ([`comic_ris::RisPipeline::run_on_prefix`]), an `estimate` a count of
 //! the distinct sets in the seeds' index runs
 //! ([`SketchPool::estimate_spread_prefix`]), both cut at the query's

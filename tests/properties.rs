@@ -144,8 +144,8 @@ proptest! {
         }
         let index = CoverageIndex::build(&store, n, 1);
         prop_assert_eq!(CoverageIndex::build(&store, n, 3), index.clone());
-        let naive = NaiveGreedy.select(&index, &store, k);
-        let celf = CelfGreedy.select(&index, &store, k);
+        let naive = NaiveGreedy.select(&index, k);
+        let celf = CelfGreedy.select(&index, k);
         prop_assert_eq!(&celf.seeds, &naive.seeds);
         prop_assert_eq!(celf.covered, naive.covered);
         prop_assert_eq!(&celf.marginals, &naive.marginals);
@@ -202,7 +202,7 @@ proptest! {
             let nv = NaiveGreedy.select_with(&index, k, store.len(), mode);
             prop_assert_eq!(&nv, &oracle, "naive mode {:?}", mode);
         }
-        prop_assert_eq!(&CelfGreedy.select(&index, &store, k), &oracle);
+        prop_assert_eq!(&CelfGreedy.select(&index, k), &oracle);
     }
 
     /// Budgeted stage 4 and estimates read the resident index in place,
@@ -244,7 +244,6 @@ proptest! {
         let len = store.len();
         let index = Arc::new(CoverageIndex::build(&store, n, 1));
         let pool = SketchPool::new(Arc::new(store), Arc::clone(&index), 5, 3, 0.5, 2.0, false);
-        let store = pool.store();
         let mut modes = vec![SimdMode::Scalar];
         if simd::detect() == SimdMode::Avx2 {
             modes.push(SimdMode::Avx2);
@@ -273,7 +272,7 @@ proptest! {
             // The selectors themselves: CELF over the cut equals naive
             // over the cut in every mode, and both equal a selection over
             // an index built for the copied prefix alone.
-            let celf = CelfGreedy.select_prefix(&index, store, k, cut);
+            let celf = CelfGreedy.select_prefix(&index, k, cut);
             for &mode in &modes {
                 prop_assert_eq!(
                     &NaiveGreedy.select_with(&index, k, cut, mode),
@@ -283,7 +282,7 @@ proptest! {
             }
             let cut_index = copied.coverage_index();
             prop_assert_eq!(&**cut_index, &CoverageIndex::build(copied.store(), n, 1));
-            prop_assert_eq!(&CelfGreedy.select(cut_index, copied.store(), k), &celf);
+            prop_assert_eq!(&CelfGreedy.select(cut_index, k), &celf);
             // Estimates: in place, through the copy, and by a brute-force
             // scan of the copied sets agree bit for bit, for the drawn
             // seeds, their doubling and none (an empty cut estimates 0).
