@@ -5,14 +5,16 @@
 //! The `selector_comparison` section measures the extracted selection
 //! engine end-to-end on the scalability dataset: [`CoverageIndex::build`]
 //! at 1 / 4 / all-cores threads, then [`NaiveGreedy`] vs [`CelfGreedy`]
-//! (both on the active SIMD kernel) at `k = 50`, each row the median of
-//! 9 calls (one under `COMIC_BENCH_QUICK`). It also **asserts** the
-//! determinism contract on every call — parallel index builds
-//! byte-identical to the one-thread build, CELF seed sets byte-identical
-//! to the naive oracle's — so the quick-mode CI smoke run, repeated with
-//! `COMIC_SIMD=off`, fails if a selector ever diverges. Set
-//! `COMIC_BENCH_JSON=<path>` to write the numbers as a JSON snapshot
-//! (committed as `BENCH_seed_selection.json` at the repo root).
+//! (both on the active SIMD kernel) at `k = 50`, and CELF again over the
+//! first half of the sets (a set cut, as a budgeted query reads it),
+//! each row the median of 9 calls (one under `COMIC_BENCH_QUICK`). It
+//! also **asserts** the determinism contract on every call — parallel
+//! index builds byte-identical to the one-thread build, CELF seed sets
+//! byte-identical to the naive oracle's over every set and at the cut —
+//! so the quick-mode CI smoke run, repeated with `COMIC_SIMD=off`, fails
+//! if a selector ever diverges. Set `COMIC_BENCH_JSON=<path>` to write the
+//! numbers as a JSON snapshot (committed as `BENCH_seed_selection.json`
+//! at the repo root).
 
 use comic_algos::greedy::celf;
 use comic_bench::datasets::{bench_source, Dataset};
@@ -180,6 +182,24 @@ fn bench_selector_comparison(c: &mut Criterion) {
         threads: 1,
         secs,
     });
+    // The same contract under a set cut: CELF's untouched keys are
+    // full-index run lengths, which only bound the gains below the cut.
+    let half = store.len() / 2;
+    let naive_half = NaiveGreedy.select_prefix(&index, k, half);
+    let (celf_half, secs) = median_timed(reps, "select_celf_half", || {
+        CelfGreedy.select_prefix(&index, k, half)
+    });
+    assert_eq!(
+        celf_half,
+        naive_half,
+        "CELF diverged from the naive-greedy oracle over the first {half} sets ({})",
+        simd::active().name()
+    );
+    runs.push(Run {
+        label: "select_celf_half".into(),
+        threads: 1,
+        secs,
+    });
 
     for r in &runs {
         println!(
@@ -188,7 +208,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
         );
     }
     println!(
-        "bench: selector_comparison cross-check OK — CELF == naive greedy on {} sets (k={k})",
+        "bench: selector_comparison cross-check OK — CELF == naive greedy on {} sets and on the first {half} (k={k})",
         store.len()
     );
 
@@ -211,7 +231,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
             ("simd", format!("\"{}\"", simd::active().name())),
             (
                 "note",
-                "\"each row is the median wall-clock of reps calls, and every call's result is asserted; selectors return byte-identical seed sets (asserted); both run on one thread, on the simd kernel named above; index_build is the one coverage-index builder (pool builds, refits and prefix copies all run it over a finished store) and every thread count gives the same bytes (asserted); rows with more threads than host_cores measure oversubscription overhead\"".into(),
+                "\"each row is the median wall-clock of reps calls, and every call's result is asserted; selectors return byte-identical seed sets over every set and over the first half (asserted; select_celf_half times CELF at that cut, as a budgeted query reads the index); both run on one thread, on the simd kernel named above; index_build is the one coverage-index builder (pool builds, refits and prefix copies all run it over a finished store) and every thread count gives the same bytes (asserted); rows with more threads than host_cores measure oversubscription overhead\"".into(),
             ),
         ],
         &runs

@@ -10,13 +10,16 @@
 //!   concatenates their runs, with the same `std::thread::scope` +
 //!   deterministic-merge pattern as [`crate::parallel::ShardedGenerator`].
 //!   Pool builds, delta refits and prefix copies all index their store
-//!   through it.
+//!   through it. Both constructors (the build and the spill reader's)
+//!   also sort the nodes by run length with one counting sort, the order
+//!   CELF walks.
 //! * [`SeedSelector`] — interchangeable max-coverage strategies sharing the
 //!   index and reading nothing else: [`NaiveGreedy`], an exhaustive-rescan
-//!   oracle, and [`CelfGreedy`], a single-threaded CELF lazy-greedy over a
-//!   max-heap of upper-bound gains that recounts only the node it pops.
-//!   Both count a node's marginal gain with the [`crate::simd`] gather
-//!   kernel, scanning its run against a covered-set bitset.
+//!   oracle, and [`CelfGreedy`], a single-threaded CELF lazy-greedy that
+//!   merges the index's run-length order with a small max-heap of
+//!   recounted gains and recounts only the node it pops. Both count a
+//!   node's marginal gain with the [`crate::simd`] gather kernel, scanning
+//!   its run against a covered-set bitset.
 //!
 //! Both selectors take a **set cut** ([`SeedSelector::select_prefix`]): a
 //! selection over the first `sets` sets reads the full index in place,
@@ -35,11 +38,13 @@
 //! maximum-gain candidates. Because the marginal coverage objective is
 //! monotone and submodular, every key CELF holds (a node's full run
 //! length, or an earlier recount) is an upper bound on the node's fresh
-//! gain, so its lazy-forward rule selects exactly the same argmax
-//! sequence as the exhaustive oracle, and **every selector, over an index
-//! built at any thread count, in every SIMD mode, returns the identical
-//! seed set** on the same store — the contract the cross-selector tests,
-//! the SIMD ≡ scalar proptests, and the CI bench smoke enforce.
+//! gain, and its merge of the run-length order with the recount heap pops
+//! exactly what one heap over all nodes would, so its lazy-forward rule
+//! selects exactly the same argmax sequence as the exhaustive oracle, and
+//! **every selector, over an index built at any thread count, in every
+//! SIMD mode, returns the identical seed set** on the same store — the
+//! contract the cross-selector tests, the SIMD ≡ scalar proptests, and the
+//! CI bench smoke (over every set and at a half-pool cut) enforce.
 
 use crate::parallel::resolve_threads;
 use crate::rr::RrStore;
@@ -64,13 +69,17 @@ pub struct CoverageResult {
 ///
 /// For each node, the ids of the sets containing it, ascending. One flat
 /// `u32` array plus an offsets table — the same storage idea as
-/// [`RrStore`] itself, pointing the other way.
+/// [`RrStore`] itself, pointing the other way. Next to them sits the
+/// node order [`CelfGreedy`] walks: every node id sorted by run length
+/// (descending), then id (ascending), derived from the offsets by both
+/// constructors and never stored on disk.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CoverageIndex {
     num_nodes: usize,
     num_sets: usize,
     offsets: Section<u64>,
     sets: Section<u32>,
+    order: Vec<u32>,
 }
 
 impl CoverageIndex {
@@ -112,6 +121,7 @@ impl CoverageIndex {
         CoverageIndex {
             num_nodes: n,
             num_sets: store.len(),
+            order: run_length_order(&offsets),
             offsets: offsets.into(),
             sets: sets.into(),
         }
@@ -166,6 +176,7 @@ impl CoverageIndex {
         CoverageIndex {
             num_nodes,
             num_sets,
+            order: run_length_order(&offsets),
             offsets,
             sets,
         }
@@ -180,6 +191,44 @@ impl CoverageIndex {
     pub(crate) fn sets_raw(&self) -> &[u32] {
         &self.sets
     }
+
+    /// Every node id, by full-index run length (descending), then id
+    /// (ascending): the order a max-heap of `(run length, Reverse(id))`
+    /// pops them in.
+    pub(crate) fn run_length_order(&self) -> &[u32] {
+        &self.order
+    }
+}
+
+/// Sort the node ids `0..offsets.len() - 1` by run length (descending),
+/// then id (ascending) — one counting sort over the CSR offsets, in
+/// `O(n + longest run)`. Both [`CoverageIndex`] constructors run it, so
+/// an index built, refit, cut or read back from a spill carries the
+/// order.
+fn run_length_order(offsets: &[u64]) -> Vec<u32> {
+    let n = offsets.len().saturating_sub(1);
+    let run = |v: usize| (offsets[v + 1] - offsets[v]) as usize;
+    let longest = (0..n).map(run).max().unwrap_or(0);
+    // Bucket sizes per run length, then each bucket's first slot, the
+    // longest runs first; filling by ascending id keeps ids ascending
+    // within a bucket.
+    let mut slot = vec![0u32; longest + 1];
+    for v in 0..n {
+        slot[run(v)] += 1;
+    }
+    let mut start = 0u32;
+    for bucket in slot.iter_mut().rev() {
+        let size = *bucket;
+        *bucket = start;
+        start += size;
+    }
+    let mut order = vec![0u32; n];
+    for v in 0..n {
+        let at = &mut slot[run(v)];
+        order[*at as usize] = v as u32;
+        *at += 1;
+    }
+    order
 }
 
 /// Two-pass CSR build of the inverted node→set index over one contiguous
@@ -365,17 +414,20 @@ impl SeedSelector for NaiveGreedy {
 
 /// CELF lazy-greedy max coverage.
 ///
-/// A max-heap holds one key per unpicked node, an upper bound on its
-/// marginal gain: first its full-index run length (a bound under any
-/// cut), later its last recount (gains only shrink under submodularity).
-/// Each pop recounts the node's run below the cut against the covered-set
-/// bitset with [`simd::count_uncovered`], the oracle's kernel. A recount
-/// equal to the key makes the node the smallest-id argmax, since every
-/// other key bounds its node's gain and equal keys pop smallest id first,
-/// so it is picked and its run's bits are set; otherwise the node goes
-/// back with the recount. Its only state is the heap and the bitset, so a
-/// pick costs its own run and a round recounts only the few heads whose
-/// keys went stale.
+/// Every unpicked node holds one key, an upper bound on its marginal
+/// gain: first its full-index run length (a bound under any cut), later
+/// its last recount (gains only shrink under submodularity). Nodes still
+/// on their run length are read in place from the index's run-length
+/// order ([`CoverageIndex`]) through a cursor; recounted nodes sit in a
+/// small max-heap of `(key, Reverse(id))`. Each step takes the larger of
+/// the two heads — exactly what one heap over all nodes would pop — and
+/// recounts that node's run below the cut against the covered-set bitset
+/// with [`simd::count_uncovered`], the oracle's kernel. A recount equal
+/// to the key makes the node the smallest-id argmax, since every other
+/// key bounds its node's gain and equal keys pop smallest id first, so it
+/// is picked and its run's bits are set; otherwise the node goes into
+/// the heap with the recount. A select therefore costs the entries it
+/// recounts and the picks' runs, with no pass over all `n` nodes.
 #[derive(Clone, Copy, Debug)]
 pub struct CelfGreedy;
 
@@ -389,27 +441,40 @@ impl SeedSelector for CelfGreedy {
         let mode = simd::active();
         let mut covered_bits = vec![0u64; simd::words_for(sets.min(index.num_sets()))];
 
-        // Max-heap on (key, Reverse(node id)): among equal keys the
-        // smallest id pops first, matching NaiveGreedy's rule. Each node
-        // holds exactly one entry until it is picked, so a popped node is
+        // The nodes past `cursor` in `order` are keyed on their run length
+        // and ordered by (key, Reverse(id)) descending, as is `recounted`,
+        // so the larger head is the global maximum and among equal keys
+        // the smallest id pops first, matching NaiveGreedy's rule. A node
+        // sits on exactly one side until it is picked, so a popped node is
         // never already a seed.
-        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..n as u32)
-            .map(|v| (index.sets_containing(NodeId(v)).len() as u32, Reverse(v)))
-            .collect();
+        let order = index.run_length_order();
+        let mut cursor = 0usize;
+        let mut recounted: BinaryHeap<(u32, Reverse<u32>)> = BinaryHeap::new();
 
         let mut seeds = Vec::with_capacity(k.min(n));
         let mut marginals = Vec::with_capacity(k.min(n));
         let mut covered = 0u64;
 
         while seeds.len() < k {
-            let Some((key, Reverse(v))) = heap.pop() else {
+            let untouched = order
+                .get(cursor)
+                .map(|&v| (index.sets_containing(NodeId(v)).len() as u32, Reverse(v)));
+            let next = match (untouched, recounted.peek()) {
+                (Some(head), Some(&top)) if top > head => recounted.pop(),
+                (Some(head), _) => {
+                    cursor += 1;
+                    Some(head)
+                }
+                (None, _) => recounted.pop(),
+            };
+            let Some((key, Reverse(v))) = next else {
                 break;
             };
             let run = index.sets_below(NodeId(v), sets);
             let fresh = simd::count_uncovered(mode, run, &covered_bits) as u32;
             debug_assert!(fresh <= key);
             if fresh < key {
-                heap.push((fresh, Reverse(v)));
+                recounted.push((fresh, Reverse(v)));
                 continue;
             }
             // Fresh maximum (smallest id among ties): pick it.
@@ -611,6 +676,64 @@ mod tests {
         }
     }
 
+    /// The index's run-length order is a permutation of `0..n` sorted by
+    /// (run length desc, id asc), and the spill reader's constructor
+    /// derives the same one from the same arrays.
+    fn assert_order_sorted(index: &CoverageIndex, what: &str) {
+        let order = index.run_length_order();
+        let key = |v: u32| (index.sets_containing(NodeId(v)).len(), Reverse(v));
+        assert!(
+            order.windows(2).all(|w| key(w[0]) > key(w[1])),
+            "{what}: {order:?}"
+        );
+        let mut ids = order.to_vec();
+        ids.sort_unstable();
+        assert!(ids.into_iter().eq(0..index.num_nodes() as u32), "{what}");
+        let reread = CoverageIndex::from_parts(
+            index.num_nodes(),
+            index.num_sets(),
+            index.offsets_raw().to_vec().into(),
+            index.sets_raw().to_vec().into(),
+        );
+        assert_eq!(&reread, index, "{what}: from_parts");
+    }
+
+    #[test]
+    fn run_length_order_sorts_every_node() {
+        let random = random_store(5, 30, 400, 5);
+        for threads in [1, 3] {
+            assert_order_sorted(&CoverageIndex::build(&random, 30, threads), "random");
+        }
+        // A hub in every set over nodes that each appear a handful of times.
+        let mut hub = RrStore::new();
+        for i in 0..90u32 {
+            hub.push_with_width(&[NodeId(0), NodeId(1 + i % 17)], 0);
+        }
+        let index = CoverageIndex::build(&hub, 18, 2);
+        assert_eq!(index.run_length_order()[0], 0);
+        assert_order_sorted(&index, "hub");
+        // Every run the same length: the order is the ids ascending.
+        let (equal, n) = store_from(&[&[0, 1, 2, 3, 4], &[4, 3, 2, 1, 0], &[2, 0, 4, 1, 3]]);
+        let index = CoverageIndex::build(&equal, n, 1);
+        assert_eq!(index.run_length_order(), &[0, 1, 2, 3, 4][..]);
+        assert_order_sorted(&index, "all-equal");
+        // Empty runs among and after the filled ones, and an index of
+        // empty runs only.
+        let (gappy, _) = store_from(&[&[1, 4], &[4], &[7, 1], &[4]]);
+        let index = CoverageIndex::build(&gappy, 12, 1);
+        assert_eq!(
+            index.run_length_order(),
+            &[4, 1, 7, 0, 2, 3, 5, 6, 8, 9, 10, 11][..]
+        );
+        assert_order_sorted(&index, "empty runs");
+        let index = CoverageIndex::build(&RrStore::new(), 6, 1);
+        assert_eq!(index.run_length_order(), &[0, 1, 2, 3, 4, 5][..]);
+        assert_order_sorted(&index, "empty store");
+        let index = CoverageIndex::build(&RrStore::new(), 0, 1);
+        assert!(index.run_length_order().is_empty());
+        assert_order_sorted(&index, "n = 0");
+    }
+
     #[test]
     fn empty_store_and_tiny_universes() {
         let store = RrStore::new();
@@ -636,16 +759,55 @@ mod tests {
     }
 
     /// CELF against the naive oracle in every SIMD mode the host offers,
-    /// over every set and at cuts {0, 1, len/2, len−1}: CELF's seeded
+    /// over every set and at cuts {0, 1, len/2, len−1}: CELF's untouched
     /// keys are full-index run lengths, upper bounds under any cut.
     fn assert_celf_matches_naive(index: &CoverageIndex, k: usize, what: &str) {
         let len = index.num_sets();
-        for cut in [0, 1, len / 2, len.saturating_sub(1), len] {
+        assert_celf_matches_naive_at(index, k, [0, 1, len / 2, len.saturating_sub(1), len], what);
+    }
+
+    fn assert_celf_matches_naive_at(
+        index: &CoverageIndex,
+        k: usize,
+        cuts: impl IntoIterator<Item = usize>,
+        what: &str,
+    ) {
+        for cut in cuts {
             let celf = CelfGreedy.select_prefix(index, k, cut);
             for mode in modes() {
                 let naive = NaiveGreedy.select_with(index, k, cut, mode);
                 assert_eq!(naive, celf, "{what} cut {cut} {mode:?}");
             }
+        }
+    }
+
+    #[test]
+    fn celf_breaks_recount_ties_with_untouched_nodes_by_id() {
+        // Nodes `a` and `b` share sets 0 and 1 and lead on run length 5;
+        // node `a` (id 0) is picked first, so `b`'s recount drops to 3 and
+        // goes into the heap, level with the untouched run of node `c`.
+        // The smaller of `b` and `c` must come next, on whichever side of
+        // the merge it sits.
+        for (b, c, what) in [(1, 2, "recounted id below"), (2, 1, "recounted id above")] {
+            let (store, n) = store_from(&[
+                &[0, b],
+                &[0, b],
+                &[0],
+                &[0],
+                &[0],
+                &[b],
+                &[b],
+                &[b],
+                &[c],
+                &[c],
+                &[c],
+            ]);
+            let index = CoverageIndex::build(&store, n, 1);
+            assert_eq!(index.run_length_order(), &[0, b, c][..], "{what}");
+            let r = CelfGreedy.select(&index, 3);
+            assert_eq!(r.seeds, vec![NodeId(0), NodeId(1), NodeId(2)], "{what}");
+            assert_eq!(r.marginals, vec![5, 3, 3], "{what}");
+            assert_celf_matches_naive_at(&index, 3, 0..=store.len(), what);
         }
     }
 
@@ -690,7 +852,7 @@ mod tests {
     #[test]
     fn celf_matches_naive_when_the_leader_lies_beyond_the_cut() {
         // Node 0 is in every set of the second half and in none of the
-        // first, so it leads the full index (and CELF's seeded heap) while
+        // first, so it leads the full index (and CELF's run-length order) while
         // holding no set below len/2; filler nodes 1..=12 fill both halves.
         let mut rng = SmallRng::seed_from_u64(31);
         let mut store = RrStore::new();

@@ -2,8 +2,9 @@
 //!
 //! [`crate::select::NaiveGreedy`] recounts every candidate's marginal gain
 //! each round, and [`crate::select::CelfGreedy`] recounts each node it
-//! pops from its heap, by scanning the node's set-id list against the
-//! covered-set bitset. That scan is [`count_uncovered`], with two
+//! pops (from the index's run-length order or its heap of recounted
+//! keys), by scanning the node's set-id list against the covered-set
+//! bitset. That scan is [`count_uncovered`], with two
 //! implementations:
 //!
 //! * [`scalar`] — portable safe Rust, the **reference implementation**.

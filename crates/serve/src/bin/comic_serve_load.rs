@@ -178,8 +178,9 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
 /// Required schema of a `BENCH_seed_selection.json` snapshot: graph and
 /// workload provenance, the host's core count, the calls per row
 /// (`reps`, each row their median), the active SIMD mode, the caveat
-/// note, and per-run `{label, threads, secs}` rows for the index build and
-/// both selectors.
+/// note, and per-run `{label, threads, secs}` rows for the index build,
+/// both selectors and CELF at a half-pool cut. One ratio is gated, never
+/// an absolute time: `select_celf` must be faster than `select_naive`.
 fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     for f in ["simd", "note"] {
         if v.get(f).and_then(Json::as_str).is_none() {
@@ -201,23 +202,35 @@ fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     if runs.is_empty() {
         return Err("\"runs\" must be non-empty".into());
     }
-    let mut labels = Vec::new();
+    let mut secs_by_label = Vec::new();
     for (i, r) in runs.iter().enumerate() {
         let label = r
             .get("label")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("runs[{i}]: missing \"label\""))?;
-        labels.push(label.to_string());
-        for f in ["threads", "secs"] {
-            if r.get(f).and_then(Json::as_f64).is_none() {
-                return Err(format!("runs[{i}] ({label}): missing numeric {f:?}"));
-            }
-        }
+        let num = |f: &str| {
+            r.get(f)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("runs[{i}] ({label}): missing numeric {f:?}"))
+        };
+        num("threads")?;
+        secs_by_label.push((label, num("secs")?));
     }
-    for required in ["index_build", "select_naive", "select_celf"] {
-        if !labels.iter().any(|l| l == required) {
-            return Err(format!("required run label {required:?} is absent"));
-        }
+    let secs = |required: &str| {
+        secs_by_label
+            .iter()
+            .find(|(l, _)| *l == required)
+            .map(|&(_, s)| s)
+            .ok_or_else(|| format!("required run label {required:?} is absent"))
+    };
+    for required in ["index_build", "select_celf_half"] {
+        secs(required)?;
+    }
+    let (celf, naive) = (secs("select_celf")?, secs("select_naive")?);
+    if celf >= naive {
+        return Err(format!(
+            "select_celf ({celf} s) is not faster than select_naive ({naive} s)"
+        ));
     }
     Ok(())
 }
@@ -297,7 +310,9 @@ fn restart_rows(quick: bool) -> Result<Json, String> {
     ]))
 }
 
-/// Required schema of a `BENCH_serving.json` snapshot.
+/// Required schema of a `BENCH_serving.json` snapshot. One ratio is
+/// gated, never an absolute time: the resident pool's `warm_select_k10`
+/// p50 must be below the `cold_pipeline_k10` p50 it replaces.
 fn validate_serving_schema(v: &Json) -> Result<(), String> {
     let expect_str = |f: &str| {
         v.get(f)
@@ -331,25 +346,36 @@ fn validate_serving_schema(v: &Json) -> Result<(), String> {
     if classes.is_empty() {
         return Err("\"classes\" must be non-empty".into());
     }
-    let mut names = Vec::new();
+    let mut p50_by_name = Vec::new();
     for (i, c) in classes.iter().enumerate() {
         let name = c
             .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("classes[{i}]: missing \"name\""))?;
-        names.push(name.to_string());
+        let num = |f: &str| {
+            c.get(f)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("classes[{i}] ({name}): missing numeric {f:?}"))
+        };
         for f in [
-            "queries", "qps", "p50_ms", "p99_ms", "mean_ms", "ok", "degraded", "shed", "deadline",
+            "queries", "qps", "p99_ms", "mean_ms", "ok", "degraded", "shed", "deadline",
         ] {
-            if c.get(f).and_then(Json::as_f64).is_none() {
-                return Err(format!("classes[{i}] ({name}): missing numeric {f:?}"));
-            }
+            num(f)?;
         }
+        p50_by_name.push((name, num("p50_ms")?));
     }
-    for required in ["warm_select_k10", "cold_pipeline_k10"] {
-        if !names.iter().any(|n| n == required) {
-            return Err(format!("required class {required:?} is absent"));
-        }
+    let p50 = |required: &str| {
+        p50_by_name
+            .iter()
+            .find(|(n, _)| *n == required)
+            .map(|&(_, p)| p)
+            .ok_or_else(|| format!("required class {required:?} is absent"))
+    };
+    let (warm, cold) = (p50("warm_select_k10")?, p50("cold_pipeline_k10")?);
+    if warm >= cold {
+        return Err(format!(
+            "warm_select_k10 p50 ({warm} ms) is not below cold_pipeline_k10's ({cold} ms)"
+        ));
     }
     // The restart section records the zero-copy store's reason to exist:
     // a cache-less reload (text parse) vs a v4 zero-copy reload of
@@ -649,4 +675,71 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("comic-serve-load: {msg}");
     eprintln!("{USAGE}");
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn seed_selection(runs: &[(&str, f64)]) -> Json {
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|(label, secs)| format!(r#"{{"label":"{label}","threads":1,"secs":{secs}}}"#))
+            .collect();
+        json::parse(&format!(
+            r#"{{"bench":"seed_selection","host_cores":2,"graph":{{}},"rr_sets":10,"k":5,
+                "reps":1,"total_members":20,"simd":"scalar","note":"n","runs":[{}]}}"#,
+            runs.join(",")
+        ))
+        .expect("valid JSON")
+    }
+
+    #[test]
+    fn seed_selection_gate_requires_the_cut_row_and_celf_faster_than_naive() {
+        let good = [
+            ("index_build", 0.03),
+            ("select_naive", 0.06),
+            ("select_celf", 0.006),
+            ("select_celf_half", 0.004),
+        ];
+        assert_eq!(validate_schema(&seed_selection(&good)), Ok(()));
+        let err = validate_schema(&seed_selection(&good[..3])).unwrap_err();
+        assert!(err.contains("select_celf_half"), "{err}");
+        for celf in [0.06, 0.07] {
+            let mut slow = good;
+            slow[2].1 = celf;
+            let err = validate_schema(&seed_selection(&slow)).unwrap_err();
+            assert!(err.contains("not faster"), "{err}");
+        }
+    }
+
+    fn serving(warm_p50: f64, cold_p50: f64) -> Json {
+        let class = |name: &str, p50: f64| {
+            format!(
+                r#"{{"name":"{name}","queries":3,"qps":1,"p50_ms":{p50},"p99_ms":{p50},
+                    "mean_ms":{p50},"ok":3,"degraded":0,"shed":0,"deadline":0}}"#
+            )
+        };
+        let row = |name: &str| format!(r#"{{"name":"{name}","reps":3,"min_ms":1,"mean_ms":1}}"#);
+        json::parse(&format!(
+            r#"{{"bench":"serving","dataset":"d","pool":"p","caveat":"c","faults":"",
+                "host_cores":2,"gen_threads":2,"threads":2,"design_k":10,"sketches":100,
+                "classes":[{},{}],
+                "restart":{{"speedup_v4_vs_text":10,"rows":[{},{}]}}}}"#,
+            class("warm_select_k10", warm_p50),
+            class("cold_pipeline_k10", cold_p50),
+            row("text_parse"),
+            row("v4_zero_copy"),
+        ))
+        .expect("valid JSON")
+    }
+
+    #[test]
+    fn serving_gate_requires_warm_select_below_the_cold_pipeline() {
+        assert_eq!(validate_schema(&serving(0.56, 71.8)), Ok(()));
+        for warm in [71.8, 90.0] {
+            let err = validate_schema(&serving(warm, 71.8)).unwrap_err();
+            assert!(err.contains("not below"), "{err}");
+        }
+    }
 }
