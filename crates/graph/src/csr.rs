@@ -144,7 +144,8 @@ pub struct DiGraph {
 }
 
 /// Borrowed views of all seven CSR arrays, in v4 store section order.
-/// Consumed by [`crate::store`]'s writer.
+/// Consumed by [`crate::store`]'s writer and by delta compaction
+/// ([`DiGraph::apply_deltas`]).
 pub(crate) struct CsrParts<'a> {
     pub out_offsets: &'a [u32],
     pub out_targets: &'a [NodeId],
@@ -209,9 +210,10 @@ impl DiGraph {
     }
 
     /// Assemble a graph directly from pre-validated CSR sections — the v4
-    /// store's zero-copy load path. The caller ([`crate::store`]) has already
-    /// verified the structural invariants (offset monotonicity, id ranges,
-    /// probability domain), so no per-edge work happens here.
+    /// store's zero-copy load path and delta compaction's output. The
+    /// caller ([`crate::store`], [`DiGraph::apply_deltas`]) has already
+    /// established the structural invariants (offset monotonicity, id
+    /// ranges, probability domain), so no per-edge work happens here.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_csr_parts(
         n: usize,
@@ -239,7 +241,7 @@ impl DiGraph {
         }
     }
 
-    /// Borrowed views of all CSR arrays for the v4 store writer.
+    /// Borrowed views of all CSR arrays (v4 store writer, compaction).
     pub(crate) fn csr_parts(&self) -> CsrParts<'_> {
         CsrParts {
             out_offsets: &self.out_offsets,

@@ -13,13 +13,21 @@
 //! adding a self-loop — are conflicts and fail typed
 //! ([`GraphError::DeltaConflict`]) rather than being silently reconciled:
 //! the log is an authoritative journal, not a hint.
+//!
+//! Compaction costs the batch plus one sequential copy of both CSR
+//! directions: the records fold against a batch-sized overlay and the
+//! base's sorted out-rows, untouched rows are copied in bulk, and only the
+//! rows the batch touched are merged. There is no per-edge hashing or
+//! sort. The result is byte-identical to building the compacted edge set
+//! with [`crate::builder::from_edges`] (same seven arrays, same digest).
 
+use std::collections::HashMap;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
-use crate::csr::{DiGraph, NodeId};
+use crate::csr::{CsrParts, DiGraph, EdgeId, NodeId};
 use crate::error::GraphError;
-use crate::fasthash::FxHashMap;
 use crate::store::{write_segment, SectionData, SegmentFile, MAX_PLAUSIBLE_EDGES};
 
 /// Magic bytes identifying an edge-delta log.
@@ -235,24 +243,82 @@ pub fn node_removal_deltas(g: &DiGraph, v: NodeId) -> Vec<EdgeDelta> {
     out
 }
 
+/// One edge the batch named, keyed `(row, head)` — `(source, target)` for
+/// the out-CSR, `(target, source)` for the in-CSR — with its state after
+/// the batch: `Some(p)` live with probability `p`, `None` absent.
+type Change = (u32, NodeId, Option<f64>);
+
 impl DiGraph {
     /// Fold an ordered delta log into a fresh CSR over the same node
     /// universe (compaction). Applying an empty log reproduces a graph with
     /// the same [`crate::io::graph_digest`].
     ///
-    /// Typed failures: out-of-range endpoints
+    /// Typed failures, checked record by record in log order — node range,
+    /// then probability, then the record against the graph state the
+    /// earlier records left: out-of-range endpoints
     /// ([`GraphError::NodeOutOfRange`]), non-finite or out-of-`[0, 1]`
     /// probabilities ([`GraphError::InvalidProbability`]), and records that
-    /// contradict the graph state at their position in the log
-    /// ([`GraphError::DeltaConflict`]).
+    /// contradict that state ([`GraphError::DeltaConflict`] with the
+    /// record's index): a self-loop add, an add of a live edge, a remove or
+    /// reweight of an absent one, and an add that would grow the graph past
+    /// [`MAX_PLAUSIBLE_EDGES`] (offsets and edge ids are `u32`).
+    ///
+    /// Cost: the batch plus one sequential copy of both CSR directions.
+    /// Records fold against a batch-sized overlay and a binary search in the
+    /// base's out-row; untouched rows of each direction are copied in bulk
+    /// with shifted offsets; only the rows the batch touched are merged.
+    /// The result is byte-identical to [`crate::builder::from_edges`] over
+    /// the compacted edge set: the same seven arrays, so the same digest.
     pub fn apply_deltas(&self, deltas: &[EdgeDelta]) -> Result<DiGraph, GraphError> {
+        let (by_source, m) = self.fold_batch(deltas, MAX_PLAUSIBLE_EDGES)?;
+        let base = self.csr_parts();
+        let out = Rows::rebuild(
+            base.out_offsets,
+            base.out_targets,
+            base.out_probs,
+            &by_source,
+            m,
+        );
+        let mut by_target: Vec<Change> = by_source
+            .iter()
+            .map(|&(s, t, state)| (t.0, NodeId(s), state))
+            .collect();
+        by_target.sort_unstable_by_key(|&(t, s, _)| (t, s));
+        let inn = Rows::rebuild(
+            base.in_offsets,
+            base.in_sources,
+            base.in_probs,
+            &by_target,
+            m,
+        );
+        let in_edge_ids = in_edge_ids(&base, &out, &inn, &by_target);
+        Ok(DiGraph::from_csr_parts(
+            self.num_nodes(),
+            out.offsets.into(),
+            out.heads.into(),
+            out.probs.into(),
+            inn.offsets.into(),
+            inn.heads.into(),
+            inn.probs.into(),
+            in_edge_ids.into(),
+        ))
+    }
+
+    /// Check and fold `deltas` in log order against a batch-sized overlay
+    /// over the base's out-rows. Returns each named edge's final state,
+    /// sorted by `(source, target)`, and the compacted edge count, which may
+    /// never pass `max_edges`.
+    fn fold_batch(
+        &self,
+        deltas: &[EdgeDelta],
+        max_edges: u64,
+    ) -> Result<(Vec<Change>, usize), GraphError> {
         let n = self.num_nodes();
+        let base = self.csr_parts();
         let conflict = |index: usize, msg: String| GraphError::DeltaConflict { index, msg };
-        let mut live: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-        live.reserve(self.num_edges() + deltas.len());
-        for (_, e) in self.edges() {
-            live.insert((e.source.0, e.target.0), e.p);
-        }
+        // The keys come from clients: std's keyed hasher, not Fx.
+        let mut overlay: HashMap<(u32, u32), Option<f64>> = HashMap::with_capacity(deltas.len());
+        let mut edges = self.num_edges() as u64;
         for (i, d) in deltas.iter().enumerate() {
             let (u, v) = (d.source(), d.target());
             for node in [u, v] {
@@ -260,47 +326,195 @@ impl DiGraph {
                     return Err(GraphError::NodeOutOfRange { node: node.0, n });
                 }
             }
-            match *d {
+            let key = (u.0, v.0);
+            let live = || match overlay.get(&key) {
+                Some(state) => state.is_some(),
+                None => {
+                    let row = base.out_offsets[u.index()] as usize
+                        ..base.out_offsets[u.index() + 1] as usize;
+                    base.out_targets[row].binary_search(&v).is_ok()
+                }
+            };
+            let state = match *d {
                 EdgeDelta::Add { p, .. } => {
                     validate_p(u, v, p)?;
                     if u == v {
                         return Err(conflict(i, format!("self-loop add on node {}", u.0)));
                     }
-                    if live.contains_key(&(u.0, v.0)) {
+                    if live() {
                         return Err(conflict(
                             i,
                             format!("add of existing edge ({}, {})", u.0, v.0),
                         ));
                     }
-                    live.insert((u.0, v.0), p);
+                    edges += 1;
+                    if edges > max_edges {
+                        return Err(conflict(
+                            i,
+                            format!(
+                                "add of ({}, {}) grows the graph past {max_edges} edges",
+                                u.0, v.0
+                            ),
+                        ));
+                    }
+                    Some(p)
                 }
                 EdgeDelta::Remove { .. } => {
-                    if live.remove(&(u.0, v.0)).is_none() {
+                    if !live() {
                         return Err(conflict(
                             i,
                             format!("remove of missing edge ({}, {})", u.0, v.0),
                         ));
                     }
+                    edges -= 1;
+                    None
                 }
                 EdgeDelta::Reweight { p, .. } => {
                     validate_p(u, v, p)?;
-                    match live.get_mut(&(u.0, v.0)) {
-                        Some(slot) => *slot = p,
-                        None => {
-                            return Err(conflict(
-                                i,
-                                format!("reweight of missing edge ({}, {})", u.0, v.0),
-                            ))
-                        }
+                    if !live() {
+                        return Err(conflict(
+                            i,
+                            format!("reweight of missing edge ({}, {})", u.0, v.0),
+                        ));
                     }
+                    Some(p)
                 }
+            };
+            overlay.insert(key, state);
+        }
+        let mut changes: Vec<Change> = overlay
+            .into_iter()
+            .map(|((s, t), state)| (s, NodeId(t), state))
+            .collect();
+        changes.sort_unstable_by_key(|&(s, t, _)| (s, t));
+        Ok((changes, edges as usize))
+    }
+}
+
+/// One CSR direction under construction: row offsets, and per slot the
+/// far endpoint (`heads`) and the edge probability.
+struct Rows {
+    offsets: Vec<u32>,
+    heads: Vec<NodeId>,
+    probs: Vec<f64>,
+}
+
+impl Rows {
+    /// Rebuild one base direction with `changes` (sorted by `(row, head)`)
+    /// applied, for `m` edges in all: each stretch of untouched rows is one
+    /// bulk copy, each touched row a merge.
+    fn rebuild(
+        offsets: &[u32],
+        heads: &[NodeId],
+        probs: &[f64],
+        changes: &[Change],
+        m: usize,
+    ) -> Rows {
+        let n = offsets.len() - 1;
+        let mut rows = Rows {
+            offsets: Vec::with_capacity(n + 1),
+            heads: Vec::with_capacity(m),
+            probs: Vec::with_capacity(m),
+        };
+        rows.offsets.push(0);
+        let mut next = 0;
+        for row_changes in changes.chunk_by(|a, b| a.0 == b.0) {
+            let r = row_changes[0].0 as usize;
+            rows.copy(offsets, heads, probs, next..r);
+            let slots = offsets[r] as usize..offsets[r + 1] as usize;
+            rows.merge(&heads[slots.clone()], &probs[slots], row_changes);
+            next = r + 1;
+        }
+        rows.copy(offsets, heads, probs, next..n);
+        rows
+    }
+
+    /// Append the base rows `rows` unchanged: one copy per array, offsets
+    /// shifted by the net edge count change so far.
+    fn copy(&mut self, offsets: &[u32], heads: &[NodeId], probs: &[f64], rows: Range<usize>) {
+        let slots = offsets[rows.start] as usize..offsets[rows.end] as usize;
+        // Wrapping u32 arithmetic: the shift may be negative, but every
+        // shifted offset is a valid one of the result (at most its edge
+        // count, which `fold_batch` bounds by `u32::MAX`).
+        let shift = (self.heads.len() as u32).wrapping_sub(slots.start as u32);
+        self.offsets.extend(
+            offsets[rows.start + 1..rows.end + 1]
+                .iter()
+                .map(|&o| o.wrapping_add(shift)),
+        );
+        self.heads.extend_from_slice(&heads[slots.clone()]);
+        self.probs.extend_from_slice(&probs[slots]);
+    }
+
+    /// Append one touched row: the base row (`heads` ascending) merged with
+    /// its changes (ascending heads). A change replaces or deletes the base
+    /// entry with its head, or inserts one.
+    fn merge(&mut self, heads: &[NodeId], probs: &[f64], changes: &[Change]) {
+        let mut cur = 0;
+        for &(_, head, state) in changes {
+            let stop = cur + heads[cur..].partition_point(|&h| h < head);
+            self.heads.extend_from_slice(&heads[cur..stop]);
+            self.probs.extend_from_slice(&probs[cur..stop]);
+            cur = stop + usize::from(heads.get(stop) == Some(&head));
+            if let Some(p) = state {
+                self.heads.push(head);
+                self.probs.push(p);
             }
         }
-        let edges: Vec<(u32, u32, f64)> = live.into_iter().map(|((u, v), p)| (u, v, p)).collect();
-        // `from_edges` sorts by (source, target); the map holds no duplicate
-        // keys, so the resulting CSR is independent of map iteration order.
-        crate::builder::from_edges(n, &edges)
+        self.heads.extend_from_slice(&heads[cur..]);
+        self.probs.extend_from_slice(&probs[cur..]);
+        self.offsets.push(self.heads.len() as u32);
     }
+}
+
+/// The canonical edge id of every slot of the rebuilt in-CSR `inn`. A
+/// copied in-row keeps its base ids, each shifted by its source row's
+/// offset shift in the rebuilt out-CSR `out`; where that source row was
+/// merged, and in every merged in-row, the id is the edge's position in
+/// its source's merged out-row (a binary search).
+fn in_edge_ids(base: &CsrParts<'_>, out: &Rows, inn: &Rows, by_target: &[Change]) -> Vec<EdgeId> {
+    let n = inn.offsets.len() - 1;
+    let locate = |s: NodeId, v: NodeId| {
+        let row = out.offsets[s.index()] as usize..out.offsets[s.index() + 1] as usize;
+        let k = out.heads[row.clone()]
+            .binary_search(&v)
+            .expect("every live edge sits in its source's out-row");
+        EdgeId((row.start + k) as u32)
+    };
+    // Per source: the shift of its out-row's ids, `None` where it merged.
+    let mut shift: Vec<Option<u32>> = out.offsets[..n]
+        .iter()
+        .zip(&base.out_offsets[..n])
+        .map(|(&new, &old)| Some(new.wrapping_sub(old)))
+        .collect();
+    for &(_, s, _) in by_target {
+        shift[s.index()] = None;
+    }
+    let mut ids = Vec::with_capacity(inn.heads.len());
+    let copy = |ids: &mut Vec<EdgeId>, rows: Range<usize>| {
+        let slots = base.in_offsets[rows.start] as usize..base.in_offsets[rows.end] as usize;
+        let pairs = base.in_edge_ids[slots.clone()]
+            .iter()
+            .zip(&base.in_sources[slots]);
+        ids.extend(pairs.map(|(&e, &s)| match shift[s.index()] {
+            Some(d) => EdgeId(e.0.wrapping_add(d)),
+            None => locate(s, base.out_targets[e.index()]),
+        }));
+    };
+    let mut next = 0;
+    for row_changes in by_target.chunk_by(|a, b| a.0 == b.0) {
+        let v = row_changes[0].0 as usize;
+        copy(&mut ids, next..v);
+        let slots = inn.offsets[v] as usize..inn.offsets[v + 1] as usize;
+        ids.extend(
+            inn.heads[slots]
+                .iter()
+                .map(|&s| locate(s, NodeId(v as u32))),
+        );
+        next = v + 1;
+    }
+    copy(&mut ids, next..n);
+    ids
 }
 
 fn validate_p(u: NodeId, v: NodeId, p: f64) -> Result<(), GraphError> {
@@ -438,6 +652,31 @@ mod tests {
             g.apply_deltas(&ok_then_bad),
             Err(GraphError::DeltaConflict { index: 1, .. })
         ));
+    }
+
+    #[test]
+    fn an_add_past_the_edge_cap_is_a_typed_conflict() {
+        let g = base();
+        let add = EdgeDelta::Add {
+            source: NodeId(0),
+            target: NodeId(3),
+            p: 0.5,
+        };
+        let remove = EdgeDelta::Remove {
+            source: NodeId(0),
+            target: NodeId(1),
+        };
+        // At the cap an add fails at its own index; a remove makes room.
+        assert!(matches!(
+            g.fold_batch(&[remove, add, add], 4),
+            Err(GraphError::DeltaConflict { index: 2, .. })
+        ));
+        assert!(matches!(
+            g.fold_batch(&[add], 4),
+            Err(GraphError::DeltaConflict { index: 0, .. })
+        ));
+        let (_, m) = g.fold_batch(&[remove, add], 4).unwrap();
+        assert_eq!(m, 4);
     }
 
     #[test]

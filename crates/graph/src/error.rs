@@ -52,7 +52,8 @@ pub enum GraphError {
     },
     /// An edge-delta record contradicted the graph state at its position in
     /// the log (add of an existing edge, remove/reweight of a missing edge,
-    /// self-loop add). The log is an authoritative journal: conflicts mean
+    /// self-loop add, an add past the `u32` edge-count cap). The log is an
+    /// authoritative journal: conflicts mean
     /// the log and the base graph have diverged, and silently reconciling
     /// them would mask the divergence.
     DeltaConflict {

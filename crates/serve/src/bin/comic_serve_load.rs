@@ -13,10 +13,11 @@
 //! smoke runs `--quick` with a nonzero fault rate and still requires a
 //! schema-valid snapshot and zero unexpected errors).
 //!
-//! `--validate <path>` re-checks an existing snapshot against its schema —
-//! `BENCH_serving.json` (`"bench": "serving"`) or the criterion driver's
-//! `BENCH_seed_selection.json` (`"bench": "seed_selection"`) — and exits
-//! nonzero on a mismatch (the CI smoke steps).
+//! `--validate <path>` re-checks an existing snapshot against its schema
+//! and ratio gates — `BENCH_serving.json` (`"bench": "serving"`) or the
+//! criterion drivers' `BENCH_seed_selection.json` (`"bench":
+//! "seed_selection"`) and `BENCH_incremental.json` (`"bench":
+//! "incremental"`) — and exits nonzero on a mismatch (the CI smoke steps).
 
 use comic_bench::datasets::{load_with, CacheMode};
 use comic_bench::metrics::{percentile, round3, OutcomeCounts};
@@ -120,9 +121,9 @@ fn timed<F: FnMut() -> Option<String>>(name: &'static str, reps: usize, mut f: F
 }
 
 /// Schema dispatch on the snapshot's `"bench"` field: `"serving"`
-/// snapshots (this driver's own output) and `"seed_selection"` snapshots
-/// (the committed `BENCH_seed_selection.json` from the criterion driver)
-/// are both accepted; the error names the first missing piece.
+/// snapshots (this driver's own output), and `"seed_selection"` and
+/// `"incremental"` snapshots (the committed ones from the criterion
+/// drivers) are accepted; the error names the first missing piece.
 fn validate_schema(v: &Json) -> Result<(), String> {
     match v.get("bench").and_then(Json::as_str) {
         Some("serving") => validate_serving_schema(v),
@@ -134,10 +135,19 @@ fn validate_schema(v: &Json) -> Result<(), String> {
     }
 }
 
+/// Graphs whose compaction rows a `BENCH_incremental.json` snapshot must
+/// hold.
+const COMPACTION_GRAPHS: [&str; 2] = ["fixture-medium", "chung-lu-1m"];
+
 /// Required schema of a `BENCH_incremental.json` snapshot: graph
 /// provenance, pool size, the host's core count next to the thread count,
-/// and per-ratio run rows pairing the incremental refit against the full
-/// rebuild it replaces.
+/// per-ratio refit rows pairing the incremental refit against the full
+/// rebuild it replaces, and per-graph compaction rows pairing
+/// `apply_deltas` against a `from_edges` rebuild (each with its graph
+/// size, batch size, thread count and calls per median). Two ratios are
+/// gated, never an absolute time: each `incremental/<bp>` must be faster
+/// than its `full_rebuild/<bp>`, and each `compaction/<graph>` faster than
+/// its `rebuild/<graph>`.
 fn validate_incremental_schema(v: &Json) -> Result<(), String> {
     v.get("graph")
         .and_then(Json::as_obj)
@@ -151,26 +161,59 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
         .get("runs")
         .and_then(Json::as_arr)
         .ok_or("missing array field \"runs\"")?;
-    if runs.is_empty() {
-        return Err("\"runs\" must be non-empty".into());
-    }
-    let mut labels = Vec::new();
+    let mut secs_by_label = Vec::new();
     for (i, r) in runs.iter().enumerate() {
         let label = r
             .get("label")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("runs[{i}]: missing \"label\""))?;
-        labels.push(label.to_string());
-        for f in ["delta_bp", "secs", "sets_regenerated", "total_sets"] {
+        let compaction = label.starts_with("compaction/") || label.starts_with("rebuild/");
+        let fields: &[&str] = if compaction {
+            &["nodes", "edges", "changes", "threads", "reps"]
+        } else {
+            &["delta_bp", "sets_regenerated", "total_sets"]
+        };
+        for &f in fields {
             if r.get(f).and_then(Json::as_f64).is_none() {
                 return Err(format!("runs[{i}] ({label}): missing numeric {f:?}"));
             }
         }
-    }
-    for prefix in ["incremental/", "full_rebuild/"] {
-        if !labels.iter().any(|l| l.starts_with(prefix)) {
-            return Err(format!("no run labelled with prefix {prefix:?}"));
+        if compaction && r.get("graph").and_then(Json::as_str).is_none() {
+            return Err(format!("runs[{i}] ({label}): missing string \"graph\""));
         }
+        let secs = r
+            .get("secs")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("runs[{i}] ({label}): missing numeric \"secs\""))?;
+        secs_by_label.push((label, secs));
+    }
+    let secs = |required: &str| {
+        secs_by_label
+            .iter()
+            .find(|(l, _)| *l == required)
+            .map(|&(_, s)| s)
+            .ok_or_else(|| format!("required run label {required:?} is absent"))
+    };
+    let faster = |fast: &str, slow: &str| {
+        let (a, b) = (secs(fast)?, secs(slow)?);
+        if a < b {
+            Ok(())
+        } else {
+            Err(format!("{fast} ({a} s) is not faster than {slow} ({b} s)"))
+        }
+    };
+    let refits: Vec<&str> = secs_by_label
+        .iter()
+        .filter_map(|(l, _)| l.strip_prefix("incremental/"))
+        .collect();
+    if refits.is_empty() {
+        return Err("no run labelled with prefix \"incremental/\"".into());
+    }
+    for bp in refits {
+        faster(&format!("incremental/{bp}"), &format!("full_rebuild/{bp}"))?;
+    }
+    for graph in COMPACTION_GRAPHS {
+        faster(&format!("compaction/{graph}"), &format!("rebuild/{graph}"))?;
     }
     Ok(())
 }
@@ -711,6 +754,58 @@ mod tests {
             let err = validate_schema(&seed_selection(&slow)).unwrap_err();
             assert!(err.contains("not faster"), "{err}");
         }
+    }
+
+    fn incremental(runs: &[(&str, f64)]) -> Json {
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|(label, secs)| {
+                let extra = if label.starts_with("compaction/") || label.starts_with("rebuild/") {
+                    r#""graph":"g","nodes":9,"edges":50,"changes":100,"threads":1,"reps":9"#
+                } else {
+                    r#""delta_bp":10,"sets_regenerated":4,"total_sets":60"#
+                };
+                format!(r#"{{"label":"{label}","secs":{secs},{extra}}}"#)
+            })
+            .collect();
+        json::parse(&format!(
+            r#"{{"bench":"incremental","graph":{{}},"host_cores":2,"sketches":60,"threads":2,
+                "runs":[{}]}}"#,
+            runs.join(",")
+        ))
+        .expect("valid JSON")
+    }
+
+    #[test]
+    fn incremental_gate_requires_compaction_rows_and_both_ratios() {
+        let good = [
+            ("incremental/10bp", 0.003),
+            ("full_rebuild/10bp", 0.008),
+            ("compaction/fixture-medium", 0.0003),
+            ("rebuild/fixture-medium", 0.001),
+            ("compaction/chung-lu-1m", 0.008),
+            ("rebuild/chung-lu-1m", 0.045),
+        ];
+        assert_eq!(validate_schema(&incremental(&good)), Ok(()));
+        for missing in 1..good.len() {
+            let mut rows = good.to_vec();
+            let (label, _) = rows.remove(missing);
+            let err = validate_schema(&incremental(&rows)).unwrap_err();
+            assert!(err.contains(label), "{err}");
+        }
+        for (slow_row, slow) in [(0, 0.008), (2, 0.002), (4, 0.05)] {
+            let mut rows = good;
+            rows[slow_row].1 = slow;
+            let err = validate_schema(&incremental(&rows)).unwrap_err();
+            assert!(err.contains("not faster"), "{err}");
+        }
+        let bare = json::parse(
+            r#"{"bench":"incremental","graph":{},"host_cores":2,"sketches":60,"threads":2,
+                "runs":[{"label":"compaction/fixture-medium","secs":0.0003}]}"#,
+        )
+        .expect("valid JSON");
+        let err = validate_schema(&bare).unwrap_err();
+        assert!(err.contains("missing numeric \"nodes\""), "{err}");
     }
 
     fn serving(warm_p50: f64, cold_p50: f64) -> Json {

@@ -597,7 +597,8 @@ impl ComicService {
 
     /// Queue a batch of edge deltas in wire order (adds, then removes,
     /// then reweights). Returns the queue depth afterwards. Node ids must
-    /// already be validated against the served graph.
+    /// already be validated against the served graph, and self-loop adds
+    /// refused.
     pub fn queue_deltas(
         &self,
         add: &[(u32, u32, f64)],
@@ -1039,7 +1040,8 @@ impl ComicService {
                         message: "service is draining; no new deltas".to_string(),
                     };
                 }
-                // Validate node ids before queueing: a bad id must fail
+                // Validate node ids and self-loop adds before queueing:
+                // a record that fails whatever the graph holds must fail
                 // *this* request, not poison a later apply of the queue.
                 let n = self.graph().num_nodes();
                 let bad = add
@@ -1052,6 +1054,12 @@ impl ComicService {
                     return Response::Error {
                         code: ErrorCode::BadQuery,
                         message: format!("delta node {v} out of range for a {n}-node graph"),
+                    };
+                }
+                if let Some(&(v, _, _)) = add.iter().find(|&&(s, t, _)| s == t) {
+                    return Response::Error {
+                        code: ErrorCode::BadQuery,
+                        message: format!("delta adds a self-loop on node {v}"),
                     };
                 }
                 self.queue_deltas(add, remove, reweight);
@@ -1808,6 +1816,60 @@ mod tests {
         assert_eq!(svc.pending_delta_count(), 0, "poison batch is gone");
         assert_eq!(svc.deltas_applied(), 0);
         assert_eq!(svc.pool(&cfg_key()).unwrap().generation(), 0);
+    }
+
+    #[test]
+    fn a_self_loop_add_is_refused_before_it_reaches_the_queue() {
+        let mut cfg = small_cfg();
+        cfg.pools = vec![cfg_key()];
+        let svc = ComicService::start(cfg).unwrap();
+        let (s, t) = first_edge(&svc);
+        // One client queues a valid removal without applying it.
+        let queued = svc.handle(&Request::Delta {
+            add: vec![],
+            remove: vec![(s, t)],
+            reweight: vec![],
+            apply: false,
+        });
+        assert!(
+            matches!(queued, Response::Deltas { pending: 1, .. }),
+            "{queued:?}"
+        );
+        // Another queues a self-loop add: refused, the queue untouched.
+        let refused = svc.handle(&Request::Delta {
+            add: vec![(3, 3, 0.5)],
+            remove: vec![],
+            reweight: vec![],
+            apply: false,
+        });
+        match refused {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::BadQuery);
+                assert!(message.contains("self-loop on node 3"), "{message}");
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
+        assert_eq!(svc.pending_delta_count(), 1);
+        // A third applies the queue: the first client's removal lands.
+        let applied = svc.handle(&Request::Delta {
+            add: vec![],
+            remove: vec![],
+            reweight: vec![],
+            apply: true,
+        });
+        assert!(
+            matches!(
+                applied,
+                Response::Deltas {
+                    pending: 0,
+                    applied: 1,
+                    ..
+                }
+            ),
+            "{applied:?}"
+        );
+        assert_eq!(svc.deltas_applied(), 1);
+        assert!(!svc.graph().has_edge(NodeId(s), NodeId(t)));
     }
 
     fn cfg_key() -> PoolKey {

@@ -11,8 +11,16 @@
 //! invalidation wrongly left untouched shows up as a byte diff. Those
 //! streams are keyed on each set's index alone, so the refresh also equals
 //! a fresh `generate_pool` on the compacted graph at any thread count.
+//!
+//! A churn-shaped batch (adds, removes and reweights) checks the
+//! compaction's in-CSR through the sampler, which reads it: the refit pool
+//! on the compacted graph must equal `generate_pool` on a `from_edges`
+//! rebuild of the reference edge set.
+
+use std::collections::BTreeMap;
 
 use comic_bench::invariance::{assert_thread_invariance, thread_counts};
+use comic_graph::builder::from_edges;
 use comic_graph::delta::node_removal_deltas;
 use comic_graph::{DiGraph, EdgeDelta, NodeId};
 use comic_ris::ic_sampler::IcRrSampler;
@@ -103,6 +111,57 @@ fn assert_sets_live(pool: &SketchPool, g: &DiGraph) {
             );
         }
     }
+}
+
+/// A churn-shaped batch against `g` from raw `(op, a, b, p)` soup — op 0
+/// removes the `a`-th live edge, op 1 reweights it to `p`, op 2 adds
+/// `(a, b)` with `p` when absent — plus the reference edge set it leaves,
+/// replayed on a plain map.
+fn churn_batch(
+    g: &DiGraph,
+    raw: &[(u32, u32, u32, f64)],
+) -> (Vec<EdgeDelta>, Vec<(u32, u32, f64)>) {
+    let n = g.num_nodes() as u32;
+    let mut live: BTreeMap<(u32, u32), f64> = g
+        .edges()
+        .map(|(_, e)| ((e.source.0, e.target.0), e.p))
+        .collect();
+    let mut deltas = Vec::new();
+    for &(op, a, b, p) in raw {
+        let nth = (!live.is_empty()).then(|| *live.keys().nth(a as usize % live.len()).unwrap());
+        let d = match (op, nth) {
+            (0, Some((s, t))) => {
+                live.remove(&(s, t));
+                EdgeDelta::Remove {
+                    source: NodeId(s),
+                    target: NodeId(t),
+                }
+            }
+            (1, Some((s, t))) => {
+                live.insert((s, t), p);
+                EdgeDelta::Reweight {
+                    source: NodeId(s),
+                    target: NodeId(t),
+                    p,
+                }
+            }
+            _ => {
+                let (s, t) = (a % n, b % n);
+                if s == t || live.contains_key(&(s, t)) {
+                    continue;
+                }
+                live.insert((s, t), p);
+                EdgeDelta::Add {
+                    source: NodeId(s),
+                    target: NodeId(t),
+                    p,
+                }
+            }
+        };
+        deltas.push(d);
+    }
+    let edges = live.into_iter().map(|((s, t), p)| (s, t, p)).collect();
+    (deltas, edges)
 }
 
 proptest! {
@@ -229,5 +288,30 @@ proptest! {
                 .collect::<Vec<_>>()
         });
         prop_assert_eq!(report.digests.len(), counts.len());
+    }
+
+    /// A churn-shaped batch of adds, removes and reweights leaves in-rows
+    /// with mixed probabilities. The refit pool on the compacted graph
+    /// equals `generate_pool` on a `from_edges` rebuild of the reference
+    /// edge set, so the compaction's in-CSR (which the sampler reads)
+    /// matches the rebuild's byte for byte. `CAP` sits below θ as above.
+    #[test]
+    fn mixed_batch_refit_equals_generate_pool_on_a_rebuild(
+        g in arb_graph(),
+        seed in 0u64..1_000,
+        raw in proptest::collection::vec((0u32..3, 0u32..1024, 0u32..1024, 0.05f64..=1.0), 1..24),
+    ) {
+        const CAP: u64 = 96;
+        let (deltas, edges) = churn_batch(&g, &raw);
+        prop_assume!(!deltas.is_empty());
+        let pool = build_pool_with(&g, seed, GEN_THREADS, CAP);
+        prop_assert_eq!(pool.len() as u64, CAP);
+        let g2 = g.apply_deltas(&deltas).unwrap();
+        let rebuilt = from_edges(g.num_nodes(), &edges).unwrap();
+        let marks = pool.invalidate(&deltas).expect("IC pools are touch-tracked");
+
+        let refreshed = refresh_pool_marked(&pool, &marks, || IcRrSampler::new(&g2), GEN_THREADS);
+        assert_pools_equal(&refreshed, &build_pool_with(&rebuilt, seed, GEN_THREADS, CAP));
+        assert_sets_live(&refreshed, &g2);
     }
 }
