@@ -7,19 +7,26 @@
 //! at 1 / 4 / all-cores threads, then [`NaiveGreedy`] vs [`CelfGreedy`]
 //! (both on the active SIMD kernel) at `k = 50`, and CELF again over the
 //! first half of the sets (a set cut, as a budgeted query reads it),
-//! each row the median of 9 calls (one under `COMIC_BENCH_QUICK`). It
-//! also **asserts** the determinism contract on every call — parallel
-//! index builds byte-identical to the one-thread build, CELF seed sets
-//! byte-identical to the naive oracle's over every set and at the cut —
-//! so the quick-mode CI smoke run, repeated with `COMIC_SIMD=off`, fails
-//! if a selector ever diverges. Set `COMIC_BENCH_JSON=<path>` to write the
-//! numbers as a JSON snapshot (committed as `BENCH_seed_selection.json`
-//! at the repo root).
+//! each row the median of 9 calls (one under `COMIC_BENCH_QUICK`). The
+//! three selector rows run again at serving scale (`*/chung-lu` labels):
+//! 200k sets over a generated Chung–Lu graph (n = 100k, exponent 2.16,
+//! ~1M edges, weighted cascade — `incremental.rs`'s `chung-lu-1m`; a
+//! 10k-node graph and 5k sets under `COMIC_BENCH_QUICK`), where a cost
+//! that grows with n shows. It also **asserts** the determinism contract
+//! on every call — parallel index builds byte-identical to the one-thread
+//! build, CELF seed sets byte-identical to the naive oracle's over every
+//! set and at the cut, on both graphs — so the quick-mode CI smoke run,
+//! repeated with `COMIC_SIMD=off`, fails if a selector ever diverges.
+//! `COMIC_BENCH_JSON=$PWD/BENCH_seed_selection.json cargo bench -p
+//! comic-bench --bench seed_selection`, run from the repository root,
+//! writes the committed snapshot.
 
 use comic_algos::greedy::celf;
 use comic_bench::datasets::{bench_source, Dataset};
 use comic_bench::runtime::timed;
-use comic_graph::NodeId;
+use comic_graph::gen::{chung_lu_par, ChungLuConfig, ParGen};
+use comic_graph::prob::ProbModel;
+use comic_graph::{DiGraph, NodeId};
 use comic_ris::ic_sampler::IcRrSampler;
 use comic_ris::kpt::kpt_star_with;
 use comic_ris::parallel::resolve_threads;
@@ -114,6 +121,69 @@ fn median_timed<T: PartialEq>(reps: usize, what: &str, mut f: impl FnMut() -> T)
     (first, secs[secs.len() / 2])
 }
 
+/// The selector rows over `index`, labels suffixed with `suffix`: the
+/// naive oracle, CELF, and CELF over the first half of the sets, each the
+/// median of `reps` calls, asserting that CELF returns the oracle's seed
+/// set over every set and at the cut.
+fn selector_runs(index: &CoverageIndex, k: usize, reps: usize, suffix: &str) -> Vec<Run> {
+    let run = |label: &str, secs| Run {
+        label: format!("{label}{suffix}"),
+        threads: 1,
+        secs,
+    };
+    let (naive, naive_secs) = median_timed(reps, "select_naive", || NaiveGreedy.select(index, k));
+    let (celf_r, celf_secs) = median_timed(reps, "select_celf", || CelfGreedy.select(index, k));
+    // The determinism contract CI enforces: byte-identical seed sets.
+    assert_eq!(
+        celf_r,
+        naive,
+        "CELF diverged from the naive-greedy oracle ({}{suffix})",
+        simd::active().name()
+    );
+    // The same contract under a set cut: CELF's untouched keys are
+    // full-index run lengths, which only bound the gains below the cut.
+    let half = index.num_sets() / 2;
+    let naive_half = NaiveGreedy.select_prefix(index, k, half);
+    let (celf_half, half_secs) = median_timed(reps, "select_celf_half", || {
+        CelfGreedy.select_prefix(index, k, half)
+    });
+    assert_eq!(
+        celf_half,
+        naive_half,
+        "CELF diverged from the naive-greedy oracle over the first {half} sets ({}{suffix})",
+        simd::active().name()
+    );
+    vec![
+        run("select_naive", naive_secs),
+        run("select_celf", celf_secs),
+        run("select_celf_half", half_secs),
+    ]
+}
+
+/// Seed of the serving-scale Chung–Lu graph (`incremental.rs`'s).
+const CHUNG_LU_SEED: u64 = 0xD317A;
+
+/// The serving-scale graph: Chung–Lu, n = 100k, exponent 2.16, ~1M edges,
+/// weighted cascade, built as `incremental.rs` builds `chung-lu-1m`;
+/// a tenth of that under quick mode.
+fn chung_lu_graph(quick: bool) -> DiGraph {
+    let (n, target_edges) = if quick {
+        (10_000, 100_000)
+    } else {
+        (100_000, 1_000_000)
+    };
+    let topology = chung_lu_par(
+        &ChungLuConfig {
+            n,
+            target_edges,
+            exponent: 2.16,
+        },
+        &ParGen::with_threads(CHUNG_LU_SEED, 2),
+    )
+    .expect("Chung–Lu generation");
+    ProbModel::WeightedCascade.apply(&topology, &mut SmallRng::seed_from_u64(CHUNG_LU_SEED))
+}
+
 /// Wall-clock comparison of the selection engine, each row the median of
 /// `reps` calls, with the naive-vs-CELF cross-check assertion CI relies
 /// on.
@@ -162,44 +232,13 @@ fn bench_selector_comparison(c: &mut Criterion) {
         });
     }
 
-    // Selectors: the naive oracle vs CELF; both must agree.
-    let (naive, secs) = median_timed(reps, "select_naive", || NaiveGreedy.select(&index, k));
-    runs.push(Run {
-        label: "select_naive".into(),
-        threads: 1,
-        secs,
-    });
-    let (celf_r, secs) = median_timed(reps, "select_celf", || CelfGreedy.select(&index, k));
-    // The determinism contract CI enforces: byte-identical seed sets.
-    assert_eq!(
-        celf_r,
-        naive,
-        "CELF diverged from the naive-greedy oracle ({})",
-        simd::active().name()
-    );
-    runs.push(Run {
-        label: "select_celf".into(),
-        threads: 1,
-        secs,
-    });
-    // The same contract under a set cut: CELF's untouched keys are
-    // full-index run lengths, which only bound the gains below the cut.
-    let half = store.len() / 2;
-    let naive_half = NaiveGreedy.select_prefix(&index, k, half);
-    let (celf_half, secs) = median_timed(reps, "select_celf_half", || {
-        CelfGreedy.select_prefix(&index, k, half)
-    });
-    assert_eq!(
-        celf_half,
-        naive_half,
-        "CELF diverged from the naive-greedy oracle over the first {half} sets ({})",
-        simd::active().name()
-    );
-    runs.push(Run {
-        label: "select_celf_half".into(),
-        threads: 1,
-        secs,
-    });
+    runs.extend(selector_runs(&index, k, reps, ""));
+
+    // The same rows at serving scale, where n is a hundred times larger.
+    let chung_lu = chung_lu_graph(quick);
+    let cl_store = sample_store(&chung_lu, sets);
+    let cl_index = CoverageIndex::build(&cl_store, chung_lu.num_nodes(), max_threads);
+    runs.extend(selector_runs(&cl_index, k, reps, "/chung-lu"));
 
     for r in &runs {
         println!(
@@ -208,8 +247,10 @@ fn bench_selector_comparison(c: &mut Criterion) {
         );
     }
     println!(
-        "bench: selector_comparison cross-check OK — CELF == naive greedy on {} sets and on the first {half} (k={k})",
-        store.len()
+        "bench: selector_comparison cross-check OK — CELF == naive greedy on {} sets over {n} nodes and {} sets over {} nodes, and on the first half of each (k={k})",
+        store.len(),
+        cl_store.len(),
+        chung_lu.num_nodes()
     );
 
     comic_bench::runtime::write_json_snapshot(
@@ -224,6 +265,16 @@ fn bench_selector_comparison(c: &mut Criterion) {
                     g.num_edges()
                 ),
             ),
+            (
+                "chung_lu",
+                format!(
+                    "{{ \"model\": \"chung_lu (exponent 2.16) + weighted_cascade\", \"nodes\": {}, \"edges\": {}, \"rr_sets\": {}, \"total_members\": {} }}",
+                    chung_lu.num_nodes(),
+                    chung_lu.num_edges(),
+                    cl_store.len(),
+                    cl_store.total_members()
+                ),
+            ),
             ("rr_sets", store.len().to_string()),
             ("k", k.to_string()),
             ("reps", reps.to_string()),
@@ -231,7 +282,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
             ("simd", format!("\"{}\"", simd::active().name())),
             (
                 "note",
-                "\"each row is the median wall-clock of reps calls, and every call's result is asserted; selectors return byte-identical seed sets over every set and over the first half (asserted; select_celf_half times CELF at that cut, as a budgeted query reads the index); both run on one thread, on the simd kernel named above; index_build is the one coverage-index builder (pool builds, refits and prefix copies all run it over a finished store) and every thread count gives the same bytes (asserted); rows with more threads than host_cores measure oversubscription overhead\"".into(),
+                "\"each row is the median wall-clock of reps calls, and every call's result is asserted; selectors return byte-identical seed sets over every set and over the first half (asserted; select_celf_half times CELF at that cut, as a budgeted query reads the index); '/chung-lu' rows run the same selectors over chung_lu's graph and sets; both run on one thread, on the simd kernel named above; index_build is the one coverage-index builder (pool builds, refits and prefix copies all run it over a finished store) and every thread count gives the same bytes (asserted); rows with more threads than host_cores measure oversubscription overhead\"".into(),
             ),
         ],
         &runs

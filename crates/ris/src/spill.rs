@@ -48,7 +48,10 @@
 //! panic inside [`SketchPool::new`]'s assertions. A spill whose
 //! recorded graph digest differs from the caller's expectation is
 //! [`GraphError::StaleSource`] — the pool describes some *other* graph and
-//! must be regenerated, exactly like a stale binary cache.
+//! must be regenerated, exactly like a stale binary cache. Staleness ranks
+//! below meta sanity and above structure, also when the read is split:
+//! [`read_pool_spill`] does all the work that needs no expected digest,
+//! and [`SpilledPool::against`] compares the digest afterwards.
 
 use crate::pool::SketchPool;
 use crate::rr::RrStore;
@@ -120,24 +123,71 @@ pub fn write_pool_file(
     write_pool(pool, graph_digest, f)
 }
 
+/// A spill read up to, but not including, its comparison with a graph:
+/// the segment is mapped (or bulk-read) and both of its digests verified,
+/// its meta words passed their sanity checks, and its two CSRs were
+/// validated and the pool assembled (`pool`), or refused with the typed
+/// error that validation found. [`SpilledPool::against`] finishes the
+/// read.
+///
+/// The split lets a caller read a spill before it knows the graph it will
+/// serve the pool over (`comic-serve` reads its spills on one thread while
+/// the dataset loads on another) without changing which error a file
+/// reports: meta sanity (returned by [`read_pool_spill`] itself), then
+/// staleness, then structure.
+#[derive(Debug)]
+pub struct SpilledPool {
+    graph_digest: u64,
+    pool: Result<SketchPool, GraphError>,
+}
+
+impl SpilledPool {
+    /// The digest of the graph the spilled sets were sampled over.
+    pub fn graph_digest(&self) -> u64 {
+        self.graph_digest
+    }
+
+    /// The pool, served over a graph whose digest is `expected_graph`: a
+    /// spill recorded for another graph is [`GraphError::StaleSource`],
+    /// even when its structure is bad too.
+    pub fn against(self, expected_graph: u64) -> Result<SketchPool, GraphError> {
+        if self.graph_digest != expected_graph {
+            return Err(GraphError::StaleSource {
+                expected: expected_graph,
+                found: self.graph_digest,
+            });
+        }
+        self.pool
+    }
+}
+
 /// Reload a spilled pool under the process-wide
 /// [`comic_graph::store::active`] mode, verifying integrity, graph
 /// provenance, and CSR structure. The reloaded pool is byte-identical to
 /// the one spilled: same sets, widths, provenance, generation, and
 /// resident coverage index.
 pub fn read_pool_file(path: &Path, expected_graph: u64) -> Result<SketchPool, GraphError> {
+    read_pool_spill(path)?.against(expected_graph)
+}
+
+/// [`read_pool_file`] without the graph comparison: everything that does
+/// not depend on the expected graph digest (see [`SpilledPool`]).
+pub fn read_pool_spill(path: &Path) -> Result<SpilledPool, GraphError> {
     let seg = SegmentFile::open(path, POOL_MAGIC, POOL_FORMAT_VERSION, POOL_META_LEN)?;
-    pool_from_segment(seg, expected_graph)
+    spilled_from_segment(seg)
 }
 
 /// [`read_pool_file`] over an in-memory byte buffer (always the safe owned
 /// path) — tests and fuzzing use this.
 pub fn read_pool_bytes(bytes: Vec<u8>, expected_graph: u64) -> Result<SketchPool, GraphError> {
     let seg = SegmentFile::from_bytes(bytes, POOL_MAGIC, POOL_FORMAT_VERSION, POOL_META_LEN)?;
-    pool_from_segment(seg, expected_graph)
+    spilled_from_segment(seg)?.against(expected_graph)
 }
 
-fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool, GraphError> {
+/// Meta sanity, then structure: a meta error is returned outright, since
+/// it ranks above staleness, while a structural one is kept inside the
+/// [`SpilledPool`], below it.
+fn spilled_from_segment(seg: SegmentFile) -> Result<SpilledPool, GraphError> {
     let [graph_digest, n64, seed, design_k64, eps_bits, kpt_bits, capped64, generation, touched64] =
         seg.meta()
     else {
@@ -164,14 +214,27 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
     let touched = flag(*touched64, "touched")?;
 
     // Integrity is proven by the segment digests; staleness ranks above
-    // structure, matching the graph store's ordering.
-    if graph_digest != expected_graph {
-        return Err(GraphError::StaleSource {
-            expected: expected_graph,
-            found: graph_digest,
-        });
-    }
+    // structure, matching the graph store's ordering, so a structural
+    // error waits inside the result for `against` to rank it.
+    let pool = pool_from_sections(&seg, n).map(|(store, index)| {
+        SketchPool::new(
+            Arc::new(store),
+            Arc::new(index),
+            *seed,
+            design_k,
+            epsilon,
+            kpt,
+            capped,
+        )
+        .with_touch_tracked(touched)
+        .with_generation(*generation)
+    });
+    Ok(SpilledPool { graph_digest, pool })
+}
 
+/// The store and coverage index of a spill over `n` nodes, structurally
+/// validated.
+fn pool_from_sections(seg: &SegmentFile, n: usize) -> Result<(RrStore, CoverageIndex), GraphError> {
     if seg.num_sections() != POOL_SECTIONS {
         return Err(corrupt(format!(
             "pool spill needs {POOL_SECTIONS} sections, found {}",
@@ -225,19 +288,7 @@ fn pool_from_segment(seg: SegmentFile, expected_graph: u64) -> Result<SketchPool
         }
     }
     let index = CoverageIndex::from_parts(n, sets, idx_offsets, idx_sets);
-
-    let store = RrStore::from_raw_parts(offsets, nodes, widths);
-    Ok(SketchPool::new(
-        Arc::new(store),
-        Arc::new(index),
-        *seed,
-        design_k,
-        epsilon,
-        kpt,
-        capped,
-    )
-    .with_touch_tracked(touched)
-    .with_generation(*generation))
+    Ok((RrStore::from_raw_parts(offsets, nodes, widths), index))
 }
 
 /// A 0/1 meta word as a bool.
@@ -462,6 +513,71 @@ mod tests {
             }
             other => panic!("expected StaleSource, got {other:?}"),
         }
+    }
+
+    /// Write `sections` under the current version with `meta`, digests
+    /// recomputed, to a fresh temp file.
+    fn crafted_file(tag: &str, meta: &[u64], sections: &[SectionData]) -> std::path::PathBuf {
+        let path = tmp_path(tag);
+        let mut f = File::create(&path).unwrap();
+        write_segment(&mut f, POOL_MAGIC, POOL_FORMAT_VERSION, meta, sections).unwrap();
+        path
+    }
+
+    #[test]
+    fn staleness_ranks_below_meta_sanity_and_above_structure() {
+        // A digest-valid spill whose index has a run out of order: only
+        // structural validation can tell, and a stale graph digest must
+        // still win over it, both in `read_pool_file` and in the split
+        // read the service combines after loading its dataset.
+        let g = gen::star(30, 0.8);
+        let d = graph_digest(&g);
+        let pool = sample_pool(&g);
+        let (store, index) = (pool.store(), pool.coverage_index());
+        let mut sets = index.sets_raw().to_vec();
+        let offsets = index.offsets_raw();
+        let v = (0..pool.num_nodes())
+            .find(|&v| offsets[v + 1] - offsets[v] >= 2)
+            .expect("some node lies in two sets");
+        sets.swap(offsets[v] as usize, offsets[v] as usize + 1);
+        let sections = [
+            SectionData::U64(store.offsets_raw()),
+            SectionData::Nodes(store.nodes_raw()),
+            SectionData::U64(store.widths_raw()),
+            SectionData::U64(offsets),
+            SectionData::U32(&sets),
+        ];
+        let path = crafted_file("stale-and-bad", &meta_of(&pool, d), &sections);
+        let stale = d ^ 1;
+        let is_stale = |r: Result<SketchPool, GraphError>| {
+            matches!(r, Err(GraphError::StaleSource { expected, found })
+                if expected == stale && found == d)
+        };
+        assert!(is_stale(read_pool_file(&path, stale)));
+        let spilled = read_pool_spill(&path).expect("digest-independent checks pass");
+        assert_eq!(spilled.graph_digest(), d);
+        assert!(is_stale(spilled.against(stale)));
+        // Against the graph it was written for, the bad run is reported.
+        let is_unordered = |r: Result<SketchPool, GraphError>| matches!(r, Err(GraphError::Corrupt(msg)) if msg.contains("not strictly ascending"));
+        assert!(is_unordered(read_pool_file(&path, d)));
+        assert!(is_unordered(read_pool_spill(&path).unwrap().against(d)));
+        std::fs::remove_file(&path).ok();
+
+        // Meta sanity ranks above staleness: the split read refuses the
+        // file before any graph is known.
+        let mut meta = meta_of(&pool, d);
+        meta[4] = f64::NAN.to_bits();
+        let path = crafted_file("bad-meta", &meta, &sections);
+        for r in [
+            read_pool_file(&path, stale).map(|_| ()),
+            read_pool_spill(&path).map(|_| ()),
+        ] {
+            assert!(
+                matches!(&r, Err(GraphError::Corrupt(msg)) if msg.contains("implausible epsilon")),
+                "{r:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

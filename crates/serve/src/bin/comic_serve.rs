@@ -38,7 +38,9 @@ OPTIONS:
   --pool-dir <path>              persist pools as COMICRRS spill files in
                                  this directory; a restart reloads matching
                                  spills instead of regenerating (the
-                                 directory is created if missing)
+                                 directory is created if missing). It holds
+                                 one dataset's spills: another dataset
+                                 rejects and overwrites them
   --tcp <addr>                   serve on a TCP listener (e.g.
                                  127.0.0.1:7717) instead of stdio
   --refresh-ms <n>               background-refresh all pools every n ms

@@ -5,7 +5,10 @@
 //! full-pipeline baseline that re-samples from scratch), and writes
 //! `BENCH_serving.json` with queries/sec, p50/p99 latency, and outcome
 //! counts (`ok`/`degraded`/`shed`/`deadline`) per class. The query *mix*
-//! is deterministic; only the measured timings vary run to run.
+//! is deterministic; only the measured timings vary run to run. A
+//! `restart` section times fixture-medium reloads: a text parse against a
+//! v4 store load, and a service restart from a spilled pool against its
+//! two reads, each timed alone.
 //!
 //! Robustness knobs mirror `comic-serve`: `--inflight-cap` and
 //! `--deadline-ms` exercise admission control and deadline degradation,
@@ -19,23 +22,21 @@
 //! "seed_selection"`) and `BENCH_incremental.json` (`"bench":
 //! "incremental"`) — and exits nonzero on a mismatch (the CI smoke steps).
 
-use comic_bench::datasets::{load_with, CacheMode};
+use comic_bench::datasets::{self, load_with, CacheMode};
 use comic_bench::metrics::{percentile, round3, OutcomeCounts};
 use comic_graph::fasthash::splitmix64;
 use comic_graph::io::graph_digest;
 use comic_graph::store;
-use comic_graph::DiGraph;
 use comic_ris::ic_sampler::IcRrSampler;
 use comic_ris::parallel::resolve_threads;
 use comic_ris::select::SelectorKind;
 use comic_ris::tim::TimConfig;
-use comic_ris::RisPipeline;
+use comic_ris::{spill, RisPipeline};
 use comic_serve::faults::FaultPlan;
 use comic_serve::json::{self, build, Json};
 use comic_serve::protocol::{EpsTier, PoolKey, Request, SamplerKind};
 use comic_serve::service::{ComicService, ServeConfig};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "\
@@ -222,7 +223,9 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
 /// workload provenance, the host's core count, the calls per row
 /// (`reps`, each row their median), the active SIMD mode, the caveat
 /// note, and per-run `{label, threads, secs}` rows for the index build,
-/// both selectors and CELF at a half-pool cut. One ratio is gated, never
+/// both selectors and CELF at a half-pool cut, the three selector rows
+/// again over the serving-scale `chung_lu` graph (`*/chung-lu` labels)
+/// with that graph's provenance. One ratio is gated on each graph, never
 /// an absolute time: `select_celf` must be faster than `select_naive`.
 fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     for f in ["simd", "note"] {
@@ -238,13 +241,19 @@ fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     if v.get("graph").is_none() {
         return Err("missing field \"graph\"".into());
     }
+    let chung_lu = v
+        .get("chung_lu")
+        .filter(|c| c.as_obj().is_some())
+        .ok_or("missing object field \"chung_lu\"")?;
+    for f in ["nodes", "edges", "rr_sets", "total_members"] {
+        if chung_lu.get(f).and_then(Json::as_f64).is_none() {
+            return Err(format!("chung_lu: missing numeric {f:?}"));
+        }
+    }
     let runs = v
         .get("runs")
         .and_then(Json::as_arr)
         .ok_or("missing array field \"runs\"")?;
-    if runs.is_empty() {
-        return Err("\"runs\" must be non-empty".into());
-    }
     let mut secs_by_label = Vec::new();
     for (i, r) in runs.iter().enumerate() {
         let label = r
@@ -266,24 +275,57 @@ fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
             .map(|&(_, s)| s)
             .ok_or_else(|| format!("required run label {required:?} is absent"))
     };
-    for required in ["index_build", "select_celf_half"] {
-        secs(required)?;
-    }
-    let (celf, naive) = (secs("select_celf")?, secs("select_naive")?);
-    if celf >= naive {
-        return Err(format!(
-            "select_celf ({celf} s) is not faster than select_naive ({naive} s)"
-        ));
+    secs("index_build")?;
+    for suffix in ["", "/chung-lu"] {
+        secs(&format!("select_celf_half{suffix}"))?;
+        let (celf, naive) = (
+            secs(&format!("select_celf{suffix}"))?,
+            secs(&format!("select_naive{suffix}"))?,
+        );
+        if celf >= naive {
+            return Err(format!(
+                "select_celf{suffix} ({celf} s) is not faster than select_naive{suffix} ({naive} s)"
+            ));
+        }
     }
     Ok(())
 }
 
-/// Measure the restart story on `fixture-medium`: the wall-clock of
-/// re-materializing the graph without a cache (read and parse the source
-/// text, then apply the probability model —
-/// `load_with(.., CacheMode::Off)`) vs a v4 zero-copy store load (open →
-/// map/bulk-read → verify → reinterpret), min over `reps` to suppress
-/// scheduler noise. Returns the `"restart"` snapshot object.
+/// Min and mean wall-clock milliseconds over `reps` calls of `f`, plus the
+/// last call's result for the caller to check outside the timed region
+/// (each earlier result is dropped outside it too).
+fn min_mean_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, f64, T) {
+    let (mut best, mut sum) = (f64::INFINITY, 0.0);
+    let mut last = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let out = f();
+        let ms = t.elapsed().as_secs_f64() * 1_000.0;
+        best = best.min(ms);
+        sum += ms;
+        last = Some(out);
+    }
+    (best, sum / reps as f64, last.expect("reps >= 1"))
+}
+
+/// Sketch cap of the pool the `service_restart` row reloads: its spill
+/// read takes about as long as the fixture-medium load on a 2-core host,
+/// as serve-ic's two reads do, so the overlap shows.
+const RESTART_SKETCHES: u64 = 100_000;
+
+/// Measure the restart story on `fixture-medium`, each row the min and
+/// mean over `reps` calls to suppress scheduler noise:
+///
+/// - `text_parse` re-materializes the graph without a cache (read and
+///   parse the source text, then apply the probability model —
+///   `load_with(.., CacheMode::Off)`), `v4_zero_copy` loads a v4 store
+///   (open → map/bulk-read → verify → reinterpret);
+/// - `service_restart` is [`ComicService::start`] from a pool directory
+///   holding one spilled `vanilla-ic/default/coarse` pool, and
+///   `dataset_load` and `spill_read` time that start's two reads alone:
+///   the dataset load (cache on) and [`spill::read_pool_file`].
+///
+/// Returns the `"restart"` snapshot object.
 fn restart_rows(quick: bool) -> Result<Json, String> {
     let reps = if quick { 3 } else { 7 };
     let parse = || load_with("fixture-medium", CacheMode::Off).map(|l| l.graph);
@@ -291,7 +333,8 @@ fn restart_rows(quick: bool) -> Result<Json, String> {
     let want = graph_digest(&g);
 
     let dir = std::env::temp_dir().join(format!("comic-serve-load-restart-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+    let pool_dir = dir.join("pools");
+    std::fs::create_dir_all(&pool_dir).map_err(|e| format!("mkdir {}: {e}", pool_dir.display()))?;
     let v4_path = dir.join("fixture-medium.v4.grb");
     // The graph digest stands in for the recorded source digest: any
     // recorded word makes the timed load run its staleness check.
@@ -301,29 +344,61 @@ fn restart_rows(quick: bool) -> Result<Json, String> {
     // Time ONLY the load; the structural-digest correctness check runs on
     // the last loaded graph outside the timed region (it is a full graph
     // walk and would otherwise dominate both columns).
-    let min_ms = |f: &mut dyn FnMut() -> Arc<DiGraph>| -> (f64, f64) {
-        let (mut best, mut sum) = (f64::INFINITY, 0.0);
-        let mut last = None;
-        for _ in 0..reps {
-            let t = Instant::now();
-            let h = f();
-            let ms = t.elapsed().as_secs_f64() * 1_000.0;
-            best = best.min(ms);
-            sum += ms;
-            last = Some(h);
-        }
-        let last = last.expect("reps >= 1");
-        assert_eq!(
-            graph_digest(&last),
-            want,
-            "restart load must reproduce the graph"
-        );
-        (best, sum / reps as f64)
-    };
-    let (text_min, text_mean) = min_ms(&mut || parse().expect("text load"));
-    let (v4_min, v4_mean) = min_ms(&mut || {
-        Arc::new(store::read_store_file_with(&v4_path, Some(want), mode).expect("v4 load"))
+    let (text_min, text_mean, last) = min_mean_ms(reps, || parse().expect("text load"));
+    assert_eq!(
+        graph_digest(&last),
+        want,
+        "text load must reproduce the graph"
+    );
+    let (v4_min, v4_mean, last) = min_mean_ms(reps, || {
+        store::read_store_file_with(&v4_path, Some(want), mode).expect("v4 load")
     });
+    assert_eq!(
+        graph_digest(&last),
+        want,
+        "v4 load must reproduce the graph"
+    );
+
+    // The first start builds the pool and spills it; every timed start
+    // reloads it without sampling.
+    let mut cfg = ServeConfig::new("fixture-medium");
+    cfg.pools = vec![restart_pool()];
+    cfg.max_rr_sets = Some(RESTART_SKETCHES);
+    cfg.pool_dir = Some(pool_dir.clone());
+    let first = ComicService::start(cfg.clone()).map_err(|e| format!("first start: {e}"))?;
+    let sketches = first.pool(&restart_pool()).map_or(0, |p| p.len());
+    drop(first);
+    let spill_path = std::fs::read_dir(&pool_dir)
+        .map_err(|e| format!("read {}: {e}", pool_dir.display()))?
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "rrseg"))
+        .ok_or("the first start spilled no pool")?;
+    let (restart_min, restart_mean, svc) = min_mean_ms(reps, || {
+        let svc = ComicService::start(cfg.clone()).expect("restart");
+        assert_eq!(
+            (svc.pool_builds(), svc.spill_rejects()),
+            (0, 0),
+            "a restart must reload its spill"
+        );
+        svc
+    });
+    drop(svc);
+    let (load_min, load_mean, loaded) = min_mean_ms(reps, || {
+        datasets::load("fixture-medium").expect("dataset load")
+    });
+    assert_eq!(
+        loaded.digest, want,
+        "the dataset load must reproduce the graph"
+    );
+    let (read_min, read_mean, pool) = min_mean_ms(reps, || {
+        spill::read_pool_file(&spill_path, want).expect("spill read")
+    });
+    assert_eq!(
+        pool.len(),
+        sketches,
+        "the spill read must reproduce the pool"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 
     let row = |name: &str, min: f64, mean: f64| {
@@ -334,28 +409,39 @@ fn restart_rows(quick: bool) -> Result<Json, String> {
             ("mean_ms", build::num(round3(mean))),
         ])
     };
+    let ratio = |a: f64, b: f64| build::num(round3(if b > 0.0 { a / b } else { 0.0 }));
     Ok(build::obj(vec![
         ("dataset", build::str("fixture-medium")),
         ("nodes", build::num_u64(g.num_nodes() as u64)),
         ("edges", build::num_u64(g.num_edges() as u64)),
         ("store_mode", build::str(store::StoreMode::name(mode))),
+        ("pool", build::str(restart_pool().to_string())),
+        ("sketches", build::num_u64(sketches as u64)),
         (
             "rows",
             Json::Arr(vec![
                 row("text_parse", text_min, text_mean),
                 row("v4_zero_copy", v4_min, v4_mean),
+                row("service_restart", restart_min, restart_mean),
+                row("dataset_load", load_min, load_mean),
+                row("spill_read", read_min, read_mean),
             ]),
         ),
-        (
-            "speedup_v4_vs_text",
-            build::num(round3(if v4_min > 0.0 { text_min / v4_min } else { 0.0 })),
-        ),
+        ("speedup_v4_vs_text", ratio(text_min, v4_min)),
+        ("restart_vs_reads", ratio(restart_min, load_min + read_min)),
     ]))
 }
 
-/// Required schema of a `BENCH_serving.json` snapshot. One ratio is
+/// The pool the `service_restart` row reloads.
+fn restart_pool() -> PoolKey {
+    PoolKey::new(SamplerKind::VanillaIc, "default", EpsTier::Coarse).expect("static key")
+}
+
+/// Required schema of a `BENCH_serving.json` snapshot. Two ratios are
 /// gated, never an absolute time: the resident pool's `warm_select_k10`
-/// p50 must be below the `cold_pipeline_k10` p50 it replaces.
+/// p50 must be below the `cold_pipeline_k10` p50 it replaces, and the
+/// restart section's `service_restart` min below the sum of its
+/// `dataset_load` and `spill_read` mins.
 fn validate_serving_schema(v: &Json) -> Result<(), String> {
     let expect_str = |f: &str| {
         v.get(f)
@@ -420,9 +506,10 @@ fn validate_serving_schema(v: &Json) -> Result<(), String> {
             "warm_select_k10 p50 ({warm} ms) is not below cold_pipeline_k10's ({cold} ms)"
         ));
     }
-    // The restart section records the zero-copy store's reason to exist:
-    // a cache-less reload (text parse) vs a v4 zero-copy reload of
-    // fixture-medium.
+    // The restart section records the zero-copy store's reason to exist
+    // (a cache-less reload, text parse, vs a v4 zero-copy reload of
+    // fixture-medium) and a service restart next to its two reads, each
+    // timed alone.
     let restart = v.get("restart").ok_or("missing object field \"restart\"")?;
     if restart
         .get("speedup_v4_vs_text")
@@ -435,16 +522,35 @@ fn validate_serving_schema(v: &Json) -> Result<(), String> {
         .get("rows")
         .and_then(Json::as_arr)
         .ok_or("restart: missing array field \"rows\"")?;
-    for required in ["text_parse", "v4_zero_copy"] {
+    let min_ms = |required: &str| {
         let row = rows
             .iter()
             .find(|r| r.get("name").and_then(Json::as_str) == Some(required))
             .ok_or_else(|| format!("restart: required row {required:?} is absent"))?;
-        for f in ["reps", "min_ms", "mean_ms"] {
+        for f in ["reps", "mean_ms"] {
             if row.get(f).and_then(Json::as_f64).is_none() {
                 return Err(format!("restart row {required}: missing numeric {f:?}"));
             }
         }
+        row.get("min_ms")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("restart row {required}: missing numeric \"min_ms\""))
+    };
+    for required in ["text_parse", "v4_zero_copy"] {
+        min_ms(required)?;
+    }
+    // A start that reads its spills while the dataset loads beats the two
+    // reads back to back; one that runs them in turn cannot.
+    let (restart, load, read) = (
+        min_ms("service_restart")?,
+        min_ms("dataset_load")?,
+        min_ms("spill_read")?,
+    );
+    if restart >= load + read {
+        return Err(format!(
+            "service_restart ({restart} ms) is not below dataset_load + spill_read \
+             ({load} + {read} ms)"
+        ));
     }
     Ok(())
 }
@@ -635,7 +741,9 @@ fn main() -> ExitCode {
         None
     }));
 
-    eprintln!("comic-serve-load: restart reload comparison (fixture-medium, text vs v4)...");
+    eprintln!(
+        "comic-serve-load: restart comparison (fixture-medium: text vs v4, service restart vs its reads)..."
+    );
     let restart = match restart_rows(quick) {
         Ok(r) => r,
         Err(e) => return fail(&format!("restart rows: {e}")),
@@ -695,6 +803,11 @@ fn main() -> ExitCode {
     if let Some(speedup) = restart.get("speedup_v4_vs_text").and_then(Json::as_f64) {
         println!("  restart reload (fixture-medium): v4 zero-copy is {speedup:.1}x the text parse");
     }
+    if let Some(ratio) = restart.get("restart_vs_reads").and_then(Json::as_f64) {
+        println!(
+            "  service restart (fixture-medium): {ratio:.2} of its dataset load plus spill read"
+        );
+    }
     for t in &classes {
         let mut sorted = t.millis.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
@@ -724,14 +837,18 @@ fn fail(msg: &str) -> ExitCode {
 mod tests {
     use super::*;
 
-    fn seed_selection(runs: &[(&str, f64)]) -> Json {
+    const CHUNG_LU: &str =
+        r#"{"model":"m","nodes":100000,"edges":999673,"rr_sets":10,"total_members":20}"#;
+
+    fn seed_selection(chung_lu: &str, runs: &[(&str, f64)]) -> Json {
         let runs: Vec<String> = runs
             .iter()
             .map(|(label, secs)| format!(r#"{{"label":"{label}","threads":1,"secs":{secs}}}"#))
             .collect();
         json::parse(&format!(
             r#"{{"bench":"seed_selection","host_cores":2,"graph":{{}},"rr_sets":10,"k":5,
-                "reps":1,"total_members":20,"simd":"scalar","note":"n","runs":[{}]}}"#,
+                "reps":1,"total_members":20,"simd":"scalar","note":"n",
+                "chung_lu":{chung_lu},"runs":[{}]}}"#,
             runs.join(",")
         ))
         .expect("valid JSON")
@@ -744,16 +861,29 @@ mod tests {
             ("select_naive", 0.06),
             ("select_celf", 0.006),
             ("select_celf_half", 0.004),
+            ("select_naive/chung-lu", 0.9),
+            ("select_celf/chung-lu", 0.002),
+            ("select_celf_half/chung-lu", 0.001),
         ];
-        assert_eq!(validate_schema(&seed_selection(&good)), Ok(()));
-        let err = validate_schema(&seed_selection(&good[..3])).unwrap_err();
-        assert!(err.contains("select_celf_half"), "{err}");
-        for celf in [0.06, 0.07] {
+        assert_eq!(validate_schema(&seed_selection(CHUNG_LU, &good)), Ok(()));
+        for missing in 0..good.len() {
+            let mut rows = good.to_vec();
+            let (label, _) = rows.remove(missing);
+            let err = validate_schema(&seed_selection(CHUNG_LU, &rows)).unwrap_err();
+            assert!(err.contains(&format!("{label:?}")), "{err}");
+        }
+        for (row, celf) in [(2, 0.06), (2, 0.07), (5, 0.9), (5, 1.0)] {
             let mut slow = good;
-            slow[2].1 = celf;
-            let err = validate_schema(&seed_selection(&slow)).unwrap_err();
+            slow[row].1 = celf;
+            let err = validate_schema(&seed_selection(CHUNG_LU, &slow)).unwrap_err();
             assert!(err.contains("not faster"), "{err}");
         }
+        let bare = r#"{"model":"m","nodes":100000,"edges":999673,"rr_sets":10}"#;
+        let err = validate_schema(&seed_selection(bare, &good)).unwrap_err();
+        assert!(
+            err.contains("chung_lu: missing numeric \"total_members\""),
+            "{err}"
+        );
     }
 
     fn incremental(runs: &[(&str, f64)]) -> Json {
@@ -808,33 +938,65 @@ mod tests {
         assert!(err.contains("missing numeric \"nodes\""), "{err}");
     }
 
-    fn serving(warm_p50: f64, cold_p50: f64) -> Json {
+    /// Restart rows whose `service_restart` min is below the sum of the
+    /// two reads' (0.75 + 1.0 ms, exact in binary).
+    const RESTART: [(&str, f64); 5] = [
+        ("text_parse", 10.7),
+        ("v4_zero_copy", 0.36),
+        ("service_restart", 1.2),
+        ("dataset_load", 0.75),
+        ("spill_read", 1.0),
+    ];
+
+    fn serving(warm_p50: f64, cold_p50: f64, restart: &[(&str, f64)]) -> Json {
         let class = |name: &str, p50: f64| {
             format!(
                 r#"{{"name":"{name}","queries":3,"qps":1,"p50_ms":{p50},"p99_ms":{p50},
                     "mean_ms":{p50},"ok":3,"degraded":0,"shed":0,"deadline":0}}"#
             )
         };
-        let row = |name: &str| format!(r#"{{"name":"{name}","reps":3,"min_ms":1,"mean_ms":1}}"#);
+        let rows: Vec<String> = restart
+            .iter()
+            .map(|(name, min)| {
+                format!(r#"{{"name":"{name}","reps":3,"min_ms":{min},"mean_ms":{min}}}"#)
+            })
+            .collect();
         json::parse(&format!(
             r#"{{"bench":"serving","dataset":"d","pool":"p","caveat":"c","faults":"",
                 "host_cores":2,"gen_threads":2,"threads":2,"design_k":10,"sketches":100,
                 "classes":[{},{}],
-                "restart":{{"speedup_v4_vs_text":10,"rows":[{},{}]}}}}"#,
+                "restart":{{"speedup_v4_vs_text":10,"rows":[{}]}}}}"#,
             class("warm_select_k10", warm_p50),
             class("cold_pipeline_k10", cold_p50),
-            row("text_parse"),
-            row("v4_zero_copy"),
+            rows.join(","),
         ))
         .expect("valid JSON")
     }
 
     #[test]
     fn serving_gate_requires_warm_select_below_the_cold_pipeline() {
-        assert_eq!(validate_schema(&serving(0.56, 71.8)), Ok(()));
+        assert_eq!(validate_schema(&serving(0.56, 71.8, &RESTART)), Ok(()));
         for warm in [71.8, 90.0] {
-            let err = validate_schema(&serving(warm, 71.8)).unwrap_err();
+            let err = validate_schema(&serving(warm, 71.8, &RESTART)).unwrap_err();
             assert!(err.contains("not below"), "{err}");
+        }
+    }
+
+    #[test]
+    fn serving_gate_requires_the_restart_rows_and_the_overlap() {
+        for missing in 0..RESTART.len() {
+            let mut rows = RESTART.to_vec();
+            let (name, _) = rows.remove(missing);
+            let err = validate_schema(&serving(0.56, 71.8, &rows)).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
+        // A start that runs its two reads back to back takes at least
+        // their sum.
+        for restart in [1.75, 2.0] {
+            let mut rows = RESTART;
+            rows[2].1 = restart;
+            let err = validate_schema(&serving(0.56, 71.8, &rows)).unwrap_err();
+            assert!(err.contains("not below dataset_load + spill_read"), "{err}");
         }
     }
 }

@@ -105,8 +105,11 @@ pub struct ServeConfig {
     /// [`PoolKey`]). When set, startup reloads any spill whose graph
     /// digest *and* generation provenance match instead of regenerating
     /// (so a restart pays zero sampling — observable as `pool_builds ==
-    /// 0`), and every successful build or refresh re-spills. `None` (the
-    /// default) disables persistence entirely.
+    /// 0`), and every successful build or refresh re-spills. Spill names
+    /// carry no dataset, so a directory holds one dataset's spills. The
+    /// spills are read on a thread of their own while the dataset loads.
+    /// `None` (the default) disables persistence entirely, and no reader
+    /// thread starts.
     pub pool_dir: Option<PathBuf>,
     /// Staleness bound for the incremental delta path: when a single apply
     /// folds more than this many queued deltas, every pool is rebuilt from
@@ -224,7 +227,7 @@ struct GraphState {
 }
 
 /// How a spill reload attempt ended — the distinction
-/// [`ComicService::try_load_spilled`] must never flatten: a missing file
+/// [`ComicService::install_spilled`] must never flatten: a missing file
 /// is an expected cold start, while a file that *exists* but cannot be
 /// served is an observable fault (stderr warning + `spill_rejects`).
 enum SpillLoad {
@@ -383,8 +386,20 @@ impl ComicService {
     /// registration time, so a misconfigured pool is a startup error with
     /// the key named — never a per-query surprise.
     pub fn start(cfg: ServeConfig) -> Result<ComicService, ServeError> {
-        let loaded =
-            datasets::load(&cfg.dataset).map_err(|e| ServeError::Dataset(e.to_string()))?;
+        // The dataset and the spills are independent reads: with a pool
+        // directory configured, one scoped thread reads every configured
+        // pool's spill while this thread loads the dataset. Only after the
+        // join is each spill compared with the loaded graph.
+        let (loaded, spills) = std::thread::scope(|s| {
+            let reader = cfg
+                .pool_dir
+                .as_deref()
+                .map(|dir| s.spawn(|| read_spills(dir, &cfg.pools)));
+            let loaded = datasets::load(&cfg.dataset);
+            let spills = reader.map(|r| r.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            (loaded, spills)
+        });
+        let loaded = loaded.map_err(|e| ServeError::Dataset(e.to_string()))?;
         let gap = loaded.gap;
         let graph = Arc::clone(&loaded.graph);
         let graph_name = loaded.name.clone();
@@ -403,12 +418,7 @@ impl ComicService {
             }
         }
 
-        // The "other item" seed set the Com-IC samplers condition on: top
-        // out-degree, ties toward smaller ids — deterministic, no RNG.
-        let mut by_degree: Vec<NodeId> = graph.nodes().collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.out_degree(v)), v.0));
-        by_degree.truncate(cfg.other_seeds.min(graph.num_nodes()));
-        let other_seeds = by_degree;
+        let other_seeds = top_out_degree(&graph, cfg.other_seeds);
 
         let faults = cfg.faults.arm();
         let svc = ComicService {
@@ -437,13 +447,6 @@ impl ComicService {
             started: Instant::now(),
         };
 
-        // A `.rrseg.tmp` next to a spill is the debris of a crash between
-        // temp-write and rename; nothing ever reads one, so clear them
-        // before warming rather than letting them accumulate.
-        if let Some(dir) = svc.cfg.pool_dir.as_deref() {
-            sweep_stale_tmp(dir);
-        }
-
         // Startup warming never injects build faults: a service must fail
         // *loudly* at start, not come up half-warm under a chaos plan.
         // With a pool directory configured, a spill whose graph digest and
@@ -453,8 +456,15 @@ impl ComicService {
         // only a *missing* file does so silently. A spill that exists but
         // cannot be served is warned to stderr and counted in
         // `spill_rejects`.
+        let mut spills = spills.map(Vec::into_iter);
         for key in svc.cfg.pools.clone() {
-            let pool = match svc.try_load_spilled(&key) {
+            let mut read = spills.as_mut().and_then(Iterator::next);
+            if read.is_some() && svc.pools.read().expect("pool lock").contains_key(&key) {
+                // A key listed twice: its first warming may have spilled
+                // it since the reader ran, so read the file as it is now.
+                read = svc.spill_path(&key).map(|p| spill::read_pool_spill(&p));
+            }
+            let pool = match svc.install_spilled(&key, read) {
                 SpillLoad::Loaded(pool) => pool,
                 cold => {
                     if let SpillLoad::Rejected(why) = cold {
@@ -747,11 +757,11 @@ impl ComicService {
 
     /// Where `key`'s spill file lives, when persistence is configured.
     fn spill_path(&self, key: &PoolKey) -> Option<PathBuf> {
-        let dir = self.cfg.pool_dir.as_ref()?;
-        Some(dir.join(format!("{}.rrseg", key.to_string().replace('/', "-"))))
+        Some(spill_file(self.cfg.pool_dir.as_deref()?, key))
     }
 
-    /// Try to reload `key`'s pool from its spill file, distinguishing the
+    /// Finish the startup read of `key`'s spill (`read`, `None` without a
+    /// pool directory) against the served graph, distinguishing the
     /// expected cold start (no file) from an observable fault (a file
     /// that exists but is corrupt, written for a different graph, or
     /// carrying provenance that disagrees with what *this* config would
@@ -760,11 +770,15 @@ impl ComicService {
     /// pool, and serving it would break the byte-determinism contract.
     /// `gen_threads` is not provenance: pool bytes are the same at every
     /// thread count.
-    fn try_load_spilled(&self, key: &PoolKey) -> SpillLoad {
-        let Some(path) = self.spill_path(key) else {
+    fn install_spilled(
+        &self,
+        key: &PoolKey,
+        read: Option<Result<spill::SpilledPool, comic_graph::GraphError>>,
+    ) -> SpillLoad {
+        let Some(read) = read else {
             return SpillLoad::Missing;
         };
-        let pool = match spill::read_pool_file(&path, self.graph_digest()) {
+        let pool = match read.and_then(|spilled| spilled.against(self.graph_digest())) {
             Ok(pool) => pool,
             Err(comic_graph::GraphError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 return SpillLoad::Missing;
@@ -1357,6 +1371,41 @@ impl ComicService {
     }
 }
 
+/// Where `key`'s spill file lives in the pool directory `dir`.
+fn spill_file(dir: &Path, key: &PoolKey) -> PathBuf {
+    dir.join(format!("{}.rrseg", key.to_string().replace('/', "-")))
+}
+
+/// The startup half of every configured pool's spill read, in `keys`
+/// order: everything [`spill::read_pool_spill`] checks before a graph is
+/// known. Leftover temp files are swept first, before any pool is
+/// rebuilt and re-spilled.
+fn read_spills(
+    dir: &Path,
+    keys: &[PoolKey],
+) -> Vec<Result<spill::SpilledPool, comic_graph::GraphError>> {
+    sweep_stale_tmp(dir);
+    keys.iter()
+        .map(|key| spill::read_pool_spill(&spill_file(dir, key)))
+        .collect()
+}
+
+/// The `k` nodes of largest out-degree, ties toward smaller ids, in that
+/// order — the "other item" seed set the Com-IC samplers condition on.
+/// Deterministic, no RNG: the keys `(Reverse(out_degree), id)` are unique,
+/// so a selection of the first `k` plus a sort of those `k` gives the same
+/// nodes in the same order as a sort of all n, in O(n + k log k).
+fn top_out_degree(graph: &DiGraph, k: usize) -> Vec<NodeId> {
+    let key = |v: &NodeId| (std::cmp::Reverse(graph.out_degree(*v)), v.0);
+    let mut nodes: Vec<NodeId> = graph.nodes().collect();
+    if k < nodes.len() {
+        nodes.select_nth_unstable_by_key(k, key);
+        nodes.truncate(k);
+    }
+    nodes.sort_unstable_by_key(key);
+    nodes
+}
+
 /// Delete leftover `*.rrseg.tmp` files in the pool directory (debris of a
 /// crash between a spill's temp-write and its rename in
 /// `ComicService::spill_pool`; nothing reads them). Other files, `.tmp` or
@@ -1474,23 +1523,31 @@ mod tests {
     }
 
     #[test]
+    fn a_key_listed_twice_reloads_the_spill_its_first_warming_wrote() {
+        // The spills are read before any pool is built, but a repeated key
+        // must see the file its first occurrence (re)spilled: one build,
+        // and a corrupt spill counted once.
+        let dir = temp_pool_dir("twice");
+        let key = PoolKey::new(SamplerKind::VanillaIc, "default", EpsTier::Coarse).unwrap();
+        let mut cfg = small_cfg();
+        cfg.pools = vec![key.clone(), key];
+        cfg.pool_dir = Some(dir.clone());
+        let cold = ComicService::start(cfg.clone()).unwrap();
+        assert_eq!((cold.pool_builds(), cold.spill_rejects()), (1, 0));
+        drop(cold);
+        let spill = dir.join("vanilla-ic-default-coarse.rrseg");
+        let mut bytes = std::fs::read(&spill).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&spill, &bytes).unwrap();
+        let healed = ComicService::start(cfg).unwrap();
+        assert_eq!((healed.pool_builds(), healed.spill_rejects()), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn spills_reload_at_any_gen_threads_with_identical_answers() {
         let dir = temp_pool_dir("genthreads");
-        let select_lines = |svc: &ComicService| -> Vec<String> {
-            svc.pool_keys()
-                .into_iter()
-                .map(|pool| {
-                    svc.handle(&Request::Select {
-                        pool,
-                        k: 5,
-                        selector: None,
-                        budget: None,
-                        deadline_ms: None,
-                    })
-                    .to_line()
-                })
-                .collect()
-        };
         let mut cfg = small_cfg();
         cfg.gen_threads = 2;
         cfg.pool_dir = Some(dir.clone());
@@ -1582,6 +1639,88 @@ mod tests {
         assert_eq!(svc.pool_builds(), 2);
         assert_eq!(svc.spill_rejects(), 0, "missing spills are not rejects");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One select line per resident pool, key order.
+    fn select_lines(svc: &ComicService) -> Vec<String> {
+        svc.pool_keys()
+            .into_iter()
+            .map(|pool| {
+                svc.handle(&Request::Select {
+                    pool,
+                    k: 5,
+                    selector: None,
+                    budget: None,
+                    deadline_ms: None,
+                })
+                .to_line()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spills_of_another_graph_are_rebuilt_not_served() {
+        // The spills are read while the dataset loads, so the graph digest
+        // check runs only after the join: a restart over an edited dataset
+        // must still reject every spill as stale and rebuild it.
+        let dir = temp_pool_dir("stale");
+        let data_dir = temp_pool_dir("stale-data");
+        let source = data_dir.join("edited.txt");
+        let text = std::fs::read_to_string(
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/fixture-small.txt"),
+        )
+        .unwrap();
+        std::fs::write(&source, &text).unwrap();
+        let mut cfg = small_cfg();
+        cfg.dataset = source.to_str().unwrap().to_string();
+        cfg.pool_dir = Some(dir.clone());
+        let first = ComicService::start(cfg.clone()).unwrap();
+        assert_eq!(first.pool_builds(), 2);
+        let n = first.graph().num_nodes();
+        drop(first);
+
+        // Retarget the first edge at a node it does not reach yet.
+        let lines: Vec<&str> = text.lines().collect();
+        let at = lines.iter().position(|l| !l.starts_with('#')).unwrap();
+        let (u, v) = lines[at].split_once('\t').unwrap();
+        let (u, v): (u32, u32) = (u.parse().unwrap(), v.parse().unwrap());
+        let w = (v + 1..)
+            .find(|&w| w != u && !lines.contains(&format!("{u}\t{w}").as_str()))
+            .unwrap();
+        let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        edited[at] = format!("{u}\t{w}");
+        std::fs::write(&source, edited.join("\n") + "\n").unwrap();
+
+        let restarted = ComicService::start(cfg.clone()).unwrap();
+        assert_eq!(restarted.graph().num_nodes(), n, "only an edge changed");
+        assert_eq!(restarted.spill_rejects(), 2, "every spill is stale");
+        assert_eq!(restarted.pool_builds(), 2, "every stale spill rebuilds");
+        cfg.pool_dir = None;
+        let cold = ComicService::start(cfg).unwrap();
+        assert_eq!(select_lines(&restarted), select_lines(&cold));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
+
+    #[test]
+    fn top_out_degree_equals_a_full_sort() {
+        // Out-degrees take four values over 50 nodes, so most keys tie on
+        // degree and the id breaks them.
+        let n = 50u32;
+        let mut b = comic_graph::GraphBuilder::new(n as usize);
+        for u in 0..n {
+            for j in 1..=(u * 7 % 4) {
+                b.add_edge(u, (u + j) % n, 0.5);
+            }
+        }
+        let g = b.build().unwrap();
+        let mut sorted: Vec<NodeId> = g.nodes().collect();
+        sorted.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v.0));
+        let n = n as usize;
+        for k in [0, 1, 10, n - 1, n, n + 5] {
+            assert_eq!(top_out_degree(&g, k), sorted[..k.min(n)], "k = {k}");
+        }
+        assert!(top_out_degree(&comic_graph::GraphBuilder::new(0).build().unwrap(), 3).is_empty());
     }
 
     #[test]
