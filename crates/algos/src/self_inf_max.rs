@@ -4,6 +4,7 @@
 use comic_core::gap::{Gap, Regime};
 use comic_core::seeds::SeedPair;
 use comic_core::spread::SpreadEstimator;
+use comic_graph::par::join;
 use comic_graph::{DiGraph, NodeId};
 use comic_ris::select::SelectorKind;
 use comic_ris::tim::{TimConfig, TimResult};
@@ -148,20 +149,27 @@ impl<'g> SelfInfMax<'g> {
         self
     }
 
-    fn tim_config(&self, k: usize, seed: u64) -> TimConfig {
+    fn tim_config(&self, k: usize, seed: u64, threads: usize) -> TimConfig {
         let mut cfg = TimConfig::new(k)
             .epsilon(self.epsilon)
             .seed(seed)
             .selector(self.selector);
         cfg.ell = self.ell;
         cfg.max_rr_sets = self.max_rr_sets;
-        cfg.threads = self.threads;
+        cfg.threads = threads;
         cfg
     }
 
-    /// One pipeline run under `gap` with the configured RR-SIM(+) sampler.
-    fn run_tim(&self, gap: Gap, k: usize, seed: u64) -> Result<TimResult, AlgoError> {
-        let pipeline = RisPipeline::new(self.tim_config(k, seed));
+    /// One pipeline run under `gap` with the configured RR-SIM(+) sampler,
+    /// on `threads` workers.
+    fn run_tim(
+        &self,
+        gap: Gap,
+        k: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Result<TimResult, AlgoError> {
+        let pipeline = RisPipeline::new(self.tim_config(k, seed, threads));
         if self.use_plus {
             Ok(pipeline.run(RrSimPlusSampler::factory(self.g, gap, &self.seeds_b)?)?)
         } else {
@@ -194,7 +202,7 @@ impl<'g> SelfInfMax<'g> {
         let seed: u64 = rng.random();
 
         if self.gap.is_one_way_complement() {
-            let tim = self.run_tim(self.gap, k, seed)?;
+            let tim = self.run_tim(self.gap, k, seed, self.threads)?;
             let objective = self.sigma_a(self.gap, &tim.seeds, seed ^ 1);
             return Ok(Solution {
                 seeds: tim.seeds.clone(),
@@ -208,8 +216,15 @@ impl<'g> SelfInfMax<'g> {
         // Sandwich: ν raises q_{B|∅} to q_{B|A}; µ lowers q_{B|A} to q_{B|∅}.
         let nu_gap = self.gap.with_q_b0(self.gap.q_ba)?;
         let mu_gap = self.gap.with_q_ba(self.gap.q_b0)?;
-        let tim_nu = self.run_tim(nu_gap, k, seed)?;
-        let tim_mu = self.run_tim(mu_gap, k, seed ^ 2)?;
+        // The two pools are independent: build them at once, splitting the
+        // thread budget. Pool bytes and KPT* do not depend on the thread
+        // count, so neither does the solution.
+        let (tim_nu, tim_mu) = join(
+            self.threads,
+            |threads| self.run_tim(nu_gap, k, seed, threads),
+            |threads| self.run_tim(mu_gap, k, seed ^ 2, threads),
+        );
+        let (tim_nu, tim_mu) = (tim_nu?, tim_mu?);
 
         let mut candidates = vec![
             SandwichCandidate {

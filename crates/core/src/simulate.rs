@@ -23,7 +23,6 @@ use crate::item::Item;
 use crate::oracle::Oracle;
 use crate::seeds::SeedPair;
 use crate::state::{ItemState, JointState};
-use comic_graph::scratch::StampedVec;
 use comic_graph::{DiGraph, EdgeId, NodeId};
 
 /// Which item(s) a node newly adopted within one time step, in order.
@@ -67,6 +66,25 @@ impl AdoptKind {
             AdoptKind::BThenA => &[Item::B, Item::A],
         }
     }
+
+    /// The delivered items as a bitmask (bit 0 = A, bit 1 = B).
+    #[inline]
+    fn mask(self) -> u32 {
+        match self {
+            AdoptKind::A => 0b01,
+            AdoptKind::B => 0b10,
+            AdoptKind::AThenB | AdoptKind::BThenA => 0b11,
+        }
+    }
+
+    fn from_bits(bits: u64) -> AdoptKind {
+        match bits {
+            0 => AdoptKind::A,
+            1 => AdoptKind::B,
+            2 => AdoptKind::AThenB,
+            _ => AdoptKind::BThenA,
+        }
+    }
 }
 
 /// What happened to a node, for event recording.
@@ -106,12 +124,87 @@ pub struct CascadeStats {
     pub steps: u32,
 }
 
+// A node's joint state packs into four bits, two per item (A high, B low):
+// idle 0, suspended 1, adopted 2, rejected 3.
+const IDLE: u32 = 0;
+const SUSPENDED: u32 = 1;
+const ADOPTED: u32 = 2;
+const REJECTED: u32 = 3;
+const STATE_BITS: u32 = 4;
+/// Largest run stamp that fits above the four state bits.
+const MAX_RUN: u32 = u32::MAX >> STATE_BITS;
+
+#[inline]
+fn shift(item: Item) -> u32 {
+    match item {
+        Item::A => 2,
+        Item::B => 0,
+    }
+}
+
+#[inline]
+fn item_state(code: u32, item: Item) -> u32 {
+    (code >> shift(item)) & 3
+}
+
+#[inline]
+fn with_item_state(code: u32, item: Item, s: u32) -> u32 {
+    (code & !(3 << shift(item))) | (s << shift(item))
+}
+
+/// The idle items of a joint state as a bitmask (bit 0 = A, bit 1 = B), to
+/// meet [`AdoptKind::mask`].
+#[inline]
+fn idle_mask(code: u32) -> u32 {
+    u32::from(item_state(code, Item::A) == IDLE) | u32::from(item_state(code, Item::B) == IDLE) << 1
+}
+
+fn decode_item_state(s: u32) -> ItemState {
+    match s {
+        IDLE => ItemState::Idle,
+        SUSPENDED => ItemState::Suspended,
+        ADOPTED => ItemState::Adopted,
+        _ => ItemState::Rejected,
+    }
+}
+
+/// End of an inform chain.
+const END: u32 = u32::MAX;
+
+/// One live-edge inform registered in phase 1: the edge, what its source
+/// delivers, and the next inform of the same target.
+#[derive(Clone, Copy)]
+struct Inform {
+    edge: EdgeId,
+    next: u32,
+    kind: AdoptKind,
+}
+
+/// A node informed in the current step: the first and last inform of its
+/// chain, in registration order.
+#[derive(Clone, Copy)]
+struct Target {
+    node: NodeId,
+    first: u32,
+    last: u32,
+}
+
 /// Reusable Com-IC diffusion engine over a fixed graph.
 ///
-/// All scratch state lives in generation-stamped arrays, so back-to-back
-/// [`CascadeEngine::run`] calls perform no allocation in the steady state —
-/// the property that makes Monte-Carlo spread estimation and RR-set
-/// sampling affordable.
+/// The scratch state is flat arrays. Each node has one run-stamped word,
+/// the run's stamp above its two 2-bit item states, and one step-stamped
+/// word, the step's stamp above a payload (a seed's adoption kind at step
+/// 0, the node's target slot in later steps). A step's informs are flat
+/// `(edge, kind)` entries chained per informed target. Bumping a stamp
+/// clears its words, so back-to-back [`CascadeEngine::run`] calls perform
+/// no allocation in the steady state — the property that makes
+/// Monte-Carlo spread estimation and RR-set sampling affordable.
+///
+/// Every stochastic decision goes to the [`Oracle`] in a fixed order:
+/// edge tests in frontier order × out-edge order, then the informed
+/// targets in first-registration order, drawing tie priorities (only for
+/// a target with more than one informer) in registration order and
+/// processing informs in (priority, edge id) order.
 ///
 /// # Example
 /// ```
@@ -131,21 +224,19 @@ pub struct CascadeStats {
 /// ```
 pub struct CascadeEngine<'g> {
     g: &'g DiGraph,
-    state: StampedVec<JointState>,
-    // Per-step inform registry: target -> slot into `informed` / `lists`.
-    inform_slot: StampedVec<u32>,
-    informed: Vec<NodeId>,
-    lists: Vec<Vec<(EdgeId, AdoptKind)>>,
-    // Recycled inform-lists: popped lists return here with their capacity
-    // intact, so steady-state runs never allocate fresh list storage.
-    free_lists: Vec<Vec<(EdgeId, AdoptKind)>>,
-    // Sort buffer for tie-breaking: (priority, edge, kind).
+    // Per node: `run << STATE_BITS | joint state`.
+    state: Vec<u32>,
+    run: u32,
+    // Per node: `step << 32 | payload`.
+    step_word: Vec<u64>,
+    step: u32,
+    informs: Vec<Inform>,
+    targets: Vec<Target>,
+    // Tie-breaking buffer: (priority, edge, kind).
     sort_buf: Vec<(u64, EdgeId, AdoptKind)>,
-    // Within-step newly-adopted registry.
-    newly_kind: StampedVec<AdoptKind>,
-    newly: Vec<NodeId>,
-    // Frontier adopted at the previous step.
+    // Adopters of the previous step (the frontier) and of this one.
     cur: Vec<(NodeId, AdoptKind)>,
+    next: Vec<(NodeId, AdoptKind)>,
     // Outputs.
     a_adopted: Vec<NodeId>,
     b_adopted: Vec<NodeId>,
@@ -158,15 +249,15 @@ impl<'g> CascadeEngine<'g> {
     pub fn new(g: &'g DiGraph) -> Self {
         CascadeEngine {
             g,
-            state: StampedVec::new(g.num_nodes()),
-            inform_slot: StampedVec::new(g.num_nodes()),
-            informed: Vec::new(),
-            lists: Vec::new(),
-            free_lists: Vec::new(),
+            state: vec![0; g.num_nodes()],
+            run: 0,
+            step_word: vec![0; g.num_nodes()],
+            step: 0,
+            informs: Vec::new(),
+            targets: Vec::new(),
             sort_buf: Vec::new(),
-            newly_kind: StampedVec::new(g.num_nodes()),
-            newly: Vec::new(),
             cur: Vec::new(),
+            next: Vec::new(),
             a_adopted: Vec::new(),
             b_adopted: Vec::new(),
             events: Vec::new(),
@@ -204,7 +295,11 @@ impl<'g> CascadeEngine<'g> {
 
     /// Final joint state of `v` after the last run.
     pub fn final_state(&self, v: NodeId) -> JointState {
-        self.state.get_copied(v.index()).unwrap_or_default()
+        let code = self.code(v);
+        JointState {
+            a: decode_item_state(item_state(code, Item::A)),
+            b: decode_item_state(item_state(code, Item::B)),
+        }
     }
 
     /// Run one diffusion from `seeds` under `gap`, drawing every stochastic
@@ -213,40 +308,35 @@ impl<'g> CascadeEngine<'g> {
     /// # Panics
     /// Panics if a seed node id is out of range for the graph.
     pub fn run<O: Oracle>(&mut self, gap: &Gap, seeds: &SeedPair, oracle: &mut O) -> CascadeStats {
-        self.state.clear();
-        self.inform_slot.clear();
-        self.newly_kind.clear();
-        self.informed.clear();
-        // Normally empty here; a list survives only if a previous run
-        // unwound mid-step, so recycle (cleared) rather than leak or drop.
-        for mut list in self.lists.drain(..) {
-            list.clear();
-            self.free_lists.push(list);
+        if self.run == MAX_RUN {
+            self.state.fill(0);
+            self.run = 0;
         }
-        self.newly.clear();
+        self.run += 1;
         self.cur.clear();
+        self.next.clear();
         self.a_adopted.clear();
         self.b_adopted.clear();
         self.events.clear();
         oracle.reset();
 
-        // --- Step 0: seeds adopt without running the NLA. ---
+        // --- Step 0: seeds adopt without running the NLA. The step word
+        // holds each seed's adoption kind until the frontier is built. ---
+        self.begin_step();
         for &u in &seeds.a {
-            let mut st = self.state.get_copied(u.index()).unwrap_or_default();
-            st.set(Item::A, ItemState::Adopted);
-            self.state.set(u.index(), st);
+            let code = self.code(u);
+            self.set_code(u, with_item_state(code, Item::A, ADOPTED));
             self.a_adopted.push(u);
             self.push_event(0, u, Item::A, EventKind::Adopted);
-            self.newly_kind.set(u.index(), AdoptKind::A);
-            self.newly.push(u);
+            self.set_step_payload(u, AdoptKind::A as u32);
+            self.next.push((u, AdoptKind::A));
         }
         for &u in &seeds.b {
-            let mut st = self.state.get_copied(u.index()).unwrap_or_default();
-            st.set(Item::B, ItemState::Adopted);
-            self.state.set(u.index(), st);
+            let code = self.code(u);
+            self.set_code(u, with_item_state(code, Item::B, ADOPTED));
             self.b_adopted.push(u);
             self.push_event(0, u, Item::B, EventKind::Adopted);
-            if self.newly_kind.contains(u.index()) {
+            if self.step_payload(u).is_some() {
                 // Seed of both items: a fair coin decides the adoption order,
                 // which governs the order the node informs its neighbours.
                 let kind = if oracle.seed_a_first(u) {
@@ -254,19 +344,27 @@ impl<'g> CascadeEngine<'g> {
                 } else {
                     AdoptKind::BThenA
                 };
-                self.newly_kind.set(u.index(), kind);
+                self.set_step_payload(u, kind as u32);
             } else {
-                self.newly_kind.set(u.index(), AdoptKind::B);
-                self.newly.push(u);
+                self.set_step_payload(u, AdoptKind::B as u32);
+                self.next.push((u, AdoptKind::B));
             }
         }
-        self.drain_newly();
+        for i in 0..self.next.len() {
+            let u = self.next[i].0;
+            let payload = self.step_payload(u).expect("seeds carry their kind");
+            self.next[i].1 = AdoptKind::from_bits(payload);
+        }
+        std::mem::swap(&mut self.cur, &mut self.next);
 
         // --- Steps t >= 1. ---
         let mut steps: u32 = 0;
         let mut t: u32 = 1;
         while !self.cur.is_empty() {
             steps = t;
+            self.begin_step();
+            self.informs.clear();
+            self.targets.clear();
             // Phase 1: test out-edges of the previous step's adopters and
             // register inform events on live edges. Edges whose target can no
             // longer react to the delivered items are skipped — the coin is
@@ -274,10 +372,11 @@ impl<'g> CascadeEngine<'g> {
             // memoizes per-edge outcomes).
             for i in 0..self.cur.len() {
                 let (u, kind) = self.cur[i];
+                let delivered = kind.mask();
                 for adj in self.g.out_edges(u) {
-                    let st = self.state.get_copied(adj.node.index()).unwrap_or_default();
-                    let relevant = kind.items().iter().any(|&it| st.get(it) == ItemState::Idle);
-                    if relevant && oracle.edge_live(adj.edge, adj.p) {
+                    if delivered & idle_mask(self.code(adj.node)) != 0
+                        && oracle.edge_live(adj.edge, adj.p)
+                    {
                         self.register_inform(adj.node, adj.edge, kind);
                     }
                 }
@@ -285,30 +384,43 @@ impl<'g> CascadeEngine<'g> {
             // Phase 2: each informed node processes its informers in a
             // random order (fresh priorities are a uniform permutation; the
             // possible-world oracle supplies its fixed permutation instead).
-            for i in 0..self.informed.len() {
-                let v = self.informed[i];
-                let mut list = std::mem::take(&mut self.lists[i]);
-                if list.len() > 1 {
-                    self.sort_buf.clear();
-                    for &(e, kind) in &list {
-                        self.sort_buf.push((oracle.tie_priority(e), e, kind));
-                    }
-                    self.sort_buf.sort_unstable_by_key(|&(p, e, _)| (p, e.0));
-                    list.clear();
-                    list.extend(self.sort_buf.iter().map(|&(_, e, k)| (e, k)));
-                }
-                for &(_, kind) in &list {
+            // All of a node's adoptions in a step happen here, so its
+            // adoption kind is a local.
+            let mut buf = std::mem::take(&mut self.sort_buf);
+            for ti in 0..self.targets.len() {
+                let Target {
+                    node: v,
+                    first,
+                    last,
+                } = self.targets[ti];
+                let mut adopted = None;
+                if first == last {
+                    let kind = self.informs[first as usize].kind;
                     for &item in kind.items() {
-                        self.process_inform(v, item, gap, oracle, t);
+                        self.process_inform(v, item, gap, oracle, t, &mut adopted);
+                    }
+                } else {
+                    buf.clear();
+                    let mut i = first;
+                    while i != END {
+                        let inform = self.informs[i as usize];
+                        buf.push((oracle.tie_priority(inform.edge), inform.edge, inform.kind));
+                        i = inform.next;
+                    }
+                    buf.sort_unstable_by_key(|&(p, e, _)| (p, e.0));
+                    for &(_, _, kind) in &buf {
+                        for &item in kind.items() {
+                            self.process_inform(v, item, gap, oracle, t, &mut adopted);
+                        }
                     }
                 }
-                list.clear();
-                self.free_lists.push(list);
+                if let Some(kind) = adopted {
+                    self.next.push((v, kind));
+                }
             }
-            self.lists.clear();
-            self.informed.clear();
-            self.inform_slot.clear();
-            self.drain_newly();
+            self.sort_buf = buf;
+            std::mem::swap(&mut self.cur, &mut self.next);
+            self.next.clear();
             t += 1;
         }
 
@@ -323,32 +435,64 @@ impl<'g> CascadeEngine<'g> {
         }
     }
 
-    fn drain_newly(&mut self) {
-        self.cur.clear();
-        for i in 0..self.newly.len() {
-            let v = self.newly[i];
-            let kind = self
-                .newly_kind
-                .get_copied(v.index())
-                .expect("newly-adopted nodes always have a kind");
-            self.cur.push((v, kind));
+    /// `v`'s 4-bit joint state in the current run.
+    #[inline]
+    fn code(&self, v: NodeId) -> u32 {
+        let w = self.state[v.index()];
+        if w >> STATE_BITS == self.run {
+            w & ((1 << STATE_BITS) - 1)
+        } else {
+            0
         }
-        self.newly.clear();
-        self.newly_kind.clear();
     }
 
-    fn register_inform(&mut self, v: NodeId, e: EdgeId, kind: AdoptKind) {
-        let slot = match self.inform_slot.get_copied(v.index()) {
-            Some(s) => s as usize,
-            None => {
-                let s = self.informed.len();
-                self.inform_slot.set(v.index(), s as u32);
-                self.informed.push(v);
-                self.lists.push(self.free_lists.pop().unwrap_or_default());
-                s
+    #[inline]
+    fn set_code(&mut self, v: NodeId, code: u32) {
+        self.state[v.index()] = self.run << STATE_BITS | code;
+    }
+
+    /// Start a step: every step word goes stale.
+    fn begin_step(&mut self) {
+        if self.step == u32::MAX {
+            self.step_word.fill(0);
+            self.step = 0;
+        }
+        self.step += 1;
+    }
+
+    #[inline]
+    fn step_payload(&self, v: NodeId) -> Option<u64> {
+        let w = self.step_word[v.index()];
+        (w >> 32 == u64::from(self.step)).then_some(w & u64::from(u32::MAX))
+    }
+
+    #[inline]
+    fn set_step_payload(&mut self, v: NodeId, payload: u32) {
+        self.step_word[v.index()] = u64::from(self.step) << 32 | u64::from(payload);
+    }
+
+    fn register_inform(&mut self, v: NodeId, edge: EdgeId, kind: AdoptKind) {
+        let id = self.informs.len() as u32;
+        self.informs.push(Inform {
+            edge,
+            next: END,
+            kind,
+        });
+        match self.step_payload(v) {
+            Some(slot) => {
+                let target = &mut self.targets[slot as usize];
+                self.informs[target.last as usize].next = id;
+                target.last = id;
             }
-        };
-        self.lists[slot].push((e, kind));
+            None => {
+                self.set_step_payload(v, self.targets.len() as u32);
+                self.targets.push(Target {
+                    node: v,
+                    first: id,
+                    last: id,
+                });
+            }
+        }
     }
 
     fn process_inform<O: Oracle>(
@@ -358,51 +502,49 @@ impl<'g> CascadeEngine<'g> {
         gap: &Gap,
         oracle: &mut O,
         t: u32,
+        adopted: &mut Option<AdoptKind>,
     ) {
-        let mut st = self.state.get_copied(v.index()).unwrap_or_default();
-        if st.get(item) != ItemState::Idle {
+        let mut code = self.code(v);
+        if item_state(code, item) != IDLE {
             return; // the NLA consumes only the first inform per item
         }
         self.push_event(t, v, item, EventKind::Informed);
         let other = item.other();
-        let other_adopted = st.get(other) == ItemState::Adopted;
+        let other_adopted = item_state(code, other) == ADOPTED;
         if oracle.adopt(v, item, other_adopted, gap) {
-            st.set(item, ItemState::Adopted);
-            self.on_adopt(v, item, t);
+            code = with_item_state(code, item, ADOPTED);
+            self.on_adopt(v, item, t, adopted);
             // Reconsideration: adopting `item` may rescue the other item from
             // suspension (Figure 2, step 4).
-            if st.get(other) == ItemState::Suspended {
+            if item_state(code, other) == SUSPENDED {
                 if oracle.reconsider(v, other, gap) {
-                    st.set(other, ItemState::Adopted);
-                    self.on_adopt(v, other, t);
+                    code = with_item_state(code, other, ADOPTED);
+                    self.on_adopt(v, other, t, adopted);
                 } else {
-                    st.set(other, ItemState::Rejected);
+                    code = with_item_state(code, other, REJECTED);
                     self.push_event(t, v, other, EventKind::Rejected);
                 }
             }
         } else if other_adopted {
-            st.set(item, ItemState::Rejected);
+            code = with_item_state(code, item, REJECTED);
             self.push_event(t, v, item, EventKind::Rejected);
         } else {
-            st.set(item, ItemState::Suspended);
+            code = with_item_state(code, item, SUSPENDED);
             self.push_event(t, v, item, EventKind::Suspended);
         }
-        self.state.set(v.index(), st);
+        self.set_code(v, code);
     }
 
-    fn on_adopt(&mut self, v: NodeId, item: Item, t: u32) {
+    fn on_adopt(&mut self, v: NodeId, item: Item, t: u32, adopted: &mut Option<AdoptKind>) {
         match item {
             Item::A => self.a_adopted.push(v),
             Item::B => self.b_adopted.push(v),
         }
         self.push_event(t, v, item, EventKind::Adopted);
-        match self.newly_kind.get_copied(v.index()) {
-            Some(k) => self.newly_kind.set(v.index(), k.merge(item)),
-            None => {
-                self.newly_kind.set(v.index(), AdoptKind::single(item));
-                self.newly.push(v);
-            }
-        }
+        *adopted = Some(match *adopted {
+            Some(kind) => kind.merge(item),
+            None => AdoptKind::single(item),
+        });
     }
 
     #[inline]

@@ -12,6 +12,7 @@ use crate::oracle::CoinOracle;
 use crate::seeds::SeedPair;
 use crate::simulate::CascadeEngine;
 use comic_graph::fasthash::splitmix64;
+use comic_graph::par::resolve_threads;
 use comic_graph::DiGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -97,9 +98,60 @@ impl<'g> SpreadEstimator<'g> {
 
     /// Sequential estimation with `iterations` Monte-Carlo runs.
     pub fn estimate(&self, seeds: &SeedPair, iterations: usize, seed: u64) -> SpreadEstimate {
+        self.estimate_parallel(seeds, iterations, seed, 1)
+    }
+
+    /// Parallel estimation across `threads` worker threads (`0` = use
+    /// [`std::thread::available_parallelism`]).
+    ///
+    /// Iterations are split evenly; thread `i` uses RNG stream
+    /// `seed ⊕ splitmix(i)`, so results are reproducible for a fixed
+    /// `(seed, threads)` configuration. One thread, or fewer than two
+    /// iterations per thread, runs a single shard on stream `seed`.
+    pub fn estimate_parallel(
+        &self,
+        seeds: &SeedPair,
+        iterations: usize,
+        seed: u64,
+        threads: usize,
+    ) -> SpreadEstimate {
         assert!(iterations > 0, "need at least one iteration");
+        let threads = resolve_threads(threads);
+        if threads <= 1 || iterations < 2 * threads {
+            let (sa, sb, qa, qb) = self.shard(seeds, iterations, seed);
+            return SpreadEstimate::from_sums(sa, sb, qa, qb, iterations);
+        }
+        let per = iterations / threads;
+        let extra = iterations % threads;
+        let partials = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|tid| {
+                    let iters = per + usize::from(tid < extra);
+                    let stream = seed ^ splitmix64(tid as u64 + 1);
+                    scope.spawn(move || self.shard(seeds, iters, stream))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("spread worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        // Summed in thread order, so the bits depend only on (seed, threads).
+        let (mut sa, mut sb, mut qa, mut qb) = (0.0, 0.0, 0.0, 0.0);
+        for (a, b, x, y) in partials {
+            sa += a;
+            sb += b;
+            qa += x;
+            qb += y;
+        }
+        SpreadEstimate::from_sums(sa, sb, qa, qb, iterations)
+    }
+
+    /// One shard: `iterations` cascades on RNG stream `stream`, returning
+    /// the sums and sums of squares of both adoption counts.
+    fn shard(&self, seeds: &SeedPair, iterations: usize, stream: u64) -> (f64, f64, f64, f64) {
         let mut engine = CascadeEngine::new(self.g);
-        let mut oracle = CoinOracle::new(self.g.num_edges(), SmallRng::seed_from_u64(seed));
+        let mut oracle = CoinOracle::new(self.g.num_edges(), SmallRng::seed_from_u64(stream));
         let (mut sa, mut sb, mut qa, mut qb) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         for _ in 0..iterations {
             let stats = engine.run(&self.gap, seeds, &mut oracle);
@@ -109,71 +161,7 @@ impl<'g> SpreadEstimator<'g> {
             qa += a * a;
             qb += b * b;
         }
-        SpreadEstimate::from_sums(sa, sb, qa, qb, iterations)
-    }
-
-    /// Parallel estimation across `threads` worker threads (`0` = use
-    /// [`std::thread::available_parallelism`]).
-    ///
-    /// Iterations are split evenly; thread `i` uses RNG stream
-    /// `seed ⊕ splitmix(i)`, so results are reproducible for a fixed
-    /// `(seed, threads)` configuration.
-    pub fn estimate_parallel(
-        &self,
-        seeds: &SeedPair,
-        iterations: usize,
-        seed: u64,
-        threads: usize,
-    ) -> SpreadEstimate {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        if threads <= 1 || iterations < 2 * threads {
-            return self.estimate(seeds, iterations, seed);
-        }
-        let per = iterations / threads;
-        let extra = iterations % threads;
-        let mut partials: Vec<(f64, f64, f64, f64, usize)> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for tid in 0..threads {
-                let iters = per + usize::from(tid < extra);
-                let gap = self.gap;
-                let g = self.g;
-                handles.push(scope.spawn(move || {
-                    let mut engine = CascadeEngine::new(g);
-                    let stream = seed ^ splitmix64(tid as u64 + 1);
-                    let mut oracle =
-                        CoinOracle::new(g.num_edges(), SmallRng::seed_from_u64(stream));
-                    let (mut sa, mut sb, mut qa, mut qb) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                    for _ in 0..iters {
-                        let stats = engine.run(&gap, seeds, &mut oracle);
-                        let (a, b) = (stats.a_count as f64, stats.b_count as f64);
-                        sa += a;
-                        sb += b;
-                        qa += a * a;
-                        qb += b * b;
-                    }
-                    (sa, sb, qa, qb, iters)
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("spread worker panicked"));
-            }
-        });
-        let (mut sa, mut sb, mut qa, mut qb, mut n) = (0.0, 0.0, 0.0, 0.0, 0usize);
-        for (a, b, x, y, c) in partials {
-            sa += a;
-            sb += b;
-            qa += x;
-            qb += y;
-            n += c;
-        }
-        SpreadEstimate::from_sums(sa, sb, qa, qb, n)
+        (sa, sb, qa, qb)
     }
 
     /// Estimate of the *boost* objective of CompInfMax:

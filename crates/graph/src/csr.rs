@@ -318,10 +318,12 @@ impl DiGraph {
     pub fn out_edges(&self, u: NodeId) -> impl ExactSizeIterator<Item = Adj> + '_ {
         let lo = self.out_offsets[u.index()] as usize;
         let hi = self.out_offsets[u.index() + 1] as usize;
-        (lo..hi).map(move |slot| Adj {
-            node: self.out_targets[slot],
-            edge: EdgeId(slot as u32),
-            p: self.out_probs[slot],
+        // Slice the row once, so the loop indexes plain slices.
+        let row = self.out_targets[lo..hi].iter().zip(&self.out_probs[lo..hi]);
+        row.enumerate().map(move |(i, (&node, &p))| Adj {
+            node,
+            edge: EdgeId((lo + i) as u32),
+            p,
         })
     }
 

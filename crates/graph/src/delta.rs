@@ -27,7 +27,7 @@ use std::ops::Range;
 use std::path::Path;
 
 use crate::csr::{CsrParts, DiGraph, EdgeId, NodeId};
-use crate::error::GraphError;
+use crate::error::{GraphError, StaleArtifact};
 use crate::store::{write_segment, SectionData, SegmentFile, MAX_PLAUSIBLE_EDGES};
 
 /// Magic bytes identifying an edge-delta log.
@@ -176,6 +176,7 @@ fn deltas_from_segment(
     }
     if base != expected_base {
         return Err(GraphError::StaleSource {
+            artifact: StaleArtifact::DeltaLog,
             expected: expected_base,
             found: base,
         });
@@ -715,10 +716,23 @@ mod tests {
         let digest = graph_digest(&g);
         let mut buf = Vec::new();
         write_delta_log(&mut buf, digest, &[]).unwrap();
+        let err = read_delta_log_bytes(buf, digest ^ 1).unwrap_err();
         assert!(matches!(
-            read_delta_log_bytes(buf, digest ^ 1),
-            Err(GraphError::StaleSource { .. })
+            err,
+            GraphError::StaleSource {
+                artifact: StaleArtifact::DeltaLog,
+                expected,
+                found,
+            } if expected == digest ^ 1 && found == digest
         ));
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "stale delta log: the base graph has digest {:#018x} but the log was \
+                 recorded against base {digest:#018x}",
+                digest ^ 1
+            )
+        );
     }
 
     #[test]

@@ -62,16 +62,31 @@ pub enum GraphError {
         /// Human-readable description of the conflict.
         msg: String,
     },
-    /// A binary cache was built from a source file whose content digest no
-    /// longer matches the file on disk: the cache is intact but **stale**
-    /// (e.g. the source was replaced by a same-length file with a
-    /// deliberately preserved older mtime, `cp -p`), and must be rebuilt.
+    /// An intact artifact describes some other input than the one it is
+    /// used with, so it is **stale** and must be rebuilt: a binary cache
+    /// whose source file changed (e.g. replaced by a same-length file with a
+    /// deliberately preserved older mtime, `cp -p`), a pool spill sampled
+    /// over another graph, or a delta log recorded against another base.
     StaleSource {
-        /// Digest of the source file as it exists now.
+        /// Which artifact went stale.
+        artifact: StaleArtifact,
+        /// The digest the artifact should carry: the source file's as it
+        /// exists now, or the digest of the graph it is used with.
         expected: u64,
-        /// Source digest recorded in the cache header at write time.
+        /// The digest the artifact recorded when it was written.
         found: u64,
     },
+}
+
+/// The artifact a [`GraphError::StaleSource`] found stale.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StaleArtifact {
+    /// A binary dataset cache; the digests are of its source file.
+    SourceCache,
+    /// A spilled sketch pool; the digests are of the graph it serves.
+    PoolSpill,
+    /// A delta log; the digests are of its base graph.
+    DeltaLog,
 }
 
 impl fmt::Display for GraphError {
@@ -104,13 +119,33 @@ impl fmt::Display for GraphError {
             GraphError::DeltaConflict { index, msg } => {
                 write!(f, "delta {index} conflicts with base graph: {msg}")
             }
-            GraphError::StaleSource { expected, found } => {
-                write!(
-                    f,
-                    "stale binary cache: source file now hashes to {expected:#018x} but the \
-                     cache was built from {found:#018x} — rebuild from source"
-                )
-            }
+            GraphError::StaleSource {
+                artifact: StaleArtifact::SourceCache,
+                expected,
+                found,
+            } => write!(
+                f,
+                "stale binary cache: source file now hashes to {expected:#018x} but the \
+                 cache was built from {found:#018x} — rebuild from source"
+            ),
+            GraphError::StaleSource {
+                artifact: StaleArtifact::PoolSpill,
+                expected,
+                found,
+            } => write!(
+                f,
+                "stale pool spill: the served graph has digest {expected:#018x} but the \
+                 spill was sampled over graph {found:#018x} — rebuild the pool"
+            ),
+            GraphError::StaleSource {
+                artifact: StaleArtifact::DeltaLog,
+                expected,
+                found,
+            } => write!(
+                f,
+                "stale delta log: the base graph has digest {expected:#018x} but the log \
+                 was recorded against base {found:#018x}"
+            ),
         }
     }
 }
@@ -168,5 +203,28 @@ mod tests {
             msg: "remove of missing edge (1, 2)".into(),
         };
         assert!(e.to_string().contains("delta 4"));
+        let stale = |artifact| {
+            GraphError::StaleSource {
+                artifact,
+                expected: 0xab,
+                found: 0xcd,
+            }
+            .to_string()
+        };
+        assert_eq!(
+            stale(StaleArtifact::SourceCache),
+            "stale binary cache: source file now hashes to 0x00000000000000ab but the cache \
+             was built from 0x00000000000000cd — rebuild from source"
+        );
+        assert_eq!(
+            stale(StaleArtifact::PoolSpill),
+            "stale pool spill: the served graph has digest 0x00000000000000ab but the spill \
+             was sampled over graph 0x00000000000000cd — rebuild the pool"
+        );
+        assert_eq!(
+            stale(StaleArtifact::DeltaLog),
+            "stale delta log: the base graph has digest 0x00000000000000ab but the log was \
+             recorded against base 0x00000000000000cd"
+        );
     }
 }

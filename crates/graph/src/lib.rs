@@ -53,4 +53,4 @@ pub mod traversal;
 pub use builder::GraphBuilder;
 pub use csr::{DiGraph, Edge, EdgeId, NodeId};
 pub use delta::EdgeDelta;
-pub use error::GraphError;
+pub use error::{GraphError, StaleArtifact};

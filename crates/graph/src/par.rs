@@ -13,7 +13,8 @@
 //! [`run_sharded`] is that pattern as a function: `work(shard)` is executed
 //! for every shard index and the results are returned indexed by shard,
 //! with workers pulling shards from a shared cursor so uneven shard costs
-//! still balance. [`resolve_threads`] is the workspace-wide meaning of a
+//! still balance. [`join`] runs two independent jobs at once under one
+//! thread budget. [`resolve_threads`] is the workspace-wide meaning of a
 //! `threads` knob (`0` = one worker per available core); it lives here —
 //! the bottom of the crate graph — so `comic-actionlog` and the generators
 //! can share it with `comic-ris` without a dependency cycle.
@@ -30,6 +31,39 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
+}
+
+/// Run two independent jobs under one `threads` budget and return both
+/// results: with a budget of 2 or more, `a` gets the larger half and runs on
+/// a scoped thread while `b` runs on the calling thread with the rest; with
+/// a budget of 1 they run one after the other on the calling thread. Each
+/// job receives its own thread count, so results that are independent of
+/// the thread count do not change with the budget.
+///
+/// # Example
+/// ```
+/// use comic_graph::par::join;
+/// let (a, b) = join(4, |t| (t, "a"), |t| (t, "b"));
+/// assert_eq!((a, b), ((2, "a"), (2, "b")));
+/// assert_eq!(join(1, |t| t, |t| t), (1, 1));
+/// ```
+pub fn join<A, B, FA, FB>(threads: usize, a: FA, b: FB) -> (A, B)
+where
+    A: Send,
+    FA: FnOnce(usize) -> A + Send,
+    FB: FnOnce(usize) -> B,
+{
+    let threads = resolve_threads(threads);
+    if threads <= 1 {
+        let ra = a(1);
+        return (ra, b(1));
+    }
+    let (ta, tb) = (threads.div_ceil(2), threads / 2);
+    std::thread::scope(|scope| {
+        let ha = scope.spawn(move || a(ta));
+        let rb = b(tb);
+        (ha.join().expect("joined job panicked"), rb)
+    })
 }
 
 /// Run `work(0..shards)` over at most `threads` scoped workers and return
@@ -95,6 +129,7 @@ pub fn fixed_ranges(len: usize, shard_size: usize) -> (usize, impl Fn(usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn results_arrive_in_shard_order_for_any_thread_count() {
@@ -136,6 +171,27 @@ mod tests {
         let (count, range) = fixed_ranges(0, 3);
         assert_eq!(count, 1);
         assert_eq!(range(0), (0, 0));
+    }
+
+    #[test]
+    fn join_splits_the_budget_and_keeps_both_results() {
+        assert_eq!(join(1, |t| t, |t| t + 10), (1, 11));
+        assert_eq!(join(2, |t| t, |t| t + 10), (1, 11));
+        assert_eq!(join(3, |t| t, |t| t + 10), (2, 11));
+        // Under a budget of 2 the jobs overlap: each sees the other start.
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let meet = |me: usize| {
+            started[me].store(true, Ordering::SeqCst);
+            let t0 = std::time::Instant::now();
+            while !started[1 - me].load(Ordering::SeqCst) {
+                if t0.elapsed() > std::time::Duration::from_secs(10) {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+            true
+        };
+        assert_eq!(join(2, |_| meet(0), |_| meet(1)), (true, true));
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! the override exists exactly for environments where that matters.
 
 use crate::csr::{DiGraph, EdgeId, NodeId};
-use crate::error::GraphError;
+use crate::error::{GraphError, StaleArtifact};
 use crate::fasthash::{fx_fold, FxHasher};
 use std::fs::File;
 use std::hash::Hasher;
@@ -1114,6 +1114,7 @@ fn graph_from_segment(
     if let Some(expected) = expected_source {
         if recorded_source != crate::io::NO_SOURCE_DIGEST && recorded_source != expected {
             return Err(GraphError::StaleSource {
+                artifact: StaleArtifact::SourceCache,
                 expected,
                 found: recorded_source,
             });
@@ -1301,6 +1302,7 @@ mod tests {
         assert!(read_store_bytes(bytes.clone(), Some(111)).is_ok());
         match read_store_bytes(bytes, Some(222)) {
             Err(GraphError::StaleSource {
+                artifact: StaleArtifact::SourceCache,
                 expected: 222,
                 found: 111,
             }) => {}

@@ -57,7 +57,7 @@ use crate::pool::SketchPool;
 use crate::rr::RrStore;
 use crate::select::CoverageIndex;
 use comic_graph::store::{write_segment, Section, SectionData, SegmentFile, MAX_PLAUSIBLE_NODES};
-use comic_graph::{GraphError, NodeId};
+use comic_graph::{GraphError, NodeId, StaleArtifact};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -153,6 +153,7 @@ impl SpilledPool {
     pub fn against(self, expected_graph: u64) -> Result<SketchPool, GraphError> {
         if self.graph_digest != expected_graph {
             return Err(GraphError::StaleSource {
+                artifact: StaleArtifact::PoolSpill,
                 expected: expected_graph,
                 found: self.graph_digest,
             });
@@ -507,9 +508,23 @@ mod tests {
         let mut bytes = Vec::new();
         write_pool(&pool, d, &mut bytes).unwrap();
         match read_pool_bytes(bytes, d ^ 1) {
-            Err(GraphError::StaleSource { expected, found }) => {
+            Err(
+                e @ GraphError::StaleSource {
+                    artifact: StaleArtifact::PoolSpill,
+                    expected,
+                    found,
+                },
+            ) => {
                 assert_eq!(expected, d ^ 1);
                 assert_eq!(found, d);
+                assert_eq!(
+                    e.to_string(),
+                    format!(
+                        "stale pool spill: the served graph has digest {:#018x} but the \
+                         spill was sampled over graph {d:#018x} — rebuild the pool",
+                        d ^ 1
+                    )
+                );
             }
             other => panic!("expected StaleSource, got {other:?}"),
         }
@@ -550,7 +565,7 @@ mod tests {
         let path = crafted_file("stale-and-bad", &meta_of(&pool, d), &sections);
         let stale = d ^ 1;
         let is_stale = |r: Result<SketchPool, GraphError>| {
-            matches!(r, Err(GraphError::StaleSource { expected, found })
+            matches!(r, Err(GraphError::StaleSource { artifact: StaleArtifact::PoolSpill, expected, found })
                 if expected == stale && found == d)
         };
         assert!(is_stale(read_pool_file(&path, stale)));

@@ -19,8 +19,9 @@
 //! `--validate <path>` re-checks an existing snapshot against its schema
 //! and ratio gates — `BENCH_serving.json` (`"bench": "serving"`) or the
 //! criterion drivers' `BENCH_seed_selection.json` (`"bench":
-//! "seed_selection"`) and `BENCH_incremental.json` (`"bench":
-//! "incremental"`) — and exits nonzero on a mismatch (the CI smoke steps).
+//! "seed_selection"`), `BENCH_incremental.json` (`"bench":
+//! "incremental"`) and `BENCH_simulation.json` (`"bench": "simulation"`)
+//! — and exits nonzero on a mismatch (the CI smoke steps).
 
 use comic_bench::datasets::{self, load_with, CacheMode};
 use comic_bench::metrics::{percentile, round3, OutcomeCounts};
@@ -122,18 +123,95 @@ fn timed<F: FnMut() -> Option<String>>(name: &'static str, reps: usize, mut f: F
 }
 
 /// Schema dispatch on the snapshot's `"bench"` field: `"serving"`
-/// snapshots (this driver's own output), and `"seed_selection"` and
-/// `"incremental"` snapshots (the committed ones from the criterion
-/// drivers) are accepted; the error names the first missing piece.
+/// snapshots (this driver's own output), and `"seed_selection"`,
+/// `"incremental"` and `"simulation"` snapshots (the committed ones from
+/// the criterion drivers) are accepted; the error names the first missing
+/// piece.
 fn validate_schema(v: &Json) -> Result<(), String> {
     match v.get("bench").and_then(Json::as_str) {
         Some("serving") => validate_serving_schema(v),
         Some("seed_selection") => validate_seed_selection_schema(v),
         Some("incremental") => validate_incremental_schema(v),
+        Some("simulation") => validate_simulation_schema(v),
         _ => Err(
-            "field \"bench\" must be \"serving\", \"seed_selection\", or \"incremental\"".into(),
+            "field \"bench\" must be \"serving\", \"seed_selection\", \"incremental\", \
+                  or \"simulation\""
+                .into(),
         ),
     }
+}
+
+/// Rows a `BENCH_simulation.json` snapshot must hold.
+const SIMULATION_ROWS: [&str; 6] = [
+    "cascade/coin",
+    "cascade/world",
+    "estimate/1t",
+    "estimate/2t",
+    "surrogates/sequential",
+    "surrogates/join",
+];
+
+/// Required schema of a `BENCH_simulation.json` snapshot: graph
+/// provenance, the host's core count, the calls per row, and the
+/// [`SIMULATION_ROWS`], each with its thread count, `reps`, `host_cores`
+/// and median `secs`. Two ratios are gated, never an absolute time: the
+/// 2-thread estimate must be faster than the 1-thread one when the host
+/// has 2 or more cores, and the surrogate builds through `join` faster
+/// than the same two builds one after the other.
+fn validate_simulation_schema(v: &Json) -> Result<(), String> {
+    v.get("graph")
+        .and_then(Json::as_obj)
+        .ok_or("missing object field \"graph\"")?;
+    let header = |f: &str| {
+        v.get(f)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("missing numeric field {f:?}"))
+    };
+    let host_cores = header("host_cores")?;
+    header("reps")?;
+    let runs = v
+        .get("runs")
+        .and_then(Json::as_arr)
+        .ok_or("missing array field \"runs\"")?;
+    let mut secs_by_label = Vec::new();
+    for (i, r) in runs.iter().enumerate() {
+        let label = r
+            .get("label")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("runs[{i}]: missing \"label\""))?;
+        for f in ["threads", "reps", "host_cores"] {
+            if r.get(f).and_then(Json::as_f64).is_none() {
+                return Err(format!("runs[{i}] ({label}): missing numeric {f:?}"));
+            }
+        }
+        let secs = r
+            .get("secs")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("runs[{i}] ({label}): missing numeric \"secs\""))?;
+        secs_by_label.push((label, secs));
+    }
+    let secs = |required: &str| {
+        secs_by_label
+            .iter()
+            .find(|(l, _)| *l == required)
+            .map(|&(_, s)| s)
+            .ok_or_else(|| format!("required run label {required:?} is absent"))
+    };
+    for row in SIMULATION_ROWS {
+        secs(row)?;
+    }
+    let faster = |fast: &str, slow: &str| {
+        let (a, b) = (secs(fast)?, secs(slow)?);
+        if a < b {
+            Ok(())
+        } else {
+            Err(format!("{fast} ({a} s) is not faster than {slow} ({b} s)"))
+        }
+    };
+    if host_cores >= 2.0 {
+        faster("estimate/2t", "estimate/1t")?;
+    }
+    faster("surrogates/join", "surrogates/sequential")
 }
 
 /// Graphs whose compaction rows a `BENCH_incremental.json` snapshot must
@@ -936,6 +1014,59 @@ mod tests {
         .expect("valid JSON");
         let err = validate_schema(&bare).unwrap_err();
         assert!(err.contains("missing numeric \"nodes\""), "{err}");
+    }
+
+    fn simulation(host_cores: u32, runs: &[(&str, f64)]) -> Json {
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|(label, secs)| {
+                format!(
+                    r#"{{"label":"{label}","threads":2,"reps":9,"host_cores":{host_cores},"secs":{secs}}}"#
+                )
+            })
+            .collect();
+        json::parse(&format!(
+            r#"{{"bench":"simulation","graph":{{}},"host_cores":{host_cores},"reps":9,
+                "runs":[{}]}}"#,
+            runs.join(",")
+        ))
+        .expect("valid JSON")
+    }
+
+    #[test]
+    fn simulation_gate_requires_every_row_and_both_ratios() {
+        let good = [
+            ("cascade/coin", 0.0005),
+            ("cascade/world", 0.0006),
+            ("estimate/1t", 0.15),
+            ("estimate/2t", 0.09),
+            ("surrogates/sequential", 0.12),
+            ("surrogates/join", 0.08),
+        ];
+        assert_eq!(validate_schema(&simulation(2, &good)), Ok(()));
+        for missing in 0..good.len() {
+            let mut rows = good.to_vec();
+            let (label, _) = rows.remove(missing);
+            let err = validate_schema(&simulation(2, &rows)).unwrap_err();
+            assert!(err.contains(label), "{err}");
+        }
+        let mut slow_join = good;
+        slow_join[5].1 = 0.13;
+        let err = validate_schema(&simulation(2, &slow_join)).unwrap_err();
+        assert!(err.contains("surrogates/join"), "{err}");
+        // The 2-thread estimate is gated only on a host with 2 or more cores.
+        let mut slow_2t = good;
+        slow_2t[3].1 = 0.16;
+        let err = validate_schema(&simulation(2, &slow_2t)).unwrap_err();
+        assert!(err.contains("estimate/2t"), "{err}");
+        assert_eq!(validate_schema(&simulation(1, &slow_2t)), Ok(()));
+        let bare = json::parse(
+            r#"{"bench":"simulation","graph":{},"host_cores":2,"reps":9,
+                "runs":[{"label":"cascade/coin","secs":0.0005}]}"#,
+        )
+        .expect("valid JSON");
+        let err = validate_schema(&bare).unwrap_err();
+        assert!(err.contains("missing numeric \"threads\""), "{err}");
     }
 
     /// Restart rows whose `service_restart` min is below the sum of the

@@ -391,7 +391,7 @@ proptest! {
     ) {
         use comic::graph::io::source_digest;
         use comic::graph::store::{read_store_bytes, write_store};
-        use comic::graph::GraphError;
+        use comic::graph::{GraphError, StaleArtifact};
         let src: Vec<u8> = src_words.iter().map(|&w| w as u8).collect();
         let d = source_digest(&src);
         let mut buf = Vec::new();
@@ -403,7 +403,7 @@ proptest! {
         let d2 = source_digest(&other);
         prop_assert_ne!(d, d2);
         match read_store_bytes(buf.clone(), Some(d2)) {
-            Err(GraphError::StaleSource { expected, found }) => {
+            Err(GraphError::StaleSource { artifact: StaleArtifact::SourceCache, expected, found }) => {
                 prop_assert_eq!(expected, d2);
                 prop_assert_eq!(found, d);
             }
