@@ -3,7 +3,8 @@
 //!
 //! Every case folds what a run exposes into one FNV-1a digest and compares
 //! it with a constant read from the list-of-lists engine these pins were
-//! written against. A rewrite of `CascadeEngine` that makes the same
+//! written against. The cascade sweeps keep one digest per seed pair, so a
+//! change to how one pair is seeded moves only that pair's pins. A rewrite of `CascadeEngine` that makes the same
 //! `Oracle` calls in the same order reproduces every constant; one that
 //! reorders a single edge test, adoption draw or tie priority does not.
 //!
@@ -260,31 +261,45 @@ fn gaps() -> Vec<(&'static str, Gap)> {
     ]
 }
 
-/// Seed pairs: A only, B only, disjoint, overlapping (nodes seeding both
-/// items), and one built field by field with repeated ids in both lists.
-fn seed_pairs() -> Vec<SeedPair> {
+/// Seed pairs, named: A only, B only, disjoint, overlapping (nodes seeding
+/// both items), and one built field by field with repeated ids in both
+/// lists.
+fn seed_pairs() -> Vec<(&'static str, SeedPair)> {
     vec![
-        SeedPair::a_only(seeds(&[0, 7, 19])),
-        SeedPair::b_only(seeds(&[3, 11])),
-        SeedPair::new(seeds(&[0, 1, 2, 5, 8]), seeds(&[3, 4, 6, 9])),
-        SeedPair::new(seeds(&[0, 2, 4, 10]), seeds(&[2, 4, 12])),
-        SeedPair {
-            a: seeds(&[4, 4, 11, 1]),
-            b: seeds(&[11, 2, 2, 4]),
-        },
+        ("a-only", SeedPair::a_only(seeds(&[0, 7, 19]))),
+        ("b-only", SeedPair::b_only(seeds(&[3, 11]))),
+        (
+            "disjoint",
+            SeedPair::new(seeds(&[0, 1, 2, 5, 8]), seeds(&[3, 4, 6, 9])),
+        ),
+        (
+            "overlap",
+            SeedPair::new(seeds(&[0, 2, 4, 10]), seeds(&[2, 4, 12])),
+        ),
+        (
+            "repeated",
+            SeedPair {
+                a: seeds(&[4, 4, 11, 1]),
+                b: seeds(&[11, 2, 2, 4]),
+            },
+        ),
     ]
 }
 
 const RUNS_PER_CASE: usize = 12;
 
-/// The digest of one (graph, oracle kind, events on/off) sweep over every
-/// GAP and seed pair.
-fn cascade_digest(g: &DiGraph, oracle_kind: &str, events: bool) -> u64 {
-    let mut h = Fnv::new();
+/// The digests of one (graph, oracle kind, events on/off) sweep over every
+/// GAP and seed pair, one per seed pair (in [`seed_pairs`] order), each
+/// folded over the GAPs. The runs happen in the same order whatever the
+/// split: GAPs outer, seed pairs inner, on one engine.
+fn cascade_digests(g: &DiGraph, oracle_kind: &str, events: bool) -> Vec<u64> {
+    let pairs = seed_pairs();
+    let mut hs = vec![Fnv::new(); pairs.len()];
     let mut engine = CascadeEngine::new(g);
     engine.record_events(events);
     for (gi, (_, gap)) in gaps().into_iter().enumerate() {
-        for (si, sp) in seed_pairs().iter().enumerate() {
+        for (si, (_, sp)) in pairs.iter().enumerate() {
+            let h = &mut hs[si];
             let case_seed = 1_000 + 100 * gi as u64 + si as u64;
             let mut calls = Fnv::new();
             match oracle_kind {
@@ -295,7 +310,7 @@ fn cascade_digest(g: &DiGraph, oracle_kind: &str, events: bool) -> u64 {
                     };
                     for _ in 0..RUNS_PER_CASE {
                         let stats = engine.run(&gap, sp, &mut o);
-                        fold_run(&mut h, &engine, stats);
+                        fold_run(h, &engine, stats);
                         h.word(o.inner.rng_mut().next_u64());
                     }
                     calls = o.calls;
@@ -311,7 +326,7 @@ fn cascade_digest(g: &DiGraph, oracle_kind: &str, events: bool) -> u64 {
                     };
                     for _ in 0..RUNS_PER_CASE {
                         let stats = engine.run(&gap, sp, &mut o);
-                        fold_run(&mut h, &engine, stats);
+                        fold_run(h, &engine, stats);
                         h.word(o.inner.parts_mut().1.next_u64());
                     }
                     calls = o.calls;
@@ -322,7 +337,7 @@ fn cascade_digest(g: &DiGraph, oracle_kind: &str, events: bool) -> u64 {
                         calls,
                     };
                     let stats = engine.run(&gap, sp, &mut o);
-                    fold_run(&mut h, &engine, stats);
+                    fold_run(h, &engine, stats);
                     calls = o.calls;
                 }
                 other => unreachable!("unknown oracle kind {other}"),
@@ -330,7 +345,7 @@ fn cascade_digest(g: &DiGraph, oracle_kind: &str, events: bool) -> u64 {
             h.word(calls.0);
         }
     }
-    h.0
+    hs.into_iter().map(|h| h.0).collect()
 }
 
 /// Compare `(name, got)` pairs against the pinned table, reporting every
@@ -352,18 +367,66 @@ fn check(pinned: &[(&str, u64)], got: &[(String, u64)]) {
 }
 
 const CASCADE_PINS: &[(&str, u64)] = &[
-    ("gnm/coin/events", 0x2828cbccfdc9d9a6),
-    ("gnm/coin/quiet", 0x21259b6965fd2b89),
-    ("gnm/world/events", 0xf26438db99423d72),
-    ("gnm/world/quiet", 0xc146afa71d3258c2),
-    ("gnm/table/events", 0x7622a38334e90e6b),
-    ("gnm/table/quiet", 0xf566719070344757),
-    ("chung-lu/coin/events", 0x5f36f8834fd64057),
-    ("chung-lu/coin/quiet", 0xdb80477c99e29d2c),
-    ("chung-lu/world/events", 0x34348ef78eec3128),
-    ("chung-lu/world/quiet", 0x98378c695c90a652),
-    ("chung-lu/table/events", 0x37082064a4292379),
-    ("chung-lu/table/quiet", 0xc00e7f79081e9e0b),
+    ("gnm/coin/events/a-only", 0x1327fdb3b6807ee8),
+    ("gnm/coin/events/b-only", 0x8089ee36f8e953a0),
+    ("gnm/coin/events/disjoint", 0xecffb122bcd01686),
+    ("gnm/coin/events/overlap", 0x3e88faee61f214a4),
+    ("gnm/coin/events/repeated", 0xcac8ed741fbfb20c),
+    ("gnm/coin/quiet/a-only", 0xd05a345563ca5f4e),
+    ("gnm/coin/quiet/b-only", 0x0f7d89265e8e344a),
+    ("gnm/coin/quiet/disjoint", 0xf6520ba1ff9b6767),
+    ("gnm/coin/quiet/overlap", 0x1be5856fb029963c),
+    ("gnm/coin/quiet/repeated", 0x02124fdf9dfc40aa),
+    ("gnm/world/events/a-only", 0x1327fdb3b6807ee8),
+    ("gnm/world/events/b-only", 0x8089ee36f8e953a0),
+    ("gnm/world/events/disjoint", 0x363bf1399b241bac),
+    ("gnm/world/events/overlap", 0x58d2d86a9c0ebdef),
+    ("gnm/world/events/repeated", 0x82fb49c7edfe3ac1),
+    ("gnm/world/quiet/a-only", 0xd05a345563ca5f4e),
+    ("gnm/world/quiet/b-only", 0x0f7d89265e8e344a),
+    ("gnm/world/quiet/disjoint", 0xd7b5226785d2dcb5),
+    ("gnm/world/quiet/overlap", 0xf283d9492441df74),
+    ("gnm/world/quiet/repeated", 0x64e35302f7b97fb3),
+    ("gnm/table/events/a-only", 0xae21b9695de57153),
+    ("gnm/table/events/b-only", 0x2b3ccd3b0eecccb5),
+    ("gnm/table/events/disjoint", 0x69ae0ef3cee99ba0),
+    ("gnm/table/events/overlap", 0x739cfae961b59557),
+    ("gnm/table/events/repeated", 0xcab5eeac160ce7aa),
+    ("gnm/table/quiet/a-only", 0xd84d32bc6e8f7bc6),
+    ("gnm/table/quiet/b-only", 0x494047a80a805239),
+    ("gnm/table/quiet/disjoint", 0x35a4f091e916f3fa),
+    ("gnm/table/quiet/overlap", 0xa1a7fe0268ce8466),
+    ("gnm/table/quiet/repeated", 0xa094dfa311df0718),
+    ("chung-lu/coin/events/a-only", 0x5f5bdd1e252e2a47),
+    ("chung-lu/coin/events/b-only", 0x3e3b492ad3da54b2),
+    ("chung-lu/coin/events/disjoint", 0xfd32a68007f258c8),
+    ("chung-lu/coin/events/overlap", 0xff6e136d442a55d9),
+    ("chung-lu/coin/events/repeated", 0x32b683b97091d0df),
+    ("chung-lu/coin/quiet/a-only", 0xef2a4950af2a4da6),
+    ("chung-lu/coin/quiet/b-only", 0xfaa20b10d83529e1),
+    ("chung-lu/coin/quiet/disjoint", 0x5c8a86f0fd48c8ea),
+    ("chung-lu/coin/quiet/overlap", 0x4d487a55c8ce9bdc),
+    ("chung-lu/coin/quiet/repeated", 0x635dc9db4efdd539),
+    ("chung-lu/world/events/a-only", 0x5f5bdd1e252e2a47),
+    ("chung-lu/world/events/b-only", 0x3e3b492ad3da54b2),
+    ("chung-lu/world/events/disjoint", 0xc1d6f0482422f83d),
+    ("chung-lu/world/events/overlap", 0x8a5bbf0d8c023676),
+    ("chung-lu/world/events/repeated", 0x8b292cdc3cd3aeba),
+    ("chung-lu/world/quiet/a-only", 0xef2a4950af2a4da6),
+    ("chung-lu/world/quiet/b-only", 0xfaa20b10d83529e1),
+    ("chung-lu/world/quiet/disjoint", 0x4702342f85300447),
+    ("chung-lu/world/quiet/overlap", 0x6ed33251522a7dd1),
+    ("chung-lu/world/quiet/repeated", 0xebccee63e4ef6c1f),
+    ("chung-lu/table/events/a-only", 0xc44ea06b4b57e16d),
+    ("chung-lu/table/events/b-only", 0xd27541022ac7a26e),
+    ("chung-lu/table/events/disjoint", 0x99cf835f33a56271),
+    ("chung-lu/table/events/overlap", 0x92ced41bc8be5d8a),
+    ("chung-lu/table/events/repeated", 0xa827fcd3dab1ca25),
+    ("chung-lu/table/quiet/a-only", 0x9a2aebf3154ec3e2),
+    ("chung-lu/table/quiet/b-only", 0x53a02268f9bbecb6),
+    ("chung-lu/table/quiet/disjoint", 0x6462c6c235581b14),
+    ("chung-lu/table/quiet/overlap", 0xb10da921b5407923),
+    ("chung-lu/table/quiet/repeated", 0xd813dccfeea8e7e8),
 ];
 
 #[test]
@@ -372,10 +435,10 @@ fn cascade_runs_match_the_pinned_digests() {
     for (gname, g) in [("gnm", gnm_graph()), ("chung-lu", chung_lu_graph())] {
         for oracle in ["coin", "world", "table"] {
             for (events, tag) in [(true, "events"), (false, "quiet")] {
-                got.push((
-                    format!("{gname}/{oracle}/{tag}"),
-                    cascade_digest(&g, oracle, events),
-                ));
+                let digests = cascade_digests(&g, oracle, events);
+                for ((pname, _), d) in seed_pairs().into_iter().zip(digests) {
+                    got.push((format!("{gname}/{oracle}/{tag}/{pname}"), d));
+                }
             }
         }
     }
