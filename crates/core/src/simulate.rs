@@ -321,10 +321,15 @@ impl<'g> CascadeEngine<'g> {
         oracle.reset();
 
         // --- Step 0: seeds adopt without running the NLA. The step word
-        // holds each seed's adoption kind until the frontier is built. ---
+        // holds each seed's adoption kind until the frontier is built. A
+        // node listed twice for one item (a pair built field by field) is
+        // seeded once. ---
         self.begin_step();
         for &u in &seeds.a {
             let code = self.code(u);
+            if item_state(code, Item::A) == ADOPTED {
+                continue;
+            }
             self.set_code(u, with_item_state(code, Item::A, ADOPTED));
             self.a_adopted.push(u);
             self.push_event(0, u, Item::A, EventKind::Adopted);
@@ -333,6 +338,9 @@ impl<'g> CascadeEngine<'g> {
         }
         for &u in &seeds.b {
             let code = self.code(u);
+            if item_state(code, Item::B) == ADOPTED {
+                continue;
+            }
             self.set_code(u, with_item_state(code, Item::B, ADOPTED));
             self.b_adopted.push(u);
             self.push_event(0, u, Item::B, EventKind::Adopted);
@@ -742,6 +750,37 @@ mod tests {
         assert_eq!(stats.b_count, 1);
         assert_eq!(a, seeds(&[0]));
         assert_eq!(b, seeds(&[0]));
+    }
+
+    #[test]
+    fn repeated_seed_ids_seed_each_item_once() {
+        // A node listed twice in `b` stays a B-only seed: it never informs
+        // its neighbour of A, and it adopts B once.
+        let g = gen::path(2, 1.0);
+        let gap = Gap::new(1.0, 1.0, 1.0, 1.0).unwrap();
+        let twice_b = SeedPair {
+            a: Vec::new(),
+            b: seeds(&[0, 0]),
+        };
+        for rng_seed in 0..20 {
+            let (stats, a, b) = engine_run(&g, &gap, &twice_b, rng_seed);
+            assert!(a.is_empty(), "A adopted at {a:?}");
+            assert_eq!(b, seeds(&[0, 1]));
+            assert_eq!(stats.b_count, 2);
+        }
+        // The same for A, and for a node listed twice in both lists.
+        let twice_a = SeedPair {
+            a: seeds(&[0, 0]),
+            b: Vec::new(),
+        };
+        let (_, a, b) = engine_run(&g, &gap, &twice_a, 3);
+        assert_eq!((a, b), (seeds(&[0, 1]), Vec::new()));
+        let twice_both = SeedPair {
+            a: seeds(&[0, 0]),
+            b: seeds(&[0, 0]),
+        };
+        let (_, a, b) = engine_run(&g, &gap, &twice_both, 4);
+        assert_eq!((a, b), (seeds(&[0, 1]), seeds(&[0, 1])));
     }
 
     #[test]

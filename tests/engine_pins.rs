@@ -371,62 +371,62 @@ const CASCADE_PINS: &[(&str, u64)] = &[
     ("gnm/coin/events/b-only", 0x8089ee36f8e953a0),
     ("gnm/coin/events/disjoint", 0xecffb122bcd01686),
     ("gnm/coin/events/overlap", 0x3e88faee61f214a4),
-    ("gnm/coin/events/repeated", 0xcac8ed741fbfb20c),
+    ("gnm/coin/events/repeated", 0x841e89b24ffcf6b1),
     ("gnm/coin/quiet/a-only", 0xd05a345563ca5f4e),
     ("gnm/coin/quiet/b-only", 0x0f7d89265e8e344a),
     ("gnm/coin/quiet/disjoint", 0xf6520ba1ff9b6767),
     ("gnm/coin/quiet/overlap", 0x1be5856fb029963c),
-    ("gnm/coin/quiet/repeated", 0x02124fdf9dfc40aa),
+    ("gnm/coin/quiet/repeated", 0x04f55bd52c0d9fbb),
     ("gnm/world/events/a-only", 0x1327fdb3b6807ee8),
     ("gnm/world/events/b-only", 0x8089ee36f8e953a0),
     ("gnm/world/events/disjoint", 0x363bf1399b241bac),
     ("gnm/world/events/overlap", 0x58d2d86a9c0ebdef),
-    ("gnm/world/events/repeated", 0x82fb49c7edfe3ac1),
+    ("gnm/world/events/repeated", 0x6e324a07ddb28b46),
     ("gnm/world/quiet/a-only", 0xd05a345563ca5f4e),
     ("gnm/world/quiet/b-only", 0x0f7d89265e8e344a),
     ("gnm/world/quiet/disjoint", 0xd7b5226785d2dcb5),
     ("gnm/world/quiet/overlap", 0xf283d9492441df74),
-    ("gnm/world/quiet/repeated", 0x64e35302f7b97fb3),
+    ("gnm/world/quiet/repeated", 0x5cf17afe7dca3906),
     ("gnm/table/events/a-only", 0xae21b9695de57153),
     ("gnm/table/events/b-only", 0x2b3ccd3b0eecccb5),
     ("gnm/table/events/disjoint", 0x69ae0ef3cee99ba0),
     ("gnm/table/events/overlap", 0x739cfae961b59557),
-    ("gnm/table/events/repeated", 0xcab5eeac160ce7aa),
+    ("gnm/table/events/repeated", 0x1f01710df0bbebd4),
     ("gnm/table/quiet/a-only", 0xd84d32bc6e8f7bc6),
     ("gnm/table/quiet/b-only", 0x494047a80a805239),
     ("gnm/table/quiet/disjoint", 0x35a4f091e916f3fa),
     ("gnm/table/quiet/overlap", 0xa1a7fe0268ce8466),
-    ("gnm/table/quiet/repeated", 0xa094dfa311df0718),
+    ("gnm/table/quiet/repeated", 0x83b40a4315197e59),
     ("chung-lu/coin/events/a-only", 0x5f5bdd1e252e2a47),
     ("chung-lu/coin/events/b-only", 0x3e3b492ad3da54b2),
     ("chung-lu/coin/events/disjoint", 0xfd32a68007f258c8),
     ("chung-lu/coin/events/overlap", 0xff6e136d442a55d9),
-    ("chung-lu/coin/events/repeated", 0x32b683b97091d0df),
+    ("chung-lu/coin/events/repeated", 0xc4e13f257bae39c1),
     ("chung-lu/coin/quiet/a-only", 0xef2a4950af2a4da6),
     ("chung-lu/coin/quiet/b-only", 0xfaa20b10d83529e1),
     ("chung-lu/coin/quiet/disjoint", 0x5c8a86f0fd48c8ea),
     ("chung-lu/coin/quiet/overlap", 0x4d487a55c8ce9bdc),
-    ("chung-lu/coin/quiet/repeated", 0x635dc9db4efdd539),
+    ("chung-lu/coin/quiet/repeated", 0xae86adb540d697af),
     ("chung-lu/world/events/a-only", 0x5f5bdd1e252e2a47),
     ("chung-lu/world/events/b-only", 0x3e3b492ad3da54b2),
     ("chung-lu/world/events/disjoint", 0xc1d6f0482422f83d),
     ("chung-lu/world/events/overlap", 0x8a5bbf0d8c023676),
-    ("chung-lu/world/events/repeated", 0x8b292cdc3cd3aeba),
+    ("chung-lu/world/events/repeated", 0xf9d8de9988d6eb48),
     ("chung-lu/world/quiet/a-only", 0xef2a4950af2a4da6),
     ("chung-lu/world/quiet/b-only", 0xfaa20b10d83529e1),
     ("chung-lu/world/quiet/disjoint", 0x4702342f85300447),
     ("chung-lu/world/quiet/overlap", 0x6ed33251522a7dd1),
-    ("chung-lu/world/quiet/repeated", 0xebccee63e4ef6c1f),
+    ("chung-lu/world/quiet/repeated", 0x3e8aaa5460ae44d1),
     ("chung-lu/table/events/a-only", 0xc44ea06b4b57e16d),
     ("chung-lu/table/events/b-only", 0xd27541022ac7a26e),
     ("chung-lu/table/events/disjoint", 0x99cf835f33a56271),
     ("chung-lu/table/events/overlap", 0x92ced41bc8be5d8a),
-    ("chung-lu/table/events/repeated", 0xa827fcd3dab1ca25),
+    ("chung-lu/table/events/repeated", 0x8129c9c609a09f26),
     ("chung-lu/table/quiet/a-only", 0x9a2aebf3154ec3e2),
     ("chung-lu/table/quiet/b-only", 0x53a02268f9bbecb6),
     ("chung-lu/table/quiet/disjoint", 0x6462c6c235581b14),
     ("chung-lu/table/quiet/overlap", 0xb10da921b5407923),
-    ("chung-lu/table/quiet/repeated", 0xd813dccfeea8e7e8),
+    ("chung-lu/table/quiet/repeated", 0x1aa87bed2fc9794f),
 ];
 
 #[test]
