@@ -5,10 +5,17 @@
 //! the comparison isolates exactly the resampling that index-driven
 //! invalidation avoids.
 //!
+//! The churn rows refit a pool after one churn-shaped 100-change batch (40
+//! adds, 40 removes, 20 reweights, p in (0, 0.3], the benchmark feed's
+//! shape) on fixture-medium and on a generated ~1M-edge Chung–Lu graph.
+//! Each records what the keyed invalidation rule marks (`sets_marked`,
+//! `members_marked`) next to what a target-membership rule would mark
+//! (`sets_touched`, `members_touched`: every set holding a delta's
+//! target), and times the marked refit against a full rebuild.
+//!
 //! The compaction rows time the graph swap that precedes every refit:
-//! `DiGraph::apply_deltas` of one churn-shaped 100-change batch against a
-//! `from_edges` build of the same compacted edge set, on fixture-medium
-//! and on a generated ~1M-edge Chung–Lu graph.
+//! `DiGraph::apply_deltas` of the same batch shape against a `from_edges`
+//! build of the same compacted edge set, on both graphs.
 //!
 //! `COMIC_BENCH_JSON=$PWD/BENCH_incremental.json cargo bench -p comic-bench
 //! --bench incremental`, run from the repository root, writes the committed
@@ -35,8 +42,8 @@ use std::time::Instant;
 
 const SEED: u64 = 0xD317A;
 const THREADS: usize = 2;
-/// Calls per compaction row; the row is their median.
-const COMPACTION_REPS: usize = 9;
+/// Calls per compaction and churn row; the row is their median.
+const REPS: usize = 9;
 
 /// Remove every `stride`-th edge until `ratio_bp` basis points of the edge
 /// count are covered — deterministic and spread across the whole graph, so
@@ -104,10 +111,10 @@ fn churn_batch(g: &DiGraph, seed: u64) -> Vec<EdgeDelta> {
         .collect()
 }
 
-/// Median seconds of [`COMPACTION_REPS`] calls of `f`; each result is
+/// Median seconds of [`REPS`] calls of `f`; each result is
 /// dropped outside the timed region.
 fn median_secs<T>(mut f: impl FnMut() -> T) -> f64 {
-    let mut secs: Vec<f64> = (0..COMPACTION_REPS)
+    let mut secs: Vec<f64> = (0..REPS)
         .map(|_| {
             let start = Instant::now();
             let out = black_box(f());
@@ -117,7 +124,7 @@ fn median_secs<T>(mut f: impl FnMut() -> T) -> f64 {
         })
         .collect();
     secs.sort_by(f64::total_cmp);
-    secs[COMPACTION_REPS / 2]
+    secs[REPS / 2]
 }
 
 struct CompactionRow {
@@ -165,6 +172,75 @@ struct Row {
     delta_bp: usize,
     secs: f64,
     sets_regenerated: usize,
+}
+
+/// One churn-shaped batch's refit of a pool: the keyed marks against the
+/// target-membership ones, and the marked refit against a full rebuild.
+struct ChurnRow {
+    graph: &'static str,
+    nodes: usize,
+    edges: usize,
+    total_sets: usize,
+    sets_marked: usize,
+    members_marked: u64,
+    sets_touched: usize,
+    members_touched: u64,
+    refit_secs: f64,
+    full_rebuild_secs: f64,
+}
+
+/// Sets flagged in `marks` and the members they hold.
+fn marked_volume(pool: &SketchPool, marks: &[bool]) -> (usize, u64) {
+    (0..pool.len())
+        .filter(|&i| marks[i])
+        .fold((0, 0), |(sets, members), i| {
+            (sets + 1, members + pool.store().set(i).len() as u64)
+        })
+}
+
+/// Invalidate and refit `pool` (sampled over `g`) after one churn batch,
+/// the refit timed as the service runs it (marks, then
+/// `refresh_pool_marked`), against a refresh that marks every set.
+fn churn_row(name: &'static str, g: &DiGraph, pool: &SketchPool) -> ChurnRow {
+    let deltas = churn_batch(g, SEED);
+    let g2 = g
+        .apply_deltas(&deltas)
+        .expect("churn batches are conflict-free");
+    let marks = pool
+        .invalidate(&deltas)
+        .expect("IC pools carry touch provenance");
+    let mut touched = vec![false; pool.len()];
+    for d in &deltas {
+        for &i in pool.coverage_index().sets_containing(d.target()) {
+            touched[i as usize] = true;
+        }
+    }
+    let (sets_marked, members_marked) = marked_volume(pool, &marks);
+    let (sets_touched, members_touched) = marked_volume(pool, &touched);
+    let all = vec![true; pool.len()];
+    let refit = || {
+        let marks = pool.invalidate(&deltas).expect("touch-tracked");
+        refresh_pool_marked(pool, &marks, || IcRrSampler::new(&g2), THREADS)
+    };
+    assert_eq!(
+        refit().store(),
+        refresh_pool_marked(pool, &all, || IcRrSampler::new(&g2), THREADS).store(),
+        "a keyed refit must equal the full rebuild"
+    );
+    ChurnRow {
+        graph: name,
+        nodes: g.num_nodes(),
+        edges: g.num_edges(),
+        total_sets: pool.len(),
+        sets_marked,
+        members_marked,
+        sets_touched,
+        members_touched,
+        refit_secs: median_secs(refit),
+        full_rebuild_secs: median_secs(|| {
+            refresh_pool_marked(pool, &all, || IcRrSampler::new(&g2), THREADS)
+        }),
+    }
 }
 
 fn timed_refresh(pool: &SketchPool, marks: &[bool], g: &Arc<DiGraph>, reps: usize) -> f64 {
@@ -270,6 +346,33 @@ fn bench_incremental(c: &mut Criterion) {
         .expect("Chung–Lu generation");
         ProbModel::WeightedCascade.apply(&topology, &mut SmallRng::seed_from_u64(SEED))
     };
+    let chung_lu_pool = RisPipeline::new(
+        TimConfig::new(10)
+            .seed(SEED)
+            .threads(THREADS)
+            .max_rr_sets(200_000),
+    )
+    .generate_pool(|| IcRrSampler::new(&chung_lu))
+    .expect("IC pool over the Chung–Lu graph");
+    let churn = [
+        churn_row("fixture-medium", &g, &pool),
+        churn_row("chung-lu-1m", &chung_lu, &chung_lu_pool),
+    ];
+    drop(chung_lu_pool);
+    for r in &churn {
+        println!(
+            "bench: churn/{} (100 changes) ... marks {} sets / {} members (target rule {} / {}); refit {:.2} ms vs full {:.2} ms — {:.1}x",
+            r.graph,
+            r.sets_marked,
+            r.members_marked,
+            r.sets_touched,
+            r.members_touched,
+            r.refit_secs * 1e3,
+            r.full_rebuild_secs * 1e3,
+            r.full_rebuild_secs / r.refit_secs.max(1e-9),
+        );
+    }
+
     let compaction: Vec<CompactionRow> = compaction_rows("fixture-medium", &g)
         .into_iter()
         .chain(compaction_rows("chung-lu-1m", &chung_lu))
@@ -294,6 +397,24 @@ fn bench_incremental(c: &mut Criterion) {
             ("total_sets", total_sets.to_string()),
         ]
     });
+    let churn_rows = churn.iter().map(|r| {
+        vec![
+            ("label", format!("\"churn/{}\"", r.graph)),
+            ("graph", format!("\"{}\"", r.graph)),
+            ("nodes", r.nodes.to_string()),
+            ("edges", r.edges.to_string()),
+            ("changes", "100".to_string()),
+            ("threads", THREADS.to_string()),
+            ("reps", REPS.to_string()),
+            ("total_sets", r.total_sets.to_string()),
+            ("sets_marked", r.sets_marked.to_string()),
+            ("members_marked", r.members_marked.to_string()),
+            ("sets_touched", r.sets_touched.to_string()),
+            ("members_touched", r.members_touched.to_string()),
+            ("secs", format!("{:.6}", r.refit_secs)),
+            ("full_rebuild_secs", format!("{:.6}", r.full_rebuild_secs)),
+        ]
+    });
     let compaction_rows = compaction.iter().map(|r| {
         vec![
             ("label", format!("\"{}\"", r.label)),
@@ -302,7 +423,7 @@ fn bench_incremental(c: &mut Criterion) {
             ("edges", r.edges.to_string()),
             ("changes", "100".to_string()),
             ("threads", "1".to_string()),
-            ("reps", COMPACTION_REPS.to_string()),
+            ("reps", REPS.to_string()),
             ("secs", format!("{:.6}", r.secs)),
         ]
     });
@@ -322,10 +443,13 @@ fn bench_incremental(c: &mut Criterion) {
             ("threads", THREADS.to_string()),
             (
                 "note",
-                "\"both refit paths run refresh_pool_marked; 'full_rebuild' rows mark every set, so the gap is exactly the resampling that index-driven invalidation avoids. 'compaction' rows time apply_deltas of one 100-change batch (40 adds, 40 removes, 20 reweights), 'rebuild' rows from_edges over the same compacted edge set, each the median of 'reps' single-threaded calls; chung-lu-1m is n = 100k, exponent 2.16, weighted cascade\"".into(),
+                "\"both refit paths run refresh_pool_marked; 'full_rebuild' rows mark every set, so the gap is exactly the resampling that index-driven invalidation avoids. 'churn' rows apply one 100-change batch (40 adds, 40 removes, 20 reweights, p in (0, 0.3]) to a pool (fixture-medium: the 60k-set pool above; chung-lu-1m: 200k sets), record the keyed marks against the target-membership rule's ('*_touched': every set holding a delta's target), and time invalidate + refresh_pool_marked ('secs') against a refresh marking every set ('full_rebuild_secs'), each the median of 'reps' calls at 'threads'. 'compaction' rows time apply_deltas of one such batch, 'rebuild' rows from_edges over the same compacted edge set, each the median of 'reps' single-threaded calls; chung-lu-1m is n = 100k, exponent 2.16, weighted cascade\"".into(),
             ),
         ],
-        &refit_rows.chain(compaction_rows).collect::<Vec<_>>(),
+        &refit_rows
+            .chain(churn_rows)
+            .chain(compaction_rows)
+            .collect::<Vec<_>>(),
     );
 }
 

@@ -341,9 +341,9 @@ impl DiGraph {
 
     /// Raw in-CSR slices for `v`: sources and probabilities, index-aligned.
     ///
-    /// The RR-set samplers' inner loop wants direct slice access (for
-    /// geometric skip-sampling over uniform-probability runs) without paying
-    /// the iterator's per-element `Adj` construction.
+    /// The RR-set samplers' inner loop wants direct slice access (one keyed
+    /// coin per source, with one threshold for a uniform-probability run)
+    /// without paying the iterator's per-element `Adj` construction.
     #[inline]
     pub fn in_sources_probs(&self, v: NodeId) -> (&[NodeId], &[f64]) {
         let lo = self.in_offsets[v.index()] as usize;

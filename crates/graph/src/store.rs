@@ -1184,7 +1184,7 @@ fn validate_csr(
         return Err(corrupt(format!("{side}-CSR node id out of range")));
     }
     // Per-range heads strictly ascending: the builder's canonical order,
-    // which has_edge / skip-sampling rely on, and which also rules out
+    // which has_edge and the delta compaction rely on, and which also rules out
     // duplicate edges. Equivalent counting form, because boundary descents
     // are a subset of all descents: the number of adjacent-pair descents
     // across the whole array must equal the number of descents at range

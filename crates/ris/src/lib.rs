@@ -28,8 +28,10 @@
 //!
 //! Steps 1 and 3 — the wall-clock bottleneck at paper scale — run sharded
 //! across worker threads through one sampling loop,
-//! [`parallel::ShardedGenerator`], where every RR-set draws from an RNG
-//! stream keyed on its index in the batch. Sampling builds no index: step
+//! [`parallel::ShardedGenerator`], where every RR-set is sampled from a
+//! stream seed keyed on its index in the batch (the IC sampler keys its
+//! coins on that seed and each edge, which lets a delta refit resample
+//! only the sets whose live edges changed). Sampling builds no index: step
 //! 4's coverage index is built once over the finished store by
 //! [`select::CoverageIndex::build`] (parallel over contiguous set ranges)
 //! and stays resident on the [`pool::SketchPool`], so every later

@@ -10,15 +10,19 @@
 //!
 //! # Determinism contract
 //!
-//! Set `i` of a batch draws from its own RNG stream, seeded by
-//! `set_seed(seed, i)` — a pure function of the generator's anchor
-//! seed and the set's index in the final store. Which worker sampled the
-//! set, and what that worker sampled before it, never enter. The merged
-//! store is therefore **byte-identical for every thread count**,
-//! independent of scheduling or machine: `threads` only decides how the
-//! index range is split among workers, a pure latency knob. The same
-//! keying lets [`ShardedGenerator::regenerate_marked`] resample any subset
-//! of a store in isolation.
+//! Set `i` of a batch is sampled from its own stream seed,
+//! `set_seed(seed, i)` — a pure function of the generator's anchor seed
+//! and the set's index in the final store — through
+//! [`RrSampler::sample_stream`]: an RNG stream for the Com-IC samplers,
+//! the root draw and the coin key ([`crate::ic_sampler::coin_key`]) for
+//! the IC sampler. Which worker sampled the set, and what that worker
+//! sampled before it, never enter. The merged store is therefore
+//! **byte-identical for every thread count**, independent of scheduling
+//! or machine: `threads` only decides how the index range is split among
+//! workers, a pure latency knob. The same keying lets
+//! [`ShardedGenerator::regenerate_marked`] resample any subset of a store
+//! in isolation, and lets [`crate::pool::SketchPool::invalidate`]
+//! recompute any set's coin key.
 //!
 //! Both entry points — [`ShardedGenerator::generate`] (KPT* rounds and
 //! pool builds) and [`ShardedGenerator::regenerate_marked`] (delta
@@ -29,8 +33,6 @@
 use crate::rr::{RrStore, MAX_PREALLOC_SETS};
 use crate::sampler::RrSampler;
 use comic_graph::fasthash::splitmix64;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 // The workspace-wide `threads` knob semantics now live at the bottom of the
 // crate graph (`comic_graph::par`), shared with the learning layer and the
@@ -38,10 +40,11 @@ use rand::SeedableRng;
 // working.
 pub use comic_graph::par::resolve_threads;
 
-/// The RNG seed of set `i` in a batch anchored at `seed`: each set owns an
-/// independent, re-derivable stream, so any set can be (re)sampled without
-/// replaying its predecessors and without knowing which worker drew it.
-fn set_seed(seed: u64, i: u64) -> u64 {
+/// The stream seed of set `i` in a batch anchored at `seed`: each set owns
+/// an independent, re-derivable stream, so any set can be (re)sampled, or
+/// its coin key recomputed, without replaying its predecessors and without
+/// knowing which worker drew it.
+pub(crate) fn set_seed(seed: u64, i: u64) -> u64 {
     splitmix64(seed ^ splitmix64(i + 1))
 }
 
@@ -100,8 +103,7 @@ where
                 RrStore::with_capacity(share.min(MAX_PREALLOC_SETS as usize), avg_hint.max(1));
             let mut out = Vec::new();
             for p in start..start + share {
-                let mut rng = SmallRng::seed_from_u64(set_seed(self.seed, index(p)));
-                let (_, width) = sampler.sample_random_with_width(&mut rng, &mut out);
+                let width = sampler.sample_stream(set_seed(self.seed, index(p)), &mut out);
                 store.push_with_width(&out, width);
             }
             store
@@ -136,14 +138,16 @@ where
     }
 
     /// Resample exactly the sets flagged in `marks` against this
-    /// generator's (new) graph, splicing the rest byte-for-byte from
-    /// `store` — the incremental leg of a delta refresh.
+    /// generator's (new) graph, splicing the rest's members from `store`
+    /// with their width recomputed on the new graph (a member's in-degree
+    /// changes with every add or remove aimed at it, whether or not the
+    /// set does) — the incremental leg of a delta refresh.
     ///
     /// Set `i` is reseeded from `set_seed(seed, i)` directly, so when
     /// this generator's `seed` is the one `store` was generated with, the
     /// result is **identical to a from-scratch
     /// [`ShardedGenerator::generate`] on the new graph** — provided
-    /// `marks` covers every set whose replay the graph change affects (the
+    /// `marks` covers every set whose members the graph change affects (the
     /// [`crate::pool::SketchPool::invalidate`] contract). Marking every set
     /// is that from-scratch generation.
     pub fn regenerate_marked(&self, store: &RrStore, marks: &[bool], avg_hint: usize) -> RrStore {
@@ -153,6 +157,8 @@ where
             .map(|i| i as u64)
             .collect();
         let fresh = self.sample_batch(marked.len(), |p| marked[p], avg_hint);
+        let probe = (self.factory)();
+        let g = probe.graph();
         let mut spliced = RrStore::with_capacity(store.len(), avg_hint.max(1));
         let mut next = 0usize;
         for (i, &dirty) in marks.iter().enumerate() {
@@ -160,7 +166,7 @@ where
                 spliced.push_with_width(fresh.set(next), fresh.width(next));
                 next += 1;
             } else {
-                spliced.push_with_width(store.set(i), store.width(i));
+                spliced.push(store.set(i), g);
             }
         }
         spliced

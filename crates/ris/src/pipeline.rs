@@ -20,16 +20,20 @@
 //!    when a query consults only a prefix of the pool
 //!    ([`RisPipeline::run_on_prefix`]).
 //!
-//! Every RR-set draws from a stream keyed on the configured seed and its
-//! index in the batch, so the output — pool bytes, KPT*, θ and the
-//! selected seeds — is bit-for-bit identical for every thread count, and
-//! the *selection* stage is additionally identical across selectors (see
-//! the [`crate::select`] determinism contract).
+//! Every RR-set is sampled from a stream keyed on the configured seed and
+//! its index in the batch (for the IC sampler, its coins are keyed on that
+//! stream and each edge: [`crate::ic_sampler`]), so the output — pool
+//! bytes, KPT*, θ and the selected seeds — is bit-for-bit identical for
+//! every thread count, and the *selection* stage is additionally identical
+//! across selectors (see the [`crate::select`] determinism contract). The
+//! same keying makes a delta refit ([`refresh_pool_marked`] over
+//! [`SketchPool::invalidate`]'s marks) equal a fresh generation on the new
+//! graph.
 
 use crate::error::RisError;
 use crate::kpt::kpt_star_with_dims;
 use crate::parallel::ShardedGenerator;
-use crate::pool::SketchPool;
+use crate::pool::{theta_stream_seed, SketchPool};
 use crate::sampler::RrSampler;
 use crate::select::{CoverageIndex, CoverageResult};
 use crate::tim::{theta, TimConfig, TimResult};
@@ -164,11 +168,11 @@ impl RisPipeline {
             .generate(theta_n, avg);
         let index = CoverageIndex::build(&store, n, cfg.threads);
 
-        // "Sets containing a changed node are the dirty sets" only holds
-        // for samplers whose members are their full visit set; marking a
-        // touch-opaque pool would make incremental invalidation silently
-        // unsound, so those pools stay untracked and the serving layer
-        // falls back to full rebuilds for them.
+        // The keyed invalidation rule only holds for samplers whose
+        // members are their full visit set and whose coins are keyed on
+        // (set, edge); marking a touch-opaque pool would make incremental
+        // invalidation silently unsound, so those pools stay untracked and
+        // the serving layer falls back to full rebuilds for them.
         Ok(SketchPool::new(
             Arc::new(store),
             Arc::new(index),
@@ -221,25 +225,17 @@ impl RisPipeline {
     }
 }
 
-/// The generation-stage RNG anchor derived from a pool's configured seed —
-/// shared by [`RisPipeline::generate_pool_observed`] and the incremental
-/// [`refresh_pool_marked`], which must re-derive the exact per-set streams
-/// the pool was generated from.
-fn theta_stream_seed(seed: u64) -> u64 {
-    splitmix64(seed ^ 0x74_6865_7461)
-}
-
 /// Incrementally refresh a pool after a graph change: resample exactly the
 /// sets flagged in `marks` against the *new* graph (the one `factory`'s
-/// samplers walk), splicing every unmarked set byte-for-byte from the
-/// resident pool.
+/// samplers walk), splicing every unmarked set's members from the resident
+/// pool with its width recomputed on the new graph, then index the result.
 ///
 /// θ, KPT*, ε, and the capped flag are **frozen** from the pool's
 /// provenance — an incremental refresh answers "what do my θ sketches look
 /// like on the updated graph", not "what θ does the updated graph need".
 /// Set `i` is resampled from the stream keyed on the pool's seed and `i`,
-/// so provided `marks` covers every set the change affects (the
-/// [`SketchPool::invalidate`] contract), the result's bytes equal
+/// so provided `marks` covers every set whose members the change affects
+/// (the [`SketchPool::invalidate`] contract), the result's bytes equal
 /// [`RisPipeline::generate_pool`] on the new graph at the same seed and θ,
 /// at any thread count; marking every set is that regeneration. `threads`
 /// only sets regeneration concurrency. The generation counter is carried

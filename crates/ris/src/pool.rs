@@ -24,6 +24,18 @@
 //! `k` and ε its θ was derived for, the KPT* estimate, and a
 //! caller-maintained `generation` counter for refresh bookkeeping.
 //!
+//! # Delta invalidation
+//!
+//! A pool built from the IC sampler is *touch-tracked*: set `i`'s members
+//! are the live-path closure of the keyed-coin world of its stream seed
+//! ([`crate::ic_sampler`]). After a batch of edge deltas,
+//! [`SketchPool::invalidate`] marks, among the sets the resident index
+//! lists under a delta's target, only those the change can alter — the
+//! ones where the edge's coin is, or was, live — and
+//! [`crate::pipeline::refresh_pool_marked`] resamples exactly those. The
+//! rule needs neither the old graph nor the sets' stored bytes, only the
+//! index and each set's key.
+//!
 //! # Guarantee semantics
 //!
 //! θ is a function of `(n, design_k, ε, KPT*)` — Equation (3). Queries at
@@ -32,12 +44,25 @@
 //! sketch budget below the pool size, or over a capped pool are best-effort
 //! estimates, exactly like a capped [`crate::tim::TimResult`].
 
+use crate::ic_sampler::{coin_key, coin_threshold, edge_live};
+use crate::parallel::set_seed;
 use crate::rr::RrStore;
 use crate::select::CoverageIndex;
 use crate::simd;
 use comic_graph::delta::EdgeDelta;
+use comic_graph::fasthash::splitmix64;
 use comic_graph::NodeId;
 use std::sync::Arc;
+
+/// The generation-stage stream anchor of a pool whose configured seed is
+/// `seed`: set `i` is sampled from stream `set_seed(anchor, i)`. Shared by
+/// [`crate::pipeline::RisPipeline::generate_pool`], the incremental
+/// [`crate::pipeline::refresh_pool_marked`] (which must re-derive the exact
+/// per-set streams) and [`SketchPool::invalidate`] (which recomputes each
+/// set's coin key).
+pub(crate) fn theta_stream_seed(seed: u64) -> u64 {
+    splitmix64(seed ^ 0x74_6865_7461)
+}
 
 /// An immutable pool of pre-generated RR-sketches, their node→set
 /// coverage index, and the provenance of their generation. Built by
@@ -113,31 +138,60 @@ impl SketchPool {
         self.touch_tracked
     }
 
-    /// Mark the RR-sets whose replay a batch of edge deltas can change:
-    /// for member-touch samplers those are exactly the sets containing a
-    /// delta's **target** node (the node whose in-adjacency run changed),
-    /// read off the resident coverage index.
+    /// Mark the RR-sets a batch of edge deltas can change. Among the sets
+    /// the resident coverage index lists under a delta's **target** `t`
+    /// (the node whose in-run changed), where "the edge's coin" is the one
+    /// keyed on that set ([`crate::ic_sampler::edge_live`]):
+    ///
+    /// * `Add(s, t, p)` marks a set where the edge's coin is live at `p`;
+    /// * `Remove(s, t)` marks a set that also holds `s` — an old live edge
+    ///   into a member puts its source in the set, so where `s` is absent
+    ///   the edge was not live and its removal changes nothing;
+    /// * `Reweight(s, t, p)` marks a set where either holds.
+    ///
+    /// A set none of these mark keeps the live status of every edge into
+    /// its members, so it resamples to the same members on the new graph
+    /// (only its width moves, which the refit recomputes). The rule reads
+    /// no old graph, and it is sound for any sequence of changes to one
+    /// edge within a batch: the edge's final liveness is decided by its
+    /// last add or reweight, and its old liveness needs `s` in the set.
+    /// Every marked set holds a target, as under a plain target-membership
+    /// rule, but only where the edge's coin says so.
     ///
     /// Returns `None` for a touch-opaque pool — the caller must fall back
     /// to a full rebuild. Delta targets outside the pool's node universe
     /// are ignored (the compaction step rejects them with typed errors
-    /// before any invalidation runs).
+    /// before any invalidation runs). A touch-tracked pool's sets must come
+    /// from the generation streams the pipeline derives from
+    /// [`SketchPool::seed`], as every pipeline-built pool's do.
     pub fn invalidate(&self, deltas: &[EdgeDelta]) -> Option<Vec<bool>> {
         if !self.touch_tracked {
             return None;
         }
         let n = self.num_nodes();
-        let mut targets: Vec<NodeId> = deltas
-            .iter()
-            .map(EdgeDelta::target)
-            .filter(|v| v.index() < n)
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
+        let anchor = theta_stream_seed(self.seed);
         let mut marks = vec![false; self.len()];
-        for v in targets {
-            for &s in self.index.sets_containing(v) {
-                marks[s as usize] = true;
+        for d in deltas {
+            let (source, target) = (d.source(), d.target());
+            if target.index() >= n {
+                continue;
+            }
+            let live_at = match *d {
+                EdgeDelta::Add { p, .. } | EdgeDelta::Reweight { p, .. } => Some(coin_threshold(p)),
+                EdgeDelta::Remove { .. } => None,
+            };
+            let source_sets = match d {
+                EdgeDelta::Add { .. } => None,
+                _ => (source.index() < n).then(|| self.index.sets_containing(source)),
+            };
+            for &i in self.index.sets_containing(target) {
+                let mark = &mut marks[i as usize];
+                if *mark {
+                    continue;
+                }
+                let key = || coin_key(set_seed(anchor, u64::from(i)));
+                *mark = source_sets.is_some_and(|run| run.binary_search(&i).is_ok())
+                    || live_at.is_some_and(|t| edge_live(key(), source, target, t));
             }
         }
         Some(marks)
@@ -271,6 +325,8 @@ mod tests {
     use crate::ic_sampler::IcRrSampler;
     use crate::parallel::ShardedGenerator;
     use comic_graph::gen;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn pool_over_star() -> SketchPool {
         let g = gen::star(40, 1.0);
@@ -358,34 +414,83 @@ mod tests {
     }
 
     fn touch_tracked_pool(g: &comic_graph::DiGraph) -> SketchPool {
-        let store = ShardedGenerator::new(|| IcRrSampler::new(g), 9, 3).generate(800, 2);
-        let index = CoverageIndex::build(&store, 40, 3);
+        let store =
+            ShardedGenerator::new(|| IcRrSampler::new(g), theta_stream_seed(9), 3).generate(800, 2);
+        let index = CoverageIndex::build(&store, g.num_nodes(), 3);
         SketchPool::new(Arc::new(store), Arc::new(index), 9, 5, 0.5, 1.0, false)
             .with_touch_tracked(true)
     }
 
+    /// The keyed rule replayed by brute force over the stored sets: a set
+    /// is marked iff it holds some delta's target and the edge's coin is
+    /// live at an added or reweighted probability, or (for a removal or
+    /// reweight) the set also holds the source.
+    fn replay_marks(pool: &SketchPool, deltas: &[EdgeDelta]) -> Vec<bool> {
+        let anchor = theta_stream_seed(pool.seed());
+        (0..pool.len())
+            .map(|i| {
+                let set = pool.store().set(i);
+                let key = coin_key(set_seed(anchor, i as u64));
+                deltas.iter().any(|d| {
+                    let (s, t) = (d.source(), d.target());
+                    let coin = |p: f64| edge_live(key, s, t, coin_threshold(p));
+                    set.contains(&t)
+                        && match *d {
+                            EdgeDelta::Add { p, .. } => coin(p),
+                            EdgeDelta::Remove { .. } => set.contains(&s),
+                            EdgeDelta::Reweight { p, .. } => coin(p) || set.contains(&s),
+                        }
+                })
+            })
+            .collect()
+    }
+
     #[test]
-    fn invalidate_marks_exactly_the_sets_containing_a_target() {
-        let g = gen::star(40, 0.6);
+    fn invalidate_marks_the_sets_a_brute_force_replay_marks() {
+        let mut grng = SmallRng::seed_from_u64(21);
+        let g = gen::gnm(40, 260, &mut grng).unwrap();
+        let g = comic_graph::prob::ProbModel::trivalency().apply(&g, &mut grng);
         let pool = touch_tracked_pool(&g);
+        let edges: Vec<_> = g.edges().map(|(_, e)| (e.source, e.target)).collect();
+        let absent = (0..40u32)
+            .flat_map(|s| (0..40u32).map(move |t| (NodeId(s), NodeId(t))))
+            .find(|&(s, t)| s != t && !g.has_edge(s, t))
+            .unwrap();
         let deltas = [
             EdgeDelta::Remove {
-                source: NodeId(3),
-                target: NodeId(0),
+                source: edges[3].0,
+                target: edges[3].1,
             },
             EdgeDelta::Reweight {
-                source: NodeId(0),
-                target: NodeId(7),
+                source: edges[40].0,
+                target: edges[40].1,
                 p: 0.3,
+            },
+            EdgeDelta::Add {
+                source: absent.0,
+                target: absent.1,
+                p: 0.5,
             },
         ];
         let marks = pool.invalidate(&deltas).expect("touch-tracked pool marks");
-        assert_eq!(marks.len(), pool.len());
+        assert_eq!(marks, replay_marks(&pool, &deltas));
+        assert!(marks.iter().any(|&m| m), "the fixture must mark some set");
+
+        // Every set whose regeneration on the new graph changes is marked,
+        // and only sets holding a target are.
+        let g2 = g.apply_deltas(&deltas).unwrap();
+        let fresh = ShardedGenerator::new(|| IcRrSampler::new(&g2), theta_stream_seed(9), 2)
+            .generate(pool.len() as u64, 2);
         for (i, &m) in marks.iter().enumerate() {
             let set = pool.store().set(i);
-            let dirty = set.contains(&NodeId(0)) || set.contains(&NodeId(7));
-            assert_eq!(m, dirty, "set {i}");
+            if fresh.set(i) != set {
+                assert!(m, "set {i} changed but is unmarked");
+            }
+            if m {
+                assert!(deltas.iter().any(|d| set.contains(&d.target())), "set {i}");
+            }
         }
+
         // Out-of-universe targets are ignored; an empty batch marks nothing.
         let far = [EdgeDelta::Remove {
             source: NodeId(0),

@@ -1,7 +1,8 @@
 //! The RR-set sampler abstraction (Definition 1 of the paper).
 
 use comic_graph::{DiGraph, NodeId};
-use rand::{Rng, RngExt};
+use rand::rngs::SmallRng;
+use rand::{Rng, RngExt, SeedableRng};
 
 /// Produces one random reverse-reachable set per call.
 ///
@@ -44,10 +45,13 @@ pub trait RrSampler {
     }
 
     /// Whether this sampler's emitted members are exactly the nodes whose
-    /// in-adjacency runs its reverse search read — the precondition for
-    /// member-keyed touch tracking ([`crate::pool::SketchPool::invalidate`]):
-    /// an edge delta on `(u, v)` can change a sampled set's replay only if
-    /// `v` is among the set's members.
+    /// in-adjacency runs its reverse search read, **and** its sets from
+    /// [`RrSampler::sample_stream`] are the live-path closures of the
+    /// keyed-coin world of [`crate::ic_sampler::coin_key`]`(stream)`
+    /// ([`crate::ic_sampler::edge_live`]) — the precondition for
+    /// [`crate::pool::SketchPool::invalidate`]'s keyed rule: an edge delta
+    /// on `(u, v)` can change a sampled set only if `v` is among the set's
+    /// members and the edge's coin is, or becomes, live in the set's world.
     ///
     /// Defaults to `false` (touch-opaque): samplers that probe nodes they
     /// do not emit (e.g. the Com-IC samplers' adoption tests against
@@ -79,6 +83,19 @@ pub trait RrSampler {
         let root = self.random_root(rng);
         let width = self.sample_with_width(root, rng, out);
         (root, width)
+    }
+
+    /// Sample the RR-set of stream seed `stream` into `out` and return its
+    /// width — the one call [`crate::parallel::ShardedGenerator`] makes per
+    /// set, so a set is a function of its stream seed and the graph alone.
+    ///
+    /// The default draws the root and the world from a [`SmallRng`]
+    /// seeded with `stream`; the IC sampler keeps the root draw and takes
+    /// its coins from the stream's key instead (see
+    /// [`crate::ic_sampler`]).
+    fn sample_stream(&mut self, stream: u64, out: &mut Vec<NodeId>) -> u64 {
+        let mut rng = SmallRng::seed_from_u64(stream);
+        self.sample_random_with_width(&mut rng, out).1
     }
 }
 

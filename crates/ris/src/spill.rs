@@ -13,7 +13,7 @@
 //! zero-copy under the mmap fast path, via one bulk read otherwise
 //! (`COMIC_MMAP=off`).
 //!
-//! # Layout (`COMICRRS` v3)
+//! # Layout (`COMICRRS` v4)
 //!
 //! Meta words: `[graph_digest, n, seed, design_k, epsilon_bits, kpt_bits,
 //! capped, generation, touched]` — the full provenance a [`SketchPool`]
@@ -33,10 +33,14 @@
 //!
 //! Every pool carries its resident [`CoverageIndex`] and spills it, so a
 //! warm reload skips both regeneration *and* the index build. A file with
-//! any other section count is [`GraphError::Corrupt`]; v1 and v2 files
-//! (which recorded the generation thread count, and v2 per-shard touch
-//! blooms) are rejected with [`GraphError::UnsupportedVersion`]. The
-//! serving layer observes either as a `spill_reject` and rebuilds.
+//! any other section count is [`GraphError::Corrupt`]. Older versions are
+//! rejected with [`GraphError::UnsupportedVersion`]: v1 and v2 (which
+//! recorded the generation thread count, and v2 per-shard touch blooms),
+//! and v3, whose layout v4 keeps but whose IC sets were sampled with
+//! geometric skips over RNG streams — the keyed invalidation rule
+//! ([`SketchPool::invalidate`]) cannot tell which of them a delta
+//! changes. The serving layer observes either as a `spill_reject` and
+//! rebuilds once, which rewrites the spill as v4.
 //!
 //! # Untrusted-header contract
 //!
@@ -66,9 +70,11 @@ use std::sync::Arc;
 /// Magic prefix of a pool spill file.
 pub const POOL_MAGIC: &[u8; 8] = b"COMICRRS";
 
-/// Format version written and required by this module (v3 dropped the
-/// generation thread count and the touch blooms).
-pub const POOL_FORMAT_VERSION: u32 = 3;
+/// Format version written and required by this module. v4 has v3's
+/// layout; it marks IC sets sampled with keyed coins, which the keyed
+/// invalidation rule needs (v3 IC sets came from geometric-skip streams).
+/// v3 dropped the generation thread count and the touch blooms.
+pub const POOL_FORMAT_VERSION: u32 = 4;
 
 /// Meta words: `[graph_digest, n, seed, design_k, epsilon_bits, kpt_bits,
 /// capped, generation, touched]`.
@@ -459,12 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_spill_files_are_rejected_as_unsupported() {
-        // Re-encode a pool under the retired layouts — v1 (9 meta words
-        // with a thread count, no touch provenance) and v2 (11 meta words,
-        // touch flag and bloom width): the reader must refuse both with a
-        // typed version error, which the serving layer surfaces as a spill
-        // reject.
+    fn v1_to_v3_spill_files_are_rejected_as_unsupported() {
+        // Re-encode a pool under the retired versions — v1 (9 meta words
+        // with a thread count, no touch provenance), v2 (11 meta words,
+        // touch flag and bloom width) and v3 (today's layout, sets from
+        // skip streams): the reader must refuse each with a typed version
+        // error, which the serving layer surfaces as a spill reject.
         let g = gen::path(6, 0.5);
         let d = graph_digest(&g);
         let pool = sample_pool(&g);
@@ -487,9 +493,15 @@ mod tests {
             SectionData::Nodes(store.nodes_raw()),
             SectionData::U64(store.widths_raw()),
         ];
-        for (version, meta) in [(1u32, v1_meta), (2, v2_meta)] {
+        let mut v3 = Vec::new();
+        write_pool(&pool, d, &mut v3).unwrap();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let retired = [(1u32, v1_meta), (2, v2_meta)].map(|(version, meta)| {
             let mut bytes = Vec::new();
             write_segment(&mut bytes, POOL_MAGIC, version, &meta, &sections).unwrap();
+            (version, bytes)
+        });
+        for (version, bytes) in retired.into_iter().chain([(3, v3)]) {
             match read_pool_bytes(bytes, d) {
                 Err(GraphError::UnsupportedVersion { found, supported }) => {
                     assert_eq!(found, version);

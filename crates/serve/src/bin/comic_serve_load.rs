@@ -214,19 +214,38 @@ fn validate_simulation_schema(v: &Json) -> Result<(), String> {
     faster("surrogates/join", "surrogates/sequential")
 }
 
-/// Graphs whose compaction rows a `BENCH_incremental.json` snapshot must
-/// hold.
+/// Graphs whose churn and compaction rows a `BENCH_incremental.json`
+/// snapshot must hold.
 const COMPACTION_GRAPHS: [&str; 2] = ["fixture-medium", "chung-lu-1m"];
+
+/// Numeric fields of a `churn/<graph>` row, besides `secs`.
+const CHURN_FIELDS: [&str; 11] = [
+    "nodes",
+    "edges",
+    "changes",
+    "threads",
+    "reps",
+    "total_sets",
+    "sets_marked",
+    "members_marked",
+    "sets_touched",
+    "members_touched",
+    "full_rebuild_secs",
+];
 
 /// Required schema of a `BENCH_incremental.json` snapshot: graph
 /// provenance, pool size, the host's core count next to the thread count,
 /// per-ratio refit rows pairing the incremental refit against the full
-/// rebuild it replaces, and per-graph compaction rows pairing
+/// rebuild it replaces, per-graph churn rows (one churn-shaped batch's
+/// keyed marks next to the target-membership rule's, and the marked refit
+/// next to a full rebuild), and per-graph compaction rows pairing
 /// `apply_deltas` against a `from_edges` rebuild (each with its graph
-/// size, batch size, thread count and calls per median). Two ratios are
+/// size, batch size, thread count and calls per median). Ratios are
 /// gated, never an absolute time: each `incremental/<bp>` must be faster
-/// than its `full_rebuild/<bp>`, and each `compaction/<graph>` faster than
-/// its `rebuild/<graph>`.
+/// than its `full_rebuild/<bp>`; each `churn/<graph>` must mark fewer
+/// members than the target rule and refit faster than its full rebuild;
+/// and each `compaction/<graph>` must be faster than its
+/// `rebuild/<graph>`.
 fn validate_incremental_schema(v: &Json) -> Result<(), String> {
     v.get("graph")
         .and_then(Json::as_obj)
@@ -241,14 +260,18 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
         .and_then(Json::as_arr)
         .ok_or("missing array field \"runs\"")?;
     let mut secs_by_label = Vec::new();
+    let mut churn_rows = Vec::new();
     for (i, r) in runs.iter().enumerate() {
         let label = r
             .get("label")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("runs[{i}]: missing \"label\""))?;
         let compaction = label.starts_with("compaction/") || label.starts_with("rebuild/");
+        let churn = label.starts_with("churn/");
         let fields: &[&str] = if compaction {
             &["nodes", "edges", "changes", "threads", "reps"]
+        } else if churn {
+            &CHURN_FIELDS
         } else {
             &["delta_bp", "sets_regenerated", "total_sets"]
         };
@@ -257,7 +280,7 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
                 return Err(format!("runs[{i}] ({label}): missing numeric {f:?}"));
             }
         }
-        if compaction && r.get("graph").and_then(Json::as_str).is_none() {
+        if (compaction || churn) && r.get("graph").and_then(Json::as_str).is_none() {
             return Err(format!("runs[{i}] ({label}): missing string \"graph\""));
         }
         let secs = r
@@ -265,6 +288,9 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("runs[{i}] ({label}): missing numeric \"secs\""))?;
         secs_by_label.push((label, secs));
+        if churn {
+            churn_rows.push((label, r));
+        }
     }
     let secs = |required: &str| {
         secs_by_label
@@ -292,6 +318,21 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
         faster(&format!("incremental/{bp}"), &format!("full_rebuild/{bp}"))?;
     }
     for graph in COMPACTION_GRAPHS {
+        let label = format!("churn/{graph}");
+        let row = churn_rows
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map(|&(_, r)| r)
+            .ok_or_else(|| format!("required run label {label:?} is absent"))?;
+        let num = |f: &str| row.get(f).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        let (marked, touched) = (num("members_marked"), num("members_touched"));
+        (marked < touched).then_some(()).ok_or_else(|| {
+            format!("{label}: members_marked ({marked}) is not below members_touched ({touched})")
+        })?;
+        let (refit, full) = (secs(&label)?, num("full_rebuild_secs"));
+        (refit < full).then_some(()).ok_or_else(|| {
+            format!("{label} ({refit} s) is not faster than its full rebuild ({full} s)")
+        })?;
         faster(&format!("compaction/{graph}"), &format!("rebuild/{graph}"))?;
     }
     Ok(())
@@ -964,14 +1005,31 @@ mod tests {
         );
     }
 
+    /// A churn row's fields after `secs`: marked/touched members and the
+    /// full-rebuild time.
+    fn churn_extra(members_marked: u32, members_touched: u32, full: f64) -> String {
+        format!(
+            r#""graph":"g","nodes":9,"edges":50,"changes":100,"threads":2,"reps":9,
+                "total_sets":60,"sets_marked":2,"members_marked":{members_marked},
+                "sets_touched":7,"members_touched":{members_touched},"full_rebuild_secs":{full}"#
+        )
+    }
+
     fn incremental(runs: &[(&str, f64)]) -> Json {
+        incremental_with(runs, &churn_extra(30, 200, 0.02))
+    }
+
+    /// [`incremental`] with `churn` as every churn row's extra fields.
+    fn incremental_with(runs: &[(&str, f64)], churn: &str) -> Json {
         let runs: Vec<String> = runs
             .iter()
             .map(|(label, secs)| {
                 let extra = if label.starts_with("compaction/") || label.starts_with("rebuild/") {
-                    r#""graph":"g","nodes":9,"edges":50,"changes":100,"threads":1,"reps":9"#
+                    r#""graph":"g","nodes":9,"edges":50,"changes":100,"threads":1,"reps":9"#.into()
+                } else if label.starts_with("churn/") {
+                    churn.to_string()
                 } else {
-                    r#""delta_bp":10,"sets_regenerated":4,"total_sets":60"#
+                    r#""delta_bp":10,"sets_regenerated":4,"total_sets":60"#.into()
                 };
                 format!(r#"{{"label":"{label}","secs":{secs},{extra}}}"#)
             })
@@ -985,10 +1043,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_gate_requires_compaction_rows_and_both_ratios() {
+    fn incremental_gate_requires_churn_and_compaction_rows_and_every_ratio() {
         let good = [
             ("incremental/10bp", 0.003),
             ("full_rebuild/10bp", 0.008),
+            ("churn/fixture-medium", 0.004),
+            ("churn/chung-lu-1m", 0.009),
             ("compaction/fixture-medium", 0.0003),
             ("rebuild/fixture-medium", 0.001),
             ("compaction/chung-lu-1m", 0.008),
@@ -1001,12 +1061,20 @@ mod tests {
             let err = validate_schema(&incremental(&rows)).unwrap_err();
             assert!(err.contains(label), "{err}");
         }
-        for (slow_row, slow) in [(0, 0.008), (2, 0.002), (4, 0.05)] {
+        // The churn rows' full rebuild reads 0.02 s.
+        for (slow_row, slow) in [(0, 0.008), (2, 0.03), (3, 0.02), (4, 0.002), (6, 0.05)] {
             let mut rows = good;
             rows[slow_row].1 = slow;
             let err = validate_schema(&incremental(&rows)).unwrap_err();
             assert!(err.contains("not faster"), "{err}");
         }
+        // Churn rows whose keyed marks hold as many members as the target
+        // rule's, or that lack a field, fail.
+        let err =
+            validate_schema(&incremental_with(&good, &churn_extra(200, 200, 0.02))).unwrap_err();
+        assert!(err.contains("is not below members_touched"), "{err}");
+        let err = validate_schema(&incremental_with(&good, r#""graph":"g""#)).unwrap_err();
+        assert!(err.contains("missing numeric \"nodes\""), "{err}");
         let bare = json::parse(
             r#"{"bench":"incremental","graph":{},"host_cores":2,"sketches":60,"threads":2,
                 "runs":[{"label":"compaction/fixture-medium","secs":0.0003}]}"#,

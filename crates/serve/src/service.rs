@@ -113,9 +113,14 @@ pub struct ServeConfig {
     pub pool_dir: Option<PathBuf>,
     /// Staleness bound for the incremental delta path: when a single apply
     /// folds more than this many queued deltas, every pool is rebuilt from
-    /// scratch instead of incrementally resampled — past the bound, the
-    /// invalidation sweep would mark most of the pool anyway, and a fresh
-    /// generation is both cheaper and re-tightens θ to the new graph.
+    /// scratch instead of incrementally resampled. A refit freezes θ and
+    /// KPT* at the pool's build, so the bound caps how far a pool drifts
+    /// from what the new graph would derive; a rebuild re-tightens θ to the
+    /// new graph. It is a delta count, not a measured cost: under the keyed
+    /// invalidation rule a batch marks only the sets where a changed edge's
+    /// coin is, or was, live (about 1k of 50k sets, holding 0.2M of 1.2M
+    /// members, per 100-change batch on the churn benchmark's pool), so a
+    /// batch at the bound still marks far less than the whole pool.
     pub max_stale_deltas: u64,
 }
 
@@ -646,13 +651,14 @@ impl ComicService {
     /// The graph swap is compaction ([`DiGraph::apply_deltas`]): queries
     /// racing the apply see the old graph or the new one, never a torn
     /// pair. Each pool is then refitted — *incrementally* when it is
-    /// touch-tracked (its sampler's touch sets are exact member sets:
-    /// vanilla IC) and the batch is within
-    /// [`ServeConfig::max_stale_deltas`]: only the RR-sets the resident
-    /// coverage index lists under a changed in-adjacency's target are
-    /// resampled (deterministic per-set streams — untouched sets keep their
-    /// exact bytes). Every other pool takes a full rebuild, counted in
-    /// `full_rebuilds`.
+    /// touch-tracked (vanilla IC: its sets are the live-path closures of
+    /// per-set keyed coins) and the batch is within
+    /// [`ServeConfig::max_stale_deltas`]: among the RR-sets the resident
+    /// coverage index lists under a changed in-adjacency's target, only
+    /// those where the changed edge's coin is, or was, live are resampled
+    /// ([`SketchPool::invalidate`]); the rest keep their members, with
+    /// their widths recomputed on the new graph. Every other pool takes a
+    /// full rebuild, counted in `full_rebuilds`.
     ///
     /// A conflicting batch ([`comic_graph::GraphError::DeltaConflict`] —
     /// e.g. removing an edge that is not there) is *dropped whole* with a
@@ -699,11 +705,11 @@ impl ComicService {
             return;
         };
         // Incremental refresh replays only marked sets with the *original*
-        // sampler semantics, so it is sound only where touch sets are
-        // exact member sets — the vanilla IC sampler. Com-IC samplers are
-        // touch-opaque (their pools are not touch-tracked, so
-        // `invalidate` yields no marks), which makes that structural
-        // rather than by sampler name alone.
+        // sampler semantics, so it is sound only where sets are the
+        // live-path closures of keyed coins — the vanilla IC sampler.
+        // Com-IC samplers are touch-opaque (their pools are not
+        // touch-tracked, so `invalidate` yields no marks), which makes that
+        // structural rather than by sampler name alone.
         let eligible = key.sampler == SamplerKind::VanillaIc && batch <= self.cfg.max_stale_deltas;
         if eligible {
             if let Some(marks) = pool.invalidate(deltas) {
@@ -1542,6 +1548,30 @@ mod tests {
         std::fs::write(&spill, &bytes).unwrap();
         let healed = ComicService::start(cfg).unwrap();
         assert_eq!((healed.pool_builds(), healed.spill_rejects()), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v3_spill_rebuilds_once_and_is_rewritten_as_v4() {
+        // A v3 spill's IC sets came from geometric-skip streams, which the
+        // keyed invalidation rule cannot reason about: the reader rejects
+        // the version, the pool rebuilds, and the rebuild re-spills as v4.
+        let dir = temp_pool_dir("v3");
+        let key = PoolKey::new(SamplerKind::VanillaIc, "default", EpsTier::Coarse).unwrap();
+        let mut cfg = small_cfg();
+        cfg.pools = vec![key];
+        cfg.pool_dir = Some(dir.clone());
+        drop(ComicService::start(cfg.clone()).unwrap());
+        let spill = dir.join("vanilla-ic-default-coarse.rrseg");
+        let mut bytes = std::fs::read(&spill).unwrap();
+        assert_eq!(bytes[8..12], spill::POOL_FORMAT_VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&spill, &bytes).unwrap();
+        let rebuilt = ComicService::start(cfg.clone()).unwrap();
+        assert_eq!((rebuilt.pool_builds(), rebuilt.spill_rejects()), (1, 1));
+        drop(rebuilt);
+        let warm = ComicService::start(cfg).unwrap();
+        assert_eq!((warm.pool_builds(), warm.spill_rejects()), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,6 +16,10 @@
 //! compaction's in-CSR through the sampler, which reads it: the refit pool
 //! on the compacted graph must equal `generate_pool` on a `from_edges`
 //! rebuild of the reference edge set.
+//!
+//! The keyed invalidation rule is checked for soundness against that
+//! regeneration directly: every set whose members change on the new graph
+//! is marked, and no set is marked that does not hold a delta's target.
 
 use std::collections::BTreeMap;
 
@@ -164,8 +168,86 @@ fn churn_batch(
     (deltas, edges)
 }
 
+/// [`churn_batch`] followed by an add → remove → add of one edge absent
+/// from its result (when the picked pair is free) and the removal of every
+/// edge at one node, as the compacted graph after those changes has them.
+fn churn_batch_with_flip_and_node_removal(
+    g: &DiGraph,
+    raw: &[(u32, u32, u32, f64)],
+    flip: (u32, u32, f64, f64),
+    node: usize,
+) -> Vec<EdgeDelta> {
+    let (mut deltas, edges) = churn_batch(g, raw);
+    let n = g.num_nodes() as u32;
+    let (s, t) = (NodeId(flip.0 % n), NodeId(flip.1 % n));
+    if s != t && !edges.iter().any(|&(a, b, _)| (a, b) == (s.0, t.0)) {
+        deltas.extend([
+            EdgeDelta::Add {
+                source: s,
+                target: t,
+                p: flip.2,
+            },
+            EdgeDelta::Remove {
+                source: s,
+                target: t,
+            },
+            EdgeDelta::Add {
+                source: s,
+                target: t,
+                p: flip.3,
+            },
+        ]);
+    }
+    let mid = g.apply_deltas(&deltas).expect("the churn batch applies");
+    deltas.extend(node_removal_deltas(
+        &mid,
+        NodeId((node % g.num_nodes()) as u32),
+    ));
+    deltas
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Soundness of the keyed rule over churn-shaped batches (adds,
+    /// removes, reweights, an add → remove → add of one edge, a node
+    /// removal): every set whose from-scratch keyed regeneration on the new
+    /// graph holds other members is marked, the refit (marked sets
+    /// resampled, the rest spliced with widths recomputed) equals that
+    /// regeneration in members and widths, and every marked set holds a
+    /// delta's target, as the target-membership rule would mark it.
+    #[test]
+    fn keyed_marks_cover_every_changed_set_within_the_target_rule(
+        g in arb_graph(),
+        seed in 0u64..1_000,
+        raw in proptest::collection::vec((0u32..3, 0u32..1024, 0u32..1024, 0.05f64..=1.0), 0..24),
+        flip in (0u32..1024, 0u32..1024, 0.05f64..=1.0, 0.05f64..=1.0),
+        node in 0usize..10_000,
+    ) {
+        let deltas = churn_batch_with_flip_and_node_removal(&g, &raw, flip, node);
+        prop_assume!(!deltas.is_empty());
+        let pool = build_pool(&g, seed);
+        let g2 = g.apply_deltas(&deltas).unwrap();
+        let marks = pool.invalidate(&deltas).expect("IC pools are touch-tracked");
+        let fresh = scratch_refresh(&pool, &g2);
+
+        let index = pool.coverage_index();
+        let mut touched = vec![false; pool.len()];
+        for d in &deltas {
+            for &i in index.sets_containing(d.target()) {
+                touched[i as usize] = true;
+            }
+        }
+        for (i, (&marked, &touched)) in marks.iter().zip(&touched).enumerate() {
+            if fresh.store().set(i) != pool.store().set(i) {
+                prop_assert!(marked, "set {} changed on the new graph but is unmarked", i);
+            }
+            prop_assert!(!marked || touched, "set {} is marked without holding a target", i);
+        }
+        let refreshed = refresh_pool_marked(&pool, &marks, || IcRrSampler::new(&g2), GEN_THREADS);
+        assert_pools_equal(&refreshed, &fresh);
+        assert_sets_live(&refreshed, &g2);
+    }
 
     /// Removing an arbitrary edge: the partial refresh equals the
     /// from-scratch pool on the compacted graph.
