@@ -6,17 +6,21 @@
 //! engine end-to-end on the scalability dataset: [`CoverageIndex::build`]
 //! at 1 / 4 / all-cores threads, then [`NaiveGreedy`] vs [`CelfGreedy`]
 //! (both on the active SIMD kernel) at `k = 50`, and CELF again over the
-//! first half of the sets (a set cut, as a budgeted query reads it),
-//! each row the median of 9 calls (one under `COMIC_BENCH_QUICK`). The
-//! three selector rows run again at serving scale (`*/chung-lu` labels):
-//! 200k sets over a generated Chung–Lu graph (n = 100k, exponent 2.16,
-//! ~1M edges, weighted cascade — `incremental.rs`'s `chung-lu-1m`; a
-//! 10k-node graph and 5k sets under `COMIC_BENCH_QUICK`), where a cost
-//! that grows with n shows. It also **asserts** the determinism contract
-//! on every call — parallel index builds byte-identical to the one-thread
-//! build, CELF seed sets byte-identical to the naive oracle's over every
-//! set and at the cut, on both graphs — so the quick-mode CI smoke run,
-//! repeated with `COMIC_SIMD=off`, fails if a selector ever diverges.
+//! first half, eighth and 64th of the sets (set cuts, as budgeted queries
+//! read them; each on a warm index, after one untimed call has derived
+//! the rung the cut reads), each row the median of 9 calls (one under
+//! `COMIC_BENCH_QUICK`). The selector rows run again at serving scale
+//! (`*/chung-lu` labels): 200k sets over a generated Chung–Lu graph
+//! (n = 100k, exponent 2.16, ~1M edges, weighted cascade —
+//! `incremental.rs`'s `chung-lu-1m`; a 10k-node graph and 5k sets under
+//! `COMIC_BENCH_QUICK`), where a cost that grows with n shows, next to
+//! `rung_derive/chung-lu`, one rung's derivation on a fresh index (the
+//! one-time cost of a first budgeted select). It also **asserts** the
+//! determinism contract on every call — parallel index builds
+//! byte-identical to the one-thread build, CELF seed sets byte-identical
+//! to the naive oracle's over every set and at each cut, on both graphs —
+//! so the quick-mode CI smoke run, repeated with `COMIC_SIMD=off`, fails
+//! if a selector ever diverges.
 //! `COMIC_BENCH_JSON=$PWD/BENCH_seed_selection.json cargo bench -p
 //! comic-bench --bench seed_selection`, run from the repository root,
 //! writes the committed snapshot.
@@ -121,10 +125,18 @@ fn median_timed<T: PartialEq>(reps: usize, what: &str, mut f: impl FnMut() -> T)
     (first, secs[secs.len() / 2])
 }
 
+/// The CELF cut rows: each label and the divisor of the index's set
+/// count it cuts at (the ½, ⅛ and 1/64 rung cuts).
+const CUTS: [(&str, usize); 3] = [
+    ("select_celf_half", 2),
+    ("select_celf_eighth", 8),
+    ("select_celf_64th", 64),
+];
+
 /// The selector rows over `index`, labels suffixed with `suffix`: the
-/// naive oracle, CELF, and CELF over the first half of the sets, each the
-/// median of `reps` calls, asserting that CELF returns the oracle's seed
-/// set over every set and at the cut.
+/// naive oracle, CELF, and CELF at each of [`CUTS`], each the median of
+/// `reps` calls, asserting that CELF returns the oracle's seed set over
+/// every set and at each cut.
 fn selector_runs(index: &CoverageIndex, k: usize, reps: usize, suffix: &str) -> Vec<Run> {
     let run = |label: &str, secs| Run {
         label: format!("{label}{suffix}"),
@@ -140,24 +152,47 @@ fn selector_runs(index: &CoverageIndex, k: usize, reps: usize, suffix: &str) -> 
         "CELF diverged from the naive-greedy oracle ({}{suffix})",
         simd::active().name()
     );
-    // The same contract under a set cut: CELF's untouched keys are
-    // full-index run lengths, which only bound the gains below the cut.
-    let half = index.num_sets() / 2;
-    let naive_half = NaiveGreedy.select_prefix(index, k, half);
-    let (celf_half, half_secs) = median_timed(reps, "select_celf_half", || {
-        CelfGreedy.select_prefix(index, k, half)
-    });
-    assert_eq!(
-        celf_half,
-        naive_half,
-        "CELF diverged from the naive-greedy oracle over the first {half} sets ({}{suffix})",
-        simd::active().name()
-    );
-    vec![
+    let mut runs = vec![
         run("select_naive", naive_secs),
         run("select_celf", celf_secs),
-        run("select_celf_half", half_secs),
-    ]
+    ];
+    // The same contract under each set cut, where CELF's untouched keys
+    // are the counts of the rung at that cut.
+    for (label, divisor) in CUTS {
+        let cut = index.num_sets() / divisor;
+        let naive_cut = NaiveGreedy.select_prefix(index, k, cut);
+        // One untimed call derives the rung the cut reads, so the row times
+        // a warm index, as every select after a pool's first budgeted one
+        // at that cut reads it.
+        let first = CelfGreedy.select_prefix(index, k, cut);
+        let (warm, secs) = median_timed(reps, label, || CelfGreedy.select_prefix(index, k, cut));
+        for celf_cut in [first, warm] {
+            assert_eq!(
+                celf_cut,
+                naive_cut,
+                "CELF diverged from the naive-greedy oracle over the first {cut} sets ({}{suffix})",
+                simd::active().name()
+            );
+        }
+        runs.push(run(label, secs));
+    }
+    runs
+}
+
+/// Median seconds, over `reps` fresh indexes of `store`, to derive the
+/// rung a select over the first `sets` sets reads: the one-time cost a
+/// pool's first budgeted select at that cut pays.
+fn rung_derive_secs(store: &RrStore, n: usize, sets: usize, reps: usize) -> f64 {
+    let mut secs: Vec<f64> = (0..reps)
+        .map(|_| {
+            let fresh = CoverageIndex::build(store, n, resolve_threads(0));
+            let (cut, secs) = timed(|| fresh.rung_for(sets).map(|r| r.cut()));
+            assert_eq!(cut, Some(sets), "the cut must be a rung cut");
+            secs
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
 }
 
 /// Seed of the serving-scale Chung–Lu graph (`incremental.rs`'s).
@@ -239,6 +274,11 @@ fn bench_selector_comparison(c: &mut Criterion) {
     let cl_store = sample_store(&chung_lu, sets);
     let cl_index = CoverageIndex::build(&cl_store, chung_lu.num_nodes(), max_threads);
     runs.extend(selector_runs(&cl_index, k, reps, "/chung-lu"));
+    runs.push(Run {
+        label: "rung_derive/chung-lu".into(),
+        threads: 1,
+        secs: rung_derive_secs(&cl_store, chung_lu.num_nodes(), cl_store.len() / 2, reps),
+    });
 
     for r in &runs {
         println!(
@@ -247,7 +287,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
         );
     }
     println!(
-        "bench: selector_comparison cross-check OK — CELF == naive greedy on {} sets over {n} nodes and {} sets over {} nodes, and on the first half of each (k={k})",
+        "bench: selector_comparison cross-check OK — CELF == naive greedy on {} sets over {n} nodes and {} sets over {} nodes, and on the first half, eighth and 64th of each (k={k})",
         store.len(),
         cl_store.len(),
         chung_lu.num_nodes()
@@ -282,7 +322,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
             ("simd", format!("\"{}\"", simd::active().name())),
             (
                 "note",
-                "\"each row is the median wall-clock of reps calls, and every call's result is asserted; selectors return byte-identical seed sets over every set and over the first half (asserted; select_celf_half times CELF at that cut, as a budgeted query reads the index); '/chung-lu' rows run the same selectors over chung_lu's graph and sets; both run on one thread, on the simd kernel named above; index_build is the one coverage-index builder (pool builds, refits and prefix copies all run it over a finished store) and every thread count gives the same bytes (asserted); rows with more threads than host_cores measure oversubscription overhead\"".into(),
+                "\"each row is the median wall-clock of reps calls, and every call's result is asserted; selectors return byte-identical seed sets over every set and over the first half, eighth and 64th (asserted; select_celf_half, select_celf_eighth and select_celf_64th time CELF at those cuts on a warm index, after one untimed call has derived the rung the cut reads, as a budgeted query reads the index); '/chung-lu' rows run the same selectors over chung_lu's graph and sets; both run on one thread, on the simd kernel named above; rung_derive/chung-lu times the derivation of the half cut's rung alone on a freshly built index, the one-time cost a pool's first budgeted select at that cut pays; index_build is the one coverage-index builder (pool builds, refits and prefix copies all run it over a finished store) and every thread count gives the same bytes (asserted); rows with more threads than host_cores measure oversubscription overhead\"".into(),
             ),
         ],
         &runs
@@ -291,7 +331,7 @@ fn bench_selector_comparison(c: &mut Criterion) {
                 vec![
                     ("label", format!("\"{}\"", r.label)),
                     ("threads", r.threads.to_string()),
-                    ("secs", format!("{:.4}", r.secs)),
+                    ("secs", format!("{:.6}", r.secs)),
                 ]
             })
             .collect::<Vec<_>>(),

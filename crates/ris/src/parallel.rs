@@ -33,6 +33,7 @@
 use crate::rr::{RrStore, MAX_PREALLOC_SETS};
 use crate::sampler::RrSampler;
 use comic_graph::fasthash::splitmix64;
+use comic_graph::{DiGraph, NodeId};
 
 // The workspace-wide `threads` knob semantics now live at the bottom of the
 // crate graph (`comic_graph::par`), shared with the learning layer and the
@@ -87,18 +88,18 @@ where
 
     /// The one sampling loop: positions `0..count` of a batch, split into
     /// one contiguous range per worker, where position `p` samples set
-    /// `index(p)` from its `set_seed` stream. Returns the sets merged in
-    /// position order; one worker runs inline on the calling thread.
-    fn sample_batch<I>(&self, count: usize, index: I, avg_hint: usize) -> RrStore
+    /// `index(p)` from its `set_seed` stream. The first range runs on the
+    /// calling thread with `sampler`, every other on a scoped thread with
+    /// a sampler of its own. Returns the sets merged in position order.
+    fn sample_batch<I>(&self, sampler: &mut S, count: usize, index: I, avg_hint: usize) -> RrStore
     where
         I: Fn(usize) -> u64 + Sync,
     {
         let workers = self.threads.min(count).max(1);
         let (per, extra) = (count / workers, count % workers);
-        let work = |w: usize| {
+        let work = |sampler: &mut S, w: usize| {
             let start = w * per + w.min(extra);
             let share = per + usize::from(w < extra);
-            let mut sampler = (self.factory)();
             let mut store =
                 RrStore::with_capacity(share.min(MAX_PREALLOC_SETS as usize), avg_hint.max(1));
             let mut out = Vec::new();
@@ -108,25 +109,25 @@ where
             }
             store
         };
-        // One scoped thread per range, joined in order: running the ranges
-        // through `comic_graph::par::run_sharded`'s shared cursor measured
-        // ~1 MiB more peak RSS on the paper-solve benchmark (2-core host).
-        let stores: Vec<RrStore> = if workers == 1 {
-            vec![work(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let work = &work;
-                        scope.spawn(move || work(w))
-                    })
-                    .collect();
+        // One scoped thread per further range, joined in order: running the
+        // ranges through `comic_graph::par::run_sharded`'s shared cursor
+        // measured ~1 MiB more peak RSS on the paper-solve benchmark
+        // (2-core host).
+        let stores: Vec<RrStore> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers)
+                .map(|w| {
+                    let work = &work;
+                    scope.spawn(move || work(&mut (self.factory)(), w))
+                })
+                .collect();
+            let mut stores = vec![work(sampler, 0)];
+            stores.extend(
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("RR-generation worker panicked"))
-                    .collect()
-            })
-        };
+                    .map(|h| h.join().expect("RR-generation worker panicked")),
+            );
+            stores
+        });
         merge(stores, count, avg_hint)
     }
 
@@ -134,7 +135,8 @@ where
     /// for an expected `avg_hint` members per set. Byte-identical for every
     /// thread count (see the module docs).
     pub fn generate(&self, count: u64, avg_hint: usize) -> RrStore {
-        self.sample_batch(batch_len(count), |p| p as u64, avg_hint)
+        let mut sampler = (self.factory)();
+        self.sample_batch(&mut sampler, batch_len(count), |p| p as u64, avg_hint)
     }
 
     /// Resample exactly the sets flagged in `marks` against this
@@ -156,21 +158,51 @@ where
             .filter(|&i| marks[i])
             .map(|i| i as u64)
             .collect();
-        let fresh = self.sample_batch(marked.len(), |p| marked[p], avg_hint);
-        let probe = (self.factory)();
-        let g = probe.graph();
-        let mut spliced = RrStore::with_capacity(store.len(), avg_hint.max(1));
-        let mut next = 0usize;
-        for (i, &dirty) in marks.iter().enumerate() {
-            if dirty {
-                spliced.push_with_width(fresh.set(next), fresh.width(next));
-                next += 1;
-            } else {
-                spliced.push(store.set(i), g);
-            }
-        }
-        spliced
+        let mut sampler = (self.factory)();
+        let fresh = self.sample_batch(&mut sampler, marked.len(), |p| marked[p], avg_hint);
+        splice(store, marks, &fresh, sampler.graph())
     }
+}
+
+/// `store` with its marked sets replaced, in order, by the sets of
+/// `fresh`. Each run of consecutive unmarked sets is one slice copy of
+/// its members with rebased offsets, and their widths are recomputed in
+/// one pass over `g`'s in-degrees.
+fn splice(store: &RrStore, marks: &[bool], fresh: &RrStore, g: &DiGraph) -> RrStore {
+    let (offsets, nodes) = (store.offsets_raw(), store.nodes_raw());
+    let mut out_offsets: Vec<u64> = Vec::with_capacity(offsets.len());
+    let mut out_nodes: Vec<NodeId> = Vec::with_capacity(nodes.len());
+    let mut widths: Vec<u64> = Vec::with_capacity(store.len());
+    out_offsets.push(0);
+    let mut next = 0usize;
+    let mut i = 0usize;
+    while i < marks.len() {
+        if marks[i] {
+            out_nodes.extend_from_slice(fresh.set(next));
+            out_offsets.push(out_nodes.len() as u64);
+            widths.push(fresh.width(next));
+            next += 1;
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < marks.len() && !marks[i] {
+            i += 1;
+        }
+        let (lo, hi) = (offsets[start], offsets[i]);
+        let base = out_nodes.len() as u64;
+        out_nodes.extend_from_slice(&nodes[lo as usize..hi as usize]);
+        out_offsets.extend(offsets[start + 1..=i].iter().map(|&o| o - lo + base));
+        let spliced = &out_offsets[out_offsets.len() - (i - start + 1)..];
+        widths.extend(spliced.windows(2).map(|w| {
+            out_nodes[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(|&v| g.in_degree(v) as u64)
+                .sum::<u64>()
+        }));
+    }
+    debug_assert_eq!(next, fresh.len());
+    RrStore::from_raw_parts(out_offsets.into(), out_nodes.into(), widths.into())
 }
 
 /// A batch size as an in-memory set count.

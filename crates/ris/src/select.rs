@@ -12,7 +12,10 @@
 //!   Pool builds, delta refits and prefix copies all index their store
 //!   through it. Both constructors (the build and the spill reader's)
 //!   also sort the nodes by run length with one counting sort, the order
-//!   CELF walks.
+//!   CELF walks over the whole pool. Below that sits a ladder of eight
+//!   [`Rung`]s, at the cuts `num_sets >> j` for `j = 1..=8`: each holds
+//!   every node's count of sets below its cut and the nodes sorted by
+//!   that count, derived by the first select that needs it.
 //! * [`SeedSelector`] — interchangeable max-coverage strategies sharing the
 //!   index and reading nothing else: [`NaiveGreedy`], an exhaustive-rescan
 //!   oracle, and [`CelfGreedy`], a single-threaded CELF lazy-greedy that
@@ -28,6 +31,15 @@
 //! index), and counts and covers only ids below the cut. A budgeted query
 //! therefore copies no sketches and builds no index, and answers exactly
 //! what a selection over an index built for that prefix alone would.
+//! CELF seeds a cut at or below half the index from the smallest rung
+//! cut at or above it ([`CoverageIndex::rung_for`]), whose counts bound
+//! the gains below the cut far more tightly than full run lengths, which
+//! exceed them about `num_sets / sets` times. A rung costs `8n` bytes
+//! (0.8 MB at n = 100k, at most eight per index) and one
+//! `partition_point` per node plus a counting sort the first time a
+//! select asks for it (2.5–5 ms at n = 100k and 200k sets); it is
+//! shared by every reader of the index and never spilled, so a restart
+//! or a refit derives none until a budgeted select needs one.
 //!
 //! # Determinism contract
 //!
@@ -37,14 +49,16 @@
 //! integers, and ties are broken by the *smallest node id* among
 //! maximum-gain candidates. Because the marginal coverage objective is
 //! monotone and submodular, every key CELF holds (a node's full run
-//! length, or an earlier recount) is an upper bound on the node's fresh
-//! gain, and its merge of the run-length order with the recount heap pops
+//! length or its count below a rung cut at or above the select's cut, or
+//! an earlier recount) is an upper bound on the node's fresh gain, and
+//! its merge of the run-length or rung order with the recount heap pops
 //! exactly what one heap over all nodes would, so its lazy-forward rule
 //! selects exactly the same argmax sequence as the exhaustive oracle, and
 //! **every selector, over an index built at any thread count, in every
 //! SIMD mode, returns the identical seed set** on the same store — the
-//! contract the cross-selector tests, the SIMD ≡ scalar proptests, and the
-//! CI bench smoke (over every set and at a half-pool cut) enforce.
+//! contract the cross-selector tests (at every rung boundary), the SIMD ≡
+//! scalar proptests, and the CI bench smoke (over every set and at the
+//! ½, ⅛ and 1/64 cuts) enforce.
 
 use crate::parallel::resolve_threads;
 use crate::rr::RrStore;
@@ -53,6 +67,11 @@ use comic_graph::store::Section;
 use comic_graph::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
+
+/// Rungs on each index's ladder: rung `j` sits at the cut `num_sets >> j`.
+const RUNGS: usize = 8;
 
 /// Result of a greedy coverage phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,16 +89,75 @@ pub struct CoverageResult {
 /// For each node, the ids of the sets containing it, ascending. One flat
 /// `u32` array plus an offsets table — the same storage idea as
 /// [`RrStore`] itself, pointing the other way. Next to them sits the
-/// node order [`CelfGreedy`] walks: every node id sorted by run length
-/// (descending), then id (ascending), derived from the offsets by both
-/// constructors and never stored on disk.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// node order [`CelfGreedy`] walks over the whole index: every node id
+/// sorted by run length (descending), then id (ascending), derived from
+/// the offsets by both constructors and never stored on disk.
+///
+/// Budgeted selects read a ladder of eight [`Rung`]s at the cuts
+/// `num_sets >> j` (`j = 1..=8`), each derived once, by the first select
+/// that asks for it ([`CoverageIndex::rung_for`]), and then shared by
+/// every reader of the index. The rungs are a cache of the arrays:
+/// equality and hashing cover the arrays and the run-length order only,
+/// so an index that has served budgeted selects still equals a fresh
+/// build of the same store.
+#[derive(Clone, Debug)]
 pub struct CoverageIndex {
     num_nodes: usize,
     num_sets: usize,
     offsets: Section<u64>,
     sets: Section<u32>,
     order: Vec<u32>,
+    rungs: [OnceLock<Rung>; RUNGS],
+}
+
+impl PartialEq for CoverageIndex {
+    fn eq(&self, other: &Self) -> bool {
+        (self.num_nodes, self.num_sets) == (other.num_nodes, other.num_sets)
+            && self.offsets == other.offsets
+            && self.sets == other.sets
+            && self.order == other.order
+    }
+}
+
+impl Eq for CoverageIndex {}
+
+impl Hash for CoverageIndex {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.num_nodes.hash(state);
+        self.num_sets.hash(state);
+        self.offsets.hash(state);
+        self.sets.hash(state);
+        self.order.hash(state);
+    }
+}
+
+/// One rung of a [`CoverageIndex`]'s ladder: every node's count of sets
+/// below the rung's cut, and the node ids by that count (descending),
+/// then id (ascending). The counts bound each node's gain below any cut
+/// at or under the rung's, so CELF seeds its untouched keys from them.
+/// `8n` bytes.
+#[derive(Clone, Debug)]
+pub struct Rung {
+    cut: usize,
+    counts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl Rung {
+    /// The set cut the counts are taken at.
+    pub fn cut(&self) -> usize {
+        self.cut
+    }
+
+    /// Every node's count of sets below [`Rung::cut`].
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// Every node id, by count (descending), then id (ascending).
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
 }
 
 impl CoverageIndex {
@@ -124,6 +202,7 @@ impl CoverageIndex {
             order: run_length_order(&offsets),
             offsets: offsets.into(),
             sets: sets.into(),
+            rungs: Default::default(),
         }
     }
 
@@ -179,6 +258,7 @@ impl CoverageIndex {
             order: run_length_order(&offsets),
             offsets,
             sets,
+            rungs: Default::default(),
         }
     }
 
@@ -198,23 +278,56 @@ impl CoverageIndex {
     pub(crate) fn run_length_order(&self) -> &[u32] {
         &self.order
     }
+
+    /// The rung a select over the first `sets` sets seeds CELF from: the
+    /// one with the smallest cut at or above `sets`, derived now if no
+    /// select has asked for it yet. `None` when `sets` lies above half the
+    /// index or spans it, where CELF keys on full run lengths instead.
+    pub fn rung_for(&self, sets: usize) -> Option<&Rung> {
+        if sets >= self.num_sets {
+            return None;
+        }
+        let j = (1..=RUNGS).rev().find(|&j| self.num_sets >> j >= sets)?;
+        Some(self.rungs[j - 1].get_or_init(|| self.derive_rung(self.num_sets >> j)))
+    }
+
+    /// Count every node's sets below `cut` (one `partition_point` over
+    /// its run) and sort the nodes by those counts.
+    fn derive_rung(&self, cut: usize) -> Rung {
+        let sets = self.sets_raw();
+        let counts: Vec<u32> = self
+            .offsets_raw()
+            .windows(2)
+            .map(|w| {
+                let run = &sets[w[0] as usize..w[1] as usize];
+                run.partition_point(|&s| (s as usize) < cut) as u32
+            })
+            .collect();
+        let order = count_order(counts.len(), |v| counts[v] as usize);
+        Rung { cut, counts, order }
+    }
 }
 
 /// Sort the node ids `0..offsets.len() - 1` by run length (descending),
-/// then id (ascending) — one counting sort over the CSR offsets, in
-/// `O(n + longest run)`. Both [`CoverageIndex`] constructors run it, so
+/// then id (ascending). Both [`CoverageIndex`] constructors run it, so
 /// an index built, refit, cut or read back from a spill carries the
 /// order.
 fn run_length_order(offsets: &[u64]) -> Vec<u32> {
     let n = offsets.len().saturating_sub(1);
-    let run = |v: usize| (offsets[v + 1] - offsets[v]) as usize;
-    let longest = (0..n).map(run).max().unwrap_or(0);
-    // Bucket sizes per run length, then each bucket's first slot, the
-    // longest runs first; filling by ascending id keeps ids ascending
-    // within a bucket.
-    let mut slot = vec![0u32; longest + 1];
+    count_order(n, |v| (offsets[v + 1] - offsets[v]) as usize)
+}
+
+/// Sort the node ids `0..n` by `count` (descending), then id (ascending)
+/// — one counting sort in `O(n + largest count)`, for the run-length
+/// order and every [`Rung`].
+fn count_order(n: usize, count: impl Fn(usize) -> usize) -> Vec<u32> {
+    let largest = (0..n).map(&count).max().unwrap_or(0);
+    // Bucket sizes per count, then each bucket's first slot, the largest
+    // counts first; filling by ascending id keeps ids ascending within a
+    // bucket.
+    let mut slot = vec![0u32; largest + 1];
     for v in 0..n {
-        slot[run(v)] += 1;
+        slot[count(v)] += 1;
     }
     let mut start = 0u32;
     for bucket in slot.iter_mut().rev() {
@@ -224,7 +337,7 @@ fn run_length_order(offsets: &[u64]) -> Vec<u32> {
     }
     let mut order = vec![0u32; n];
     for v in 0..n {
-        let at = &mut slot[run(v)];
+        let at = &mut slot[count(v)];
         order[*at as usize] = v as u32;
         *at += 1;
     }
@@ -415,19 +528,25 @@ impl SeedSelector for NaiveGreedy {
 /// CELF lazy-greedy max coverage.
 ///
 /// Every unpicked node holds one key, an upper bound on its marginal
-/// gain: first its full-index run length (a bound under any cut), later
-/// its last recount (gains only shrink under submodularity). Nodes still
-/// on their run length are read in place from the index's run-length
-/// order ([`CoverageIndex`]) through a cursor; recounted nodes sit in a
-/// small max-heap of `(key, Reverse(id))`. Each step takes the larger of
-/// the two heads — exactly what one heap over all nodes would pop — and
-/// recounts that node's run below the cut against the covered-set bitset
-/// with [`simd::count_uncovered`], the oracle's kernel. A recount equal
-/// to the key makes the node the smallest-id argmax, since every other
-/// key bounds its node's gain and equal keys pop smallest id first, so it
-/// is picked and its run's bits are set; otherwise the node goes into
-/// the heap with the recount. A select therefore costs the entries it
-/// recounts and the picks' runs, with no pass over all `n` nodes.
+/// gain: first its untouched key, later its last recount (gains only
+/// shrink under submodularity). Over the whole index, or a cut above its
+/// half, the untouched key is the node's full-index run length (a bound
+/// under any cut); at a cut `sets` at or below half, it is the node's
+/// count below the smallest rung cut at or above `sets`
+/// ([`CoverageIndex::rung_for`]), which bounds its count below `sets`.
+/// Nodes still on their untouched key are read in place from the
+/// matching order (the index's run-length order or the rung's) through a
+/// cursor; recounted nodes sit in a small max-heap of
+/// `(key, Reverse(id))`. Each step takes the larger of the two heads —
+/// exactly what one heap over all nodes would pop — and recounts that
+/// node's run below the cut against the covered-set bitset with
+/// [`simd::count_uncovered`], the oracle's kernel. A recount equal to the
+/// key makes the node the smallest-id argmax, since every other key
+/// bounds its node's gain and equal keys pop smallest id first, so it is
+/// picked and its run's bits are set; otherwise the node goes into the
+/// heap with the recount. A select therefore costs the entries it
+/// recounts and the picks' runs, with no pass over all `n` nodes once its
+/// rung exists.
 #[derive(Clone, Copy, Debug)]
 pub struct CelfGreedy;
 
@@ -437,60 +556,100 @@ impl SeedSelector for CelfGreedy {
     }
 
     fn select_prefix(&self, index: &CoverageIndex, k: usize, sets: usize) -> CoverageResult {
-        let n = index.num_nodes();
-        let mode = simd::active();
-        let mut covered_bits = vec![0u64; simd::words_for(sets.min(index.num_sets()))];
-
-        // The nodes past `cursor` in `order` are keyed on their run length
-        // and ordered by (key, Reverse(id)) descending, as is `recounted`,
-        // so the larger head is the global maximum and among equal keys
-        // the smallest id pops first, matching NaiveGreedy's rule. A node
-        // sits on exactly one side until it is picked, so a popped node is
-        // never already a seed.
-        let order = index.run_length_order();
-        let mut cursor = 0usize;
-        let mut recounted: BinaryHeap<(u32, Reverse<u32>)> = BinaryHeap::new();
-
-        let mut seeds = Vec::with_capacity(k.min(n));
-        let mut marginals = Vec::with_capacity(k.min(n));
-        let mut covered = 0u64;
-
-        while seeds.len() < k {
-            let untouched = order
-                .get(cursor)
-                .map(|&v| (index.sets_containing(NodeId(v)).len() as u32, Reverse(v)));
-            let next = match (untouched, recounted.peek()) {
-                (Some(head), Some(&top)) if top > head => recounted.pop(),
-                (Some(head), _) => {
-                    cursor += 1;
-                    Some(head)
+        let Some(rung) = index.rung_for(sets) else {
+            return celf(
+                index,
+                k,
+                sets,
+                index.run_length_order(),
+                |v| index.sets_containing(NodeId(v)).len() as u32,
+                |v| index.sets_below(NodeId(v), sets),
+            );
+        };
+        let counts = rung.counts();
+        celf(
+            index,
+            k,
+            sets,
+            rung.order(),
+            |v| counts[v as usize],
+            |v| {
+                // The count cuts the run at the rung's cut, so a select at
+                // that cut searches nothing, and one below it searches
+                // only the shorter run.
+                let run = &index.sets_containing(NodeId(v))[..counts[v as usize] as usize];
+                if rung.cut() == sets {
+                    run
+                } else {
+                    &run[..run.partition_point(|&s| (s as usize) < sets)]
                 }
-                (None, _) => recounted.pop(),
-            };
-            let Some((key, Reverse(v))) = next else {
-                break;
-            };
-            let run = index.sets_below(NodeId(v), sets);
-            let fresh = simd::count_uncovered(mode, run, &covered_bits) as u32;
-            debug_assert!(fresh <= key);
-            if fresh < key {
-                recounted.push((fresh, Reverse(v)));
-                continue;
-            }
-            // Fresh maximum (smallest id among ties): pick it.
-            seeds.push(NodeId(v));
-            marginals.push(fresh as u64);
-            covered += fresh as u64;
-            for &s in run {
-                simd::set_bit(&mut covered_bits, s as usize);
-            }
-        }
+            },
+        )
+    }
+}
 
-        CoverageResult {
-            seeds,
-            covered,
-            marginals,
+/// CELF over the first `sets` sets of `index`: the untouched nodes are
+/// walked in `order`, which sorts them by `key(v)` (descending), then id
+/// (ascending), where every `key(v)` bounds the node's count below
+/// `sets`, and `below(v)` is the node's run below `sets`.
+fn celf<'a>(
+    index: &CoverageIndex,
+    k: usize,
+    sets: usize,
+    order: &[u32],
+    key: impl Fn(u32) -> u32,
+    below: impl Fn(u32) -> &'a [u32],
+) -> CoverageResult {
+    let n = index.num_nodes();
+    let mode = simd::active();
+    let mut covered_bits = vec![0u64; simd::words_for(sets.min(index.num_sets()))];
+
+    // The nodes past `cursor` in `order` are on their untouched keys and
+    // ordered by (key, Reverse(id)) descending, as is `recounted`, so the
+    // larger head is the global maximum and among equal keys the smallest
+    // id pops first, matching NaiveGreedy's rule. A node sits on exactly
+    // one side until it is picked, so a popped node is never already a
+    // seed.
+    let mut cursor = 0usize;
+    let mut recounted: BinaryHeap<(u32, Reverse<u32>)> = BinaryHeap::new();
+
+    let mut seeds = Vec::with_capacity(k.min(n));
+    let mut marginals = Vec::with_capacity(k.min(n));
+    let mut covered = 0u64;
+
+    while seeds.len() < k {
+        let untouched = order.get(cursor).map(|&v| (key(v), Reverse(v)));
+        let next = match (untouched, recounted.peek()) {
+            (Some(head), Some(&top)) if top > head => recounted.pop(),
+            (Some(head), _) => {
+                cursor += 1;
+                Some(head)
+            }
+            (None, _) => recounted.pop(),
+        };
+        let Some((bound, Reverse(v))) = next else {
+            break;
+        };
+        let run = below(v);
+        let fresh = simd::count_uncovered(mode, run, &covered_bits) as u32;
+        debug_assert!(fresh <= bound);
+        if fresh < bound {
+            recounted.push((fresh, Reverse(v)));
+            continue;
         }
+        // Fresh maximum (smallest id among ties): pick it.
+        seeds.push(NodeId(v));
+        marginals.push(fresh as u64);
+        covered += fresh as u64;
+        for &s in run {
+            simd::set_bit(&mut covered_bits, s as usize);
+        }
+    }
+
+    CoverageResult {
+        seeds,
+        covered,
+        marginals,
     }
 }
 
@@ -734,6 +893,113 @@ mod tests {
         assert_order_sorted(&index, "n = 0");
     }
 
+    /// Every rung of `index` counts each node's sets below its cut and
+    /// orders the nodes by (count desc, id asc); a cut maps to the rung
+    /// with the smallest cut at or above it, and a cut above half the
+    /// index to none.
+    fn assert_rungs_sorted(index: &CoverageIndex, what: &str) {
+        let len = index.num_sets();
+        assert!(index.rung_for(len / 2 + 1).is_none(), "{what}");
+        assert!(index.rung_for(len).is_none(), "{what}");
+        for j in 1..=RUNGS {
+            let cut = len >> j;
+            let rung = index.rung_for(cut).expect("a rung at or below half");
+            assert_eq!(rung.cut(), cut, "{what} rung {j}");
+            for v in 0..index.num_nodes() as u32 {
+                assert_eq!(
+                    rung.counts()[v as usize] as usize,
+                    index.sets_below(NodeId(v), cut).len(),
+                    "{what} rung {j} node {v}"
+                );
+            }
+            let key = |v: u32| (rung.counts()[v as usize], Reverse(v));
+            let order = rung.order();
+            assert!(
+                order.windows(2).all(|w| key(w[0]) > key(w[1])),
+                "{what} rung {j}: {order:?}"
+            );
+            let mut ids = order.to_vec();
+            ids.sort_unstable();
+            assert!(ids.into_iter().eq(0..index.num_nodes() as u32), "{what}");
+            // Any cut between two rung cuts reads the upper one.
+            if cut > (len >> (j + 1)) + 1 {
+                let within = index.rung_for(cut - 1).expect("below half");
+                assert_eq!(within.cut(), cut, "{what} rung {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn rung_orders_sort_every_node_by_its_count_below_the_cut() {
+        let random = random_store(5, 30, 400, 5);
+        assert_rungs_sorted(&CoverageIndex::build(&random, 30, 3), "random");
+        let mut hub = RrStore::new();
+        for i in 0..900u32 {
+            hub.push_with_width(&[NodeId(0), NodeId(1 + i % 17)], 0);
+        }
+        assert_rungs_sorted(&CoverageIndex::build(&hub, 18, 2), "hub");
+        // Fewer sets than rungs: several rung cuts coincide, down to 0.
+        let (tiny, n) = store_from(&[&[1, 4], &[4], &[7, 1]]);
+        let index = CoverageIndex::build(&tiny, n, 1);
+        assert_rungs_sorted(&index, "tiny");
+        assert_eq!(index.rung_for(0).map(Rung::cut), Some(0));
+        assert_eq!(index.rung_for(1).map(Rung::cut), Some(1));
+        assert!(CoverageIndex::build(&RrStore::new(), 5, 1)
+            .rung_for(0)
+            .is_none());
+    }
+
+    #[test]
+    fn an_index_with_derived_rungs_equals_a_fresh_build() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |index: &CoverageIndex| {
+            let mut h = DefaultHasher::new();
+            index.hash(&mut h);
+            h.finish()
+        };
+        let store = random_store(8, 40, 600, 6);
+        let used = CoverageIndex::build(&store, 40, 2);
+        for j in 1..=RUNGS {
+            CelfGreedy.select_prefix(&used, 5, used.num_sets() >> j);
+        }
+        assert!(used.rungs.iter().all(|r| r.get().is_some()));
+        let fresh = CoverageIndex::build(&store, 40, 1);
+        assert!(fresh.rungs.iter().all(|r| r.get().is_none()));
+        assert_eq!(used, fresh);
+        assert_eq!(hash(&used), hash(&fresh));
+        let reread = CoverageIndex::from_parts(
+            used.num_nodes(),
+            used.num_sets(),
+            used.offsets_raw().to_vec().into(),
+            used.sets_raw().to_vec().into(),
+        );
+        assert_eq!(reread, used);
+        assert_eq!(hash(&reread), hash(&used));
+    }
+
+    #[test]
+    fn threads_racing_to_derive_one_rung_select_identically() {
+        let store = random_store(12, 60, 3_000, 6);
+        let index = std::sync::Arc::new(CoverageIndex::build(&store, 60, 2));
+        let cut = index.num_sets() >> 3;
+        let expect = NaiveGreedy.select_prefix(&index, 7, cut);
+        let start = std::sync::Barrier::new(4);
+        let results: Vec<CoverageResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let (index, start) = (std::sync::Arc::clone(&index), &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        CelfGreedy.select_prefix(&index, 7, cut)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(results.iter().all(|r| *r == expect), "{results:?}");
+        assert_eq!(index.rung_for(cut).map(Rung::cut), Some(cut));
+    }
+
     #[test]
     fn empty_store_and_tiny_universes() {
         let store = RrStore::new();
@@ -759,11 +1025,20 @@ mod tests {
     }
 
     /// CELF against the naive oracle in every SIMD mode the host offers,
-    /// over every set and at cuts {0, 1, len/2, len−1}: CELF's untouched
-    /// keys are full-index run lengths, upper bounds under any cut.
+    /// over every set, at cuts {0, 1, len/2, len−1}, and on both sides of
+    /// every rung cut `len >> j` (j = 1..=8): CELF's untouched keys are
+    /// full-index run lengths above half the index and rung counts at or
+    /// below it, upper bounds at the cut either way.
     fn assert_celf_matches_naive(index: &CoverageIndex, k: usize, what: &str) {
         let len = index.num_sets();
-        assert_celf_matches_naive_at(index, k, [0, 1, len / 2, len.saturating_sub(1), len], what);
+        let mut cuts = vec![0, 1, len / 2, len.saturating_sub(1), len];
+        for j in 1..=RUNGS {
+            let rung = len >> j;
+            cuts.extend([rung.saturating_sub(1), rung, rung + 1]);
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        assert_celf_matches_naive_at(index, k, cuts, what);
     }
 
     fn assert_celf_matches_naive_at(

@@ -394,6 +394,26 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_selects_leave_the_spill_bytes_unchanged() {
+        use crate::select::{CelfGreedy, SeedSelector};
+        let g = gen::star(40, 0.6);
+        let d = graph_digest(&g);
+        let pool = sample_pool(&g);
+        let mut before = Vec::new();
+        write_pool(&pool, d, &mut before).unwrap();
+        // Derive every rung the ladder holds: the spill never carries them.
+        let index = pool.coverage_index();
+        for j in 1..=8 {
+            CelfGreedy.select_prefix(index, 3, pool.len() >> j);
+        }
+        assert!(index.rung_for(pool.len() >> 8).is_some());
+        let mut after = Vec::new();
+        write_pool(&pool, d, &mut after).unwrap();
+        assert_eq!(after, before);
+        assert_pools_equal(&read_pool_bytes(after, d).unwrap(), &pool);
+    }
+
+    #[test]
     fn three_section_spill_is_rejected_as_corrupt() {
         // The layout once written for pools without an index: the store's
         // three sections under the current version and meta. Every pool

@@ -342,10 +342,12 @@ fn validate_incremental_schema(v: &Json) -> Result<(), String> {
 /// workload provenance, the host's core count, the calls per row
 /// (`reps`, each row their median), the active SIMD mode, the caveat
 /// note, and per-run `{label, threads, secs}` rows for the index build,
-/// both selectors and CELF at a half-pool cut, the three selector rows
+/// both selectors and CELF at the ½, ⅛ and 1/64 cuts, the selector rows
 /// again over the serving-scale `chung_lu` graph (`*/chung-lu` labels)
-/// with that graph's provenance. One ratio is gated on each graph, never
-/// an absolute time: `select_celf` must be faster than `select_naive`.
+/// with that graph's provenance, and `rung_derive/chung-lu`. Only ratios
+/// are gated, never an absolute time: on each graph `select_celf` must
+/// be faster than `select_naive`, and on `chung_lu` each cut row must be
+/// faster than `select_celf`, the whole pool.
 fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
     for f in ["simd", "note"] {
         if v.get(f).and_then(Json::as_str).is_none() {
@@ -395,8 +397,8 @@ fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
             .ok_or_else(|| format!("required run label {required:?} is absent"))
     };
     secs("index_build")?;
+    secs("rung_derive/chung-lu")?;
     for suffix in ["", "/chung-lu"] {
-        secs(&format!("select_celf_half{suffix}"))?;
         let (celf, naive) = (
             secs(&format!("select_celf{suffix}"))?,
             secs(&format!("select_naive{suffix}"))?,
@@ -405,6 +407,15 @@ fn validate_seed_selection_schema(v: &Json) -> Result<(), String> {
             return Err(format!(
                 "select_celf{suffix} ({celf} s) is not faster than select_naive{suffix} ({naive} s)"
             ));
+        }
+        for cut in ["half", "eighth", "64th"] {
+            let label = format!("select_celf_{cut}{suffix}");
+            let at_cut = secs(&label)?;
+            if suffix == "/chung-lu" && at_cut >= celf {
+                return Err(format!(
+                    "{label} ({at_cut} s) is not faster than select_celf{suffix} ({celf} s)"
+                ));
+            }
         }
     }
     Ok(())
@@ -980,9 +991,14 @@ mod tests {
             ("select_naive", 0.06),
             ("select_celf", 0.006),
             ("select_celf_half", 0.004),
+            ("select_celf_eighth", 0.007),
+            ("select_celf_64th", 0.008),
             ("select_naive/chung-lu", 0.9),
             ("select_celf/chung-lu", 0.002),
             ("select_celf_half/chung-lu", 0.001),
+            ("select_celf_eighth/chung-lu", 0.0005),
+            ("select_celf_64th/chung-lu", 0.0003),
+            ("rung_derive/chung-lu", 0.0025),
         ];
         assert_eq!(validate_schema(&seed_selection(CHUNG_LU, &good)), Ok(()));
         for missing in 0..good.len() {
@@ -991,9 +1007,21 @@ mod tests {
             let err = validate_schema(&seed_selection(CHUNG_LU, &rows)).unwrap_err();
             assert!(err.contains(&format!("{label:?}")), "{err}");
         }
-        for (row, celf) in [(2, 0.06), (2, 0.07), (5, 0.9), (5, 1.0)] {
+        // CELF at or above naive on either graph, and a chung-lu cut row at
+        // or above the whole-pool CELF row (the flixster cut rows, above
+        // their whole-pool row in `good`, are not gated).
+        for (row, secs) in [
+            (2, 0.06),
+            (2, 0.07),
+            (7, 0.9),
+            (7, 1.0),
+            (8, 0.002),
+            (8, 0.003),
+            (9, 0.002),
+            (10, 0.0021),
+        ] {
             let mut slow = good;
-            slow[row].1 = celf;
+            slow[row].1 = secs;
             let err = validate_schema(&seed_selection(CHUNG_LU, &slow)).unwrap_err();
             assert!(err.contains("not faster"), "{err}");
         }

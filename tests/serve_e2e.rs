@@ -14,6 +14,9 @@
 //!   set a cold [`RisPipeline::run_on_pool`] computes over the same pool,
 //!   on fixture-small and fixture-medium, with `pool_builds` unchanged
 //!   (no RR regeneration on the query path);
+//! - **budgeted selects at rung cuts** — a select at ½, ⅛ or 1/64 of a
+//!   pool answers the same bytes at first use (which derives the cut's
+//!   rung), warm, and on a second instance, with the naive oracle's seeds;
 //! - **concurrency regression** — interleaved clients on the
 //!   `comic_graph::par` scoped-thread substrate get the same bytes as a
 //!   serial replay.
@@ -228,6 +231,67 @@ fn budgeted_queries_match_a_cold_run_over_the_prefix() {
                 assert!(meta.capped);
             }
             other => panic!("expected Estimated, got {other:?}"),
+        }
+    }
+}
+
+/// Budgeted selects at ½, ⅛ and 1/64 of a pool seed CELF from the rung at
+/// that cut, derived by the first select that asks for it: the first
+/// reply, a warm repeat and a second instance's replies are the same
+/// bytes, and CELF reports the naive oracle's seeds and coverage.
+#[test]
+fn budgeted_selects_answer_identically_at_first_use_warm_and_on_a_second_instance() {
+    let mut cfg = small_cfg(2);
+    cfg.pools = vec![PoolKey::new(SamplerKind::VanillaIc, "default", EpsTier::Coarse).unwrap()];
+    let key = PoolKey::new(SamplerKind::VanillaIc, "default", EpsTier::Coarse).unwrap();
+    let select = |budget: usize, selector: Option<SelectorKind>| Request::Select {
+        pool: key.clone(),
+        k: 5,
+        selector,
+        budget: Some(budget as u64),
+        deadline_ms: None,
+    };
+    let a = ComicService::start(cfg.clone()).expect("instance A");
+    let b = ComicService::start(cfg).expect("instance B");
+    let len = a.pool(&key).expect("warmed pool").len();
+    assert!(len >= 64 * 2, "the fixture pool must reach the 1/64 rung");
+    for budget in [len / 2, len / 8, len / 64] {
+        let first = a.handle(&select(budget, None)).to_line();
+        assert_eq!(
+            a.handle(&select(budget, None)).to_line(),
+            first,
+            "warm {budget}"
+        );
+        for _ in 0..2 {
+            assert_eq!(
+                b.handle(&select(budget, None)).to_line(),
+                first,
+                "B {budget}"
+            );
+        }
+        let (celf, naive) = (
+            a.handle(&select(budget, None)),
+            a.handle(&select(budget, Some(SelectorKind::NaiveGreedy))),
+        );
+        match (celf, naive) {
+            (
+                Response::Selected {
+                    seeds,
+                    covered,
+                    consulted,
+                    ..
+                },
+                Response::Selected {
+                    seeds: oracle_seeds,
+                    covered: oracle_covered,
+                    ..
+                },
+            ) => {
+                assert_eq!(seeds, oracle_seeds, "budget {budget}");
+                assert_eq!(covered, oracle_covered, "budget {budget}");
+                assert_eq!(consulted, budget as u64);
+            }
+            other => panic!("expected two Selected, got {other:?}"),
         }
     }
 }
